@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .bijection import (TreeDecoratedMap, decorated_from_line,
                         decorated_to_line, extract_tree, glue, glue_partial,
@@ -33,18 +32,6 @@ from .series import (TruncatedSeries2, format_series, series_B, series_B1,
                      series_S)
 from .trees import (DyckPath, catalan, contour_to_tree, enumerate_trees,
                     tree_to_contour)
-
-
-@dataclass(frozen=True)
-class Config:
-    """Runtime knobs shared by the subcommands."""
-
-    cap: int = 5
-    verbose: bool = False
-
-    def __post_init__(self):
-        if self.cap <= 0:
-            raise ValueError("cap must be positive")
 
 
 class UsageError(Exception):

@@ -14,15 +14,31 @@ one edge shared by an internal face and the external face) reduces any map
 whose internal faces are all q-gons to a plane tree, so this growth is also
 exhaustive.
 
+Everything is computed at most once per process: each general level (its
+catalog, and that catalog's decoded maps), each q-angulation boundary level,
+each filtered pool of sphere q-angulations, and each catalog fetched through
+:func:`get_catalog`.  The size cap is checked before every one of these
+memos is consulted, so a warm call refuses exactly what a cold call refuses.
+
 Catalogs can be persisted as text files; the directory is taken from the
-MAPGLUE_CATALOG_DIR environment variable when set.
+MAPGLUE_CATALOG_DIR environment variable when set.  The last line of a file
+is ``checksum=sha256:<hex>``, the SHA-256 digest of every line above it, so
+any edit, truncation or reordering of the entries is detected.  Files
+written with the earlier byte-sum checksum are refused with
+:class:`FormatError`, as is a file whose header names another filter than
+the one requested.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+
+try:  # the builtin module, as random.py does: hashlib also loads OpenSSL
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .errors import CapExceeded, FormatError, Infeasible
 from .maps import (BoundaryMap, CanonicalCode, PlanarMap, build_map,
@@ -50,17 +66,35 @@ class CatalogFilter:
 class Catalog:
     filter: CatalogFilter
     entries: tuple[CanonicalCode, ...]
+    _maps: list[PlanarMap] | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def maps(self) -> list[PlanarMap]:
-        return [decode_code(c) for c in self.entries]
+        """The entries as maps.  The first call decodes and validates every
+        entry; later calls return a new list of the same maps."""
+        if self._maps is None:
+            object.__setattr__(self, "_maps",
+                               [decode_code(c) for c in self.entries])
+        return list(self._maps)
 
 
 def decode_code(code: CanonicalCode) -> PlanarMap:
     half = len(code.code) // 2
     return build_map(code.code[:half], code.code[half:], 1)
+
+
+def _code_of(canonical: PlanarMap) -> CanonicalCode:
+    """Code of a map that is already in canonical form."""
+    return CanonicalCode(canonical.sigma + canonical.alpha)
+
+
+def _check_cap(edges: int, cap: int | None, default: int) -> None:
+    cap = default if cap is None else cap
+    if edges > cap:
+        raise CapExceeded(f"{edges} edges exceeds cap {cap}")
 
 
 # -- general rooted maps, by edge count ----------------------------------------
@@ -109,35 +143,29 @@ def _with_edge_inserted(pmap: PlanarMap) -> list[PlanarMap]:
     return out
 
 
-_LEVELS: dict[int, tuple[PlanarMap, ...]] = {}
+_LEVELS: dict[int, Catalog] = {}
 
 
-def _maps_with_edges(e: int) -> tuple[PlanarMap, ...]:
-    """All rooted planar maps with e edges, in canonical form, sorted."""
+def _level(e: int) -> Catalog:
+    """All rooted planar maps with e edges, sorted by code."""
     if e not in _LEVELS:
         if e == 1:
             candidates = _base_maps()
-        else:
-            candidates = [cand for pm in _maps_with_edges(e - 1)
-                          for cand in _with_edge_inserted(pm)]
-        seen: dict[CanonicalCode, PlanarMap] = {}
-        for cand in candidates:
-            code = cand.canonical_code()
-            if code not in seen:
-                seen[code] = cand.canonical_form()
-        _LEVELS[e] = tuple(seen[c] for c in sorted(seen))
+        else:  # streamed: only the distinct codes are kept
+            candidates = (cand for pm in _level(e - 1).maps()
+                          for cand in _with_edge_inserted(pm))
+        codes = {cand.canonical_code() for cand in candidates}
+        _LEVELS[e] = Catalog(CatalogFilter(e=e), tuple(sorted(codes)))
     return _LEVELS[e]
 
 
 def enumerate_maps(e: int, cap: int | None = None) -> Catalog:
-    """Catalog of all rooted planar maps with e edges."""
-    cap = EDGE_CAP if cap is None else cap
+    """Catalog of all rooted planar maps with e edges, built once per
+    process."""
     if e < 1:
         raise Infeasible("edge count must be at least 1")
-    if e > cap:
-        raise CapExceeded(f"e={e} exceeds cap {cap}")
-    entries = tuple(m.canonical_code() for m in _maps_with_edges(e))
-    return Catalog(CatalogFilter(e=e), entries)
+    _check_cap(e, cap, EDGE_CAP)
+    return _level(e)
 
 
 # -- q-angulation boundary growth ----------------------------------------------
@@ -198,13 +226,28 @@ def _qangulation_boundary_maps(q: int, f: int, perimeter: int) -> tuple[PlanarMa
     rooted: dict[CanonicalCode, PlanarMap] = {}
     for pm in level.values():
         for d in pm.root_face():
-            r = pm.rerooted(d)
-            code = r.canonical_code()
-            if code not in rooted:
-                rooted[code] = r.canonical_form()
+            form = pm.rerooted(d).canonical_form()
+            rooted.setdefault(_code_of(form), form)
     result = tuple(rooted[c] for c in sorted(rooted))
     _QANG_LEVELS[key] = result
     return result
+
+
+def _check_boundary_family(q: int, f: int, e: int, perimeter: int,
+                           cap: int | None) -> None:
+    """Raise unless the boundary family is feasible and within the cap."""
+    if q == 0:
+        if e < 1:
+            raise Infeasible("general boundary catalogs need an edge count")
+        _check_cap(e, cap, EDGE_CAP)
+        return
+    total = q * f + perimeter
+    if total % 2:
+        raise Infeasible(f"q={q}, f={f}, perimeter={perimeter}: "
+                         "odd total degree")
+    _check_cap(total // 2, cap, QANG_EDGE_CAP)
+    if perimeter < 2:
+        raise Infeasible("perimeter must be at least 2")
 
 
 def enumerate_boundary_maps(q: int = 0, f: int = 0, e: int = 0,
@@ -212,23 +255,12 @@ def enumerate_boundary_maps(q: int = 0, f: int = 0, e: int = 0,
                             bridgeless: bool = False,
                             cap: int | None = None) -> Catalog:
     """Catalog of rooted maps whose root face matches the boundary filter."""
+    _check_boundary_family(q, f, e, perimeter, cap)
     filt = CatalogFilter(q, f, e, perimeter, simple, bridgeless)
     if q == 0:
-        if e < 1:
-            raise Infeasible("general boundary catalogs need an edge count")
         pool = enumerate_maps(e, cap=cap).maps()
     else:
-        total = q * f + perimeter
-        if total % 2:
-            raise Infeasible(f"q={q}, f={f}, perimeter={perimeter}: "
-                             "odd total degree")
-        edges = total // 2
-        qcap = QANG_EDGE_CAP if cap is None else cap
-        if edges > qcap:
-            raise CapExceeded(f"{edges} edges exceeds cap {qcap}")
-        if perimeter < 2:
-            raise Infeasible("perimeter must be at least 2")
-        pool = list(_qangulation_boundary_maps(q, f, perimeter))
+        pool = _qangulation_boundary_maps(q, f, perimeter)
     entries = []
     for pm in pool:
         b = BoundaryMap(pm)
@@ -242,7 +274,7 @@ def enumerate_boundary_maps(q: int = 0, f: int = 0, e: int = 0,
             continue
         if bridgeless and not b.is_bridgeless():
             continue
-        entries.append(pm.canonical_code())
+        entries.append(_code_of(pm))
     return Catalog(filt, tuple(sorted(entries)))
 
 
@@ -287,13 +319,19 @@ def _tree_vertices(pmap: PlanarMap, edges: frozenset[int]) -> frozenset[int]:
     return frozenset(out)
 
 
+_SPHERES: dict[tuple[int, int], list[PlanarMap]] = {}
+
+
 def sphere_qangulations(q: int, f: int, cap: int | None = None) -> list[PlanarMap]:
     """All rooted maps of the sphere whose faces all have degree q."""
     if q * f % 2:
         raise Infeasible(f"q={q}, f={f}: odd total degree")
     e = q * f // 2
-    return [pm for pm in enumerate_maps(e, cap=cap).maps()
-            if is_q_angulation(pm, q)]
+    _check_cap(e, cap, EDGE_CAP)
+    if (q, f) not in _SPHERES:
+        _SPHERES[q, f] = [pm for pm in enumerate_maps(e, cap=cap).maps()
+                          if is_q_angulation(pm, q)]
+    return list(_SPHERES[q, f])
 
 
 def brute_count_decorated(q: int, f: int | None = None, e: int | None = None,
@@ -395,8 +433,11 @@ def catalog_to_text(cat: Catalog) -> str:
     ]
     lines.extend(",".join(str(v) for v in c.code) for c in cat.entries)
     body = "".join(line + "\n" for line in lines)
-    checksum = sum(body.encode()) & 0xFFFFFFFF
-    return body + f"checksum={checksum:08x}\n"
+    return body + _checksum_line(body) + "\n"
+
+
+def _checksum_line(body: str) -> str:
+    return "checksum=sha256:" + sha256(body.encode()).hexdigest()
 
 
 def catalog_from_text(text: str) -> Catalog:
@@ -404,22 +445,24 @@ def catalog_from_text(text: str) -> Catalog:
     if len(lines) < 2 or not lines[-1].startswith("checksum="):
         raise FormatError("missing checksum line")
     body = "".join(line + "\n" for line in lines[:-1])
-    checksum = sum(body.encode()) & 0xFFFFFFFF
-    if lines[-1] != f"checksum={checksum:08x}":
+    if lines[-1] != _checksum_line(body):
         raise FormatError("catalog checksum mismatch")
     head = lines[0].split()
-    if head[0] != "catalog":
+    if not head or head[0] != "catalog":
         raise FormatError("not a catalog file")
-    kv = dict(tok.split("=", 1) for tok in head[1:])
     try:
+        kv = dict(tok.split("=", 1) for tok in head[1:])
         filt = CatalogFilter(int(kv["q"]), int(kv["f"]), int(kv["e"]),
                              int(kv["perim"]), bool(int(kv["simple"])),
                              bool(int(kv["bridgeless"])))
         count = int(kv["count"])
     except (KeyError, ValueError) as exc:
         raise FormatError("malformed catalog header") from exc
-    entries = tuple(CanonicalCode(tuple(int(v) for v in line.split(",")))
-                    for line in lines[1:-1])
+    try:
+        entries = tuple([CanonicalCode(tuple([int(v) for v in ln.split(",")]))
+                         for ln in lines[1:-1]])
+    except ValueError as exc:
+        raise FormatError("malformed catalog entry") from exc
     if len(entries) != count:
         raise FormatError("catalog count does not match the entry lines")
     return Catalog(filt, entries)
@@ -453,7 +496,11 @@ def load_catalog(filt: CatalogFilter, directory: str | None = None) -> Catalog |
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        return catalog_from_text(fh.read())
+        cat = catalog_from_text(fh.read())
+    if cat.filter != filt:
+        raise FormatError(f"{path} holds the catalog of {cat.filter}, "
+                          f"not of {filt}")
+    return cat
 
 
 _CATALOG_MEMO: dict[CatalogFilter, Catalog] = {}
@@ -463,6 +510,7 @@ def get_catalog(q: int = 0, f: int = 0, e: int = 0, perimeter: int = 0,
                 simple: bool = False, bridgeless: bool = False,
                 cap: int | None = None) -> Catalog:
     """Fetch a catalog from memory or disk, building it on a miss."""
+    _check_boundary_family(q, f, e, perimeter, cap)
     filt = CatalogFilter(q, f, e, perimeter, simple, bridgeless)
     if filt in _CATALOG_MEMO:
         return _CATALOG_MEMO[filt]

@@ -91,10 +91,6 @@ class InternalMismatch(MapGlueError):
     """Two independent constructions of the same series disagree."""
 
 
-class CatalogMissing(MapGlueError):
-    """No catalog available for the requested sample family."""
-
-
 class UnknownFormat(MapGlueError):
     """Unrecognized export format tag."""
 

@@ -142,8 +142,10 @@ class PlanarMap:
 
     # -- identity ---------------------------------------------------------
 
-    def relabel(self, image: dict[int, int]) -> "PlanarMap":
-        """Apply a dart relabelling ``old -> new`` (a bijection on 1..2E)."""
+    def relabel(self, image: dict[int, int] | list[int]) -> "PlanarMap":
+        """Apply a dart relabelling ``old -> new`` (a bijection on 1..2E),
+        given as a dict or as an image array such as
+        :meth:`canonical_relabelling` returns."""
         n = self.dart_count
         sigma = [0] * n
         alpha = [0] * n
@@ -153,32 +155,57 @@ class PlanarMap:
         labels = tuple(sorted((image[d], v) for d, v in self.labels))
         return PlanarMap(tuple(sigma), tuple(alpha), image[self.root], labels)
 
-    def canonical_relabelling(self, root: int | None = None) -> dict[int, int]:
+    def canonical_relabelling(self, root: int | None = None) -> list[int]:
         """First-visit order of the breadth-first exploration from the root,
-        alternating sigma then alpha."""
-        if root is None:
-            root = self.root
-        image: dict[int, int] = {root: 1}
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            d = queue[head]
-            head += 1
-            for e in (self.sigma_of(d), self.alpha_of(d)):
-                if e not in image:
-                    image[e] = len(image) + 1
-                    queue.append(e)
-        return image
+        alternating sigma then alpha, as an image array: dart ``d`` becomes
+        ``image[d]`` (index 0 is unused)."""
+        return _canonical_bfs(self.sigma, self.alpha,
+                              self.root if root is None else root)[0]
 
     def canonical_code(self) -> "CanonicalCode":
-        relabelled = self.relabel(self.canonical_relabelling())
-        return CanonicalCode(relabelled.sigma + relabelled.alpha)
+        sigma, alpha, _ = _canonical(self)
+        return CanonicalCode(tuple(sigma + alpha))
 
     def canonical_form(self) -> "PlanarMap":
-        return self.relabel(self.canonical_relabelling())
+        sigma, alpha, image = _canonical(self)
+        labels = tuple(sorted([(image[d], v) for d, v in self.labels]))
+        return PlanarMap(tuple(sigma), tuple(alpha), 1, labels)
 
     def rerooted(self, root: int) -> "PlanarMap":
         return PlanarMap(self.sigma, self.alpha, root, self.labels)
+
+
+def _canonical_bfs(sigma: Perm, alpha: Perm,
+                   root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first exploration from ``root``, sigma before alpha.
+
+    Returns ``(image, order)``: ``image[d]`` is the new label of dart ``d``
+    (index 0 unused) and ``order[k]`` is the dart labelled ``k + 1``.
+    """
+    image = [0] * (len(sigma) + 1)
+    image[root] = 1
+    order = [root]
+    n = 1
+    for d in order:  # also visits the darts appended while it runs
+        e = sigma[d - 1]
+        if not image[e]:
+            n += 1
+            image[e] = n
+            order.append(e)
+        e = alpha[d - 1]
+        if not image[e]:
+            n += 1
+            image[e] = n
+            order.append(e)
+    return image, order
+
+
+def _canonical(pmap: PlanarMap) -> tuple[list[int], list[int], list[int]]:
+    """sigma and alpha of the canonical form, and the image array."""
+    sigma, alpha = pmap.sigma, pmap.alpha
+    image, order = _canonical_bfs(sigma, alpha, pmap.root)
+    return ([image[sigma[d - 1]] for d in order],
+            [image[alpha[d - 1]] for d in order], image)
 
 
 @dataclass(frozen=True, order=True)
@@ -278,22 +305,6 @@ class BoundaryMap:
         return self.is_vertex_simple() and self.is_bridgeless()
 
 
-def faces(pmap: PlanarMap) -> list[tuple[int, ...]]:
-    return pmap.faces()
-
-
-def boundary_walk(bmap: BoundaryMap) -> tuple[int, ...]:
-    return bmap.boundary_walk()
-
-
-def is_simple_boundary(bmap: BoundaryMap) -> bool:
-    return bmap.is_simple()
-
-
-def is_bridgeless_boundary(bmap: BoundaryMap) -> bool:
-    return bmap.is_bridgeless()
-
-
 def is_q_angulation(pmap: PlanarMap, q: int, skip_external: bool = False) -> bool:
     """True when every face (every internal face if ``skip_external``) has
     degree ``q``."""
@@ -344,13 +355,13 @@ def map_from_line(line: str) -> PlanarMap:
         root = int(f["root"])
         sigma = [int(x) for x in f["sigma"].split(",")]
         alpha = [int(x) for x in f["alpha"].split(",")]
+        labels = []
+        if "labels" in f:
+            for item in f["labels"].split(","):
+                k, v = item.split(":", 1)
+                labels.append((int(k), v))
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed map record: {line!r}") from exc
-    labels = []
-    if "labels" in f:
-        for item in f["labels"].split(","):
-            k, v = item.split(":", 1)
-            labels.append((int(k), v))
     if len(sigma) != 2 * e:
         raise FormatError("E does not match the sigma length")
     return build_map(sigma, alpha, root, labels)

@@ -120,6 +120,10 @@ def test_glue_input_errors():
     code, _, err = run("glue", "--boundary", "@/no/such/file",
                        "--tree", "UD")
     assert code == 2
+    for labels in ("x", "a:x", ""):
+        code, _, err = run("glue", "--boundary", "map E=1 root=1 sigma=1,2 "
+                           f"alpha=2,1 labels={labels}", "--tree", "UD")
+        assert code == 2 and "FormatError" in err
 
 
 def test_sample_deterministic():

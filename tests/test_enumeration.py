@@ -4,7 +4,8 @@ from mapglue.enumeration import (Catalog, CatalogFilter, brute_count_decorated,
                                  brute_count_forest, catalog_from_text,
                                  catalog_to_text, enumerate_boundary_maps,
                                  enumerate_maps, get_catalog, load_catalog,
-                                 save_catalog, tree_submaps)
+                                 save_catalog, sphere_qangulations,
+                                 tree_submaps)
 from mapglue.errors import CapExceeded, FormatError
 from mapglue.maps import BoundaryMap, build_map, is_q_angulation
 
@@ -90,6 +91,12 @@ def test_catalog_text_corruption_detected():
         catalog_from_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError):
         catalog_from_text("catalog nope\n")
+    # malformed bodies that carry a matching checksum
+    from mapglue.enumeration import _checksum_line
+    good_head = text.splitlines()[0]
+    for body in ("\n", "catalog nope\n", good_head + "\n1,x\n"):
+        with pytest.raises(FormatError):
+            catalog_from_text(body + _checksum_line(body) + "\n")
 
 
 def test_catalog_disk_round_trip(tmp_path):
@@ -117,3 +124,60 @@ def test_catalog_is_value_object():
     cat = enumerate_maps(1)
     assert isinstance(cat, Catalog)
     assert len(cat.maps()) == len(cat) == 2
+
+
+def test_catalog_reordered_entries_detected():
+    lines = catalog_to_text(enumerate_maps(3)).splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    with pytest.raises(FormatError):
+        catalog_from_text("\n".join(lines) + "\n")
+
+
+def test_load_catalog_refuses_other_filter_and_old_checksum(tmp_path):
+    from mapglue import enumeration
+    cat = enumerate_boundary_maps(q=4, f=1, perimeter=2, simple=True)
+    path = save_catalog(cat, str(tmp_path))
+    other = CatalogFilter(q=4, f=1, perimeter=2)
+    (tmp_path / enumeration._catalog_filename(other)).write_text(
+        catalog_to_text(cat))
+    with pytest.raises(FormatError):
+        load_catalog(other, str(tmp_path))
+    # a file with the earlier byte-sum checksum
+    body = catalog_to_text(cat).rsplit("checksum=", 1)[0]
+    with open(path, "w") as fh:
+        fh.write(body + f"checksum={sum(body.encode()) & 0xFFFFFFFF:08x}\n")
+    with pytest.raises(FormatError):
+        load_catalog(cat.filter, str(tmp_path))
+
+
+def test_cap_checked_on_warm_calls(monkeypatch):
+    monkeypatch.delenv("MAPGLUE_CATALOG_DIR", raising=False)
+    assert len(get_catalog(q=4, f=2, perimeter=4, simple=True)) == 10
+    with pytest.raises(CapExceeded):
+        get_catalog(q=4, f=2, perimeter=4, simple=True, cap=3)
+    assert enumerate_maps(6) is enumerate_maps(6)
+    with pytest.raises(CapExceeded):
+        enumerate_maps(6, cap=5)
+    assert len(sphere_qangulations(4, 3)) > 0
+    with pytest.raises(CapExceeded):
+        sphere_qangulations(4, 3, cap=5)
+
+
+def test_catalog_maps_validated_on_first_call_only(monkeypatch):
+    from mapglue import enumeration
+    cat = Catalog(CatalogFilter(e=4), enumerate_maps(4).entries)
+    calls = []
+    real = enumeration.build_map
+
+    def counting_build_map(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "build_map", counting_build_map)
+    first = cat.maps()
+    assert len(calls) == len(cat) == 378
+    second = cat.maps()
+    assert len(calls) == 378
+    assert second == first and second is not first
+    second.clear()
+    assert len(cat.maps()) == 378

@@ -112,3 +112,36 @@ def test_labels_do_not_affect_equality():
     labelled = build_map([1, 2], [2, 1], 1, labels=((1, "a"),))
     assert labelled == EDGE
     assert labelled.label_of(1) == "a"
+
+
+def _reference_relabelling(pmap, root):
+    """The breadth-first relabelling written out with a dict and the
+    per-dart accessors, as an independent reference."""
+    image = {root: 1}
+    queue = [root]
+    for d in queue:
+        for e in (pmap.sigma_of(d), pmap.alpha_of(d)):
+            if e not in image:
+                image[e] = len(image) + 1
+                queue.append(e)
+    return image
+
+
+def test_canonical_kernel_matches_reference_relabelling():
+    from mapglue.enumeration import enumerate_maps
+    labelled = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1,
+                         labels=((1, "a"), (4, "b"), (6, "c")))
+    pool = [labelled] + [pm for e in range(1, 5)
+                         for pm in enumerate_maps(e).maps()]
+    for pmap in pool:
+        for d in pmap.darts():
+            rerooted = pmap.rerooted(d)
+            ref = _reference_relabelling(pmap, d)
+            image = pmap.canonical_relabelling(root=d)
+            assert [image[x] for x in pmap.darts()] == [ref[x] for x in
+                                                         pmap.darts()]
+            want = rerooted.relabel(ref)
+            form = rerooted.canonical_form()
+            assert form == want and form.labels == want.labels
+            assert rerooted.relabel(image).labels == want.labels
+            assert rerooted.canonical_code().code == want.sigma + want.alpha
