@@ -6,12 +6,16 @@ contour of the tree.  Gluing reverses this: the external face of a map with
 a simple boundary of perimeter 2m is sewn shut along the vertex equivalence
 induced by the contour of an m-edge tree.
 
-Both directions are implemented through the face structure.  Internal faces
-are carried over as identical dart cycles and the external face cycle is
-written down explicitly; the rotation system is then recovered as
-``sigma = phi o alpha``.  With that framing, gluing deletes the external
-darts and re-pairs their partners, and the round trip is exact on dart ids
-(up to the final canonical relabelling of the glued map).
+Both directions run through one kernel each, on flat arrays.  The cutting
+kernel :func:`_cut` doubles every dart of a closed walk (a tree contour, or
+a bubble-map circuit) and lets the new darts form one face running against
+the walk; every other face is carried over unchanged.  The sewing kernel
+:func:`_sew` deletes a set of boundary darts and pairs their alpha-partners
+along a contour matching; each surviving dart's face successor is the next
+surviving dart along its old face, skipping deleted ones, so whatever is
+left of a partly consumed boundary stays one face.  Both rebuild the
+rotation system as ``sigma = phi o alpha``, and the round trip is exact on
+dart ids (up to the final canonical relabelling of the glued map).
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from .errors import (
     BoundaryNotSimple,
     DecorationNotATree,
     EmptyTree,
+    FormatError,
     RootNotOnTree,
     SizeMismatch,
     TreeTooLarge,
 )
-from .maps import BoundaryMap, PlanarMap, build_map
-from .trees import DyckPath, tree_to_contour
+from .maps import BoundaryMap, PlanarMap, build_map, map_from_line, map_to_line
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,30 @@ def _contour_matching(tree: PlanarMap) -> list[int]:
     return [pos[tree.alpha_of(d)] for d in walk]
 
 
+def _cut(phi: list[int], alpha: list[int], walk):
+    """Cut a map open along the closed walk ``walk``.
+
+    ``phi`` and ``alpha`` are the face and edge permutations as flat image
+    lists (dart d at index d - 1).  Every walk dart gets a new twin, labelled
+    after the old darts in increasing order of the dart it doubles; the
+    twins form one new face whose orbit runs against the walk (phi sends the
+    twin of step i+1 to the twin of step i), which splits every vertex the
+    walk passes into its corners.  Returns ``(sigma, alpha, root)`` with the
+    twin of the first step as root.
+    """
+    n = len(phi)
+    twin = {d: n + 1 + k for k, d in enumerate(sorted(walk))}
+    phi = phi + [0] * len(walk)
+    alpha = alpha + [0] * len(walk)
+    for d, t in twin.items():
+        alpha[d - 1] = t
+        alpha[t - 1] = d
+    for d, e in zip(walk, walk[1:] + walk[:1]):
+        phi[twin[e] - 1] = twin[d]
+    sigma = [phi[a - 1] for a in alpha]
+    return sigma, alpha, twin[walk[0]]
+
+
 def unglue(tdm: TreeDecoratedMap):
     """Cut a tree-decorated map open along its tree.
 
@@ -146,62 +174,47 @@ def unglue(tdm: TreeDecoratedMap):
         raise RootNotOnTree("map root edge must belong to the decoration")
     tree, to_ambient = extract_tree(pmap, tdm.tree_edges)
     contour = [to_ambient[d] for d in contour_darts(tree)]
-
-    n = pmap.dart_count
-    twin = {}  # ambient tree dart -> its new boundary dart
-    for k, d in enumerate(sorted(set(contour))):
-        twin[d] = n + 1 + k
-
-    nb = n + len(twin)
-    phi = [0] * nb
-    alpha = [0] * nb
-    for d in pmap.darts():
-        phi[d - 1] = pmap.phi_of(d)  # internal faces are unchanged
-        alpha[d - 1] = twin.get(d, pmap.alpha_of(d))
-    for t, s in twin.items():
-        alpha[s - 1] = t
-    # the new darts form the external face; its orbit runs against the
-    # contour (phi sends the twin of step i+1 to the twin of step i), which
-    # is what splits each tree vertex into its corners
-    two_m = len(contour)
-    for i in range(two_m):
-        phi[twin[contour[(i + 1) % two_m]] - 1] = twin[contour[i]]
-    sigma = [phi[alpha[d - 1] - 1] for d in range(1, nb + 1)]
-    root = twin[contour[0]]
-    labels = [(d, v) for d, v in pmap.labels]
-    bmap = BoundaryMap(build_map(sigma, alpha, root, labels))
-    return tree, bmap
+    sigma, alpha, root = _cut([pmap.phi_of(d) for d in pmap.darts()],
+                              list(pmap.alpha), contour)
+    return tree, BoundaryMap(build_map(sigma, alpha, root, pmap.labels))
 
 
-def _glue_core(pmap: PlanarMap, consumed: list[int], matching: list[int],
-               external_after: list[int], root_old: int, labels=None):
-    """Delete ``consumed`` darts, pair alpha-partners of consumed darts i and
-    matching[i], keep every other face cycle, append ``external_after`` as a
-    face cycle, and rebuild sigma from the faces."""
-    consumed_set = set(consumed)
-    survivors = [d for d in pmap.darts() if d not in consumed_set]
-    index = {d: i + 1 for i, d in enumerate(survivors)}
-    n = len(survivors)
-    phi = [0] * n
-    alpha = [0] * n
+def _sew(pmap: PlanarMap, consumed: list[int], matching: list[int]):
+    """Delete the ``consumed`` darts and pair the alpha-partners of
+    ``consumed[i]`` and ``consumed[matching[i]]``.
+
+    Surviving darts keep their order and are relabelled 1..n; each one's
+    face successor is the next surviving dart along its old face, so a face
+    that loses some darts keeps the rest as one cycle.  Returns
+    ``(sigma, alpha, index)`` where ``index[d]`` is the new label of dart
+    ``d`` (0 for a consumed dart).
+    """
+    old_sigma, old_alpha = pmap.sigma, pmap.alpha
+    dead = set(consumed)
+    survivors = [d for d in pmap.darts() if d not in dead]
+    index = [0] * (pmap.dart_count + 1)
+    for k, d in enumerate(survivors, 1):
+        index[d] = k
+    phi = []
+    alpha = []
     for d in survivors:
-        if pmap.face_of(d) != pmap.face_of(pmap.root):
-            phi[index[d] - 1] = index[pmap.phi_of(d)]
-        a = pmap.alpha_of(d)
-        if a not in consumed_set:
-            alpha[index[d] - 1] = index[a]
+        e = old_sigma[old_alpha[d - 1] - 1]
+        while not index[e]:
+            e = old_sigma[old_alpha[e - 1] - 1]
+        phi.append(index[e])
+        alpha.append(index[old_alpha[d - 1]])
     for i, j in enumerate(matching):
-        ai = pmap.alpha_of(consumed[i])
-        aj = pmap.alpha_of(consumed[j])
-        alpha[index[ai] - 1] = index[aj]
-    for k, d in enumerate(external_after):
-        phi[index[d] - 1] = index[external_after[(k + 1) % len(external_after)]]
-    sigma = [phi[alpha[d - 1] - 1] for d in range(1, n + 1)]
-    if labels is None:
-        labels = pmap.labels
-    labels = [(index[d], v) for d, v in labels if d in index]
-    glued = build_map(sigma, alpha, index[root_old], labels)
-    return glued, index
+        alpha[index[old_alpha[consumed[i] - 1]] - 1] = \
+            index[old_alpha[consumed[j] - 1]]
+    sigma = [phi[a - 1] for a in alpha]
+    return sigma, alpha, index
+
+
+def _sewn_map(pmap: PlanarMap, sigma, alpha, index, root: int):
+    """The map :func:`_sew` produced, rooted at the image of ``root`` and
+    keeping the labels of surviving darts."""
+    labels = [(index[d], v) for d, v in pmap.labels if index[d]]
+    return build_map(sigma, alpha, index[root], labels)
 
 
 def glue(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
@@ -220,10 +233,9 @@ def glue(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
         raise SizeMismatch(
             f"perimeter {bmap.perimeter} != 2*{m} tree edges")
     walk = list(bmap.boundary_walk())
-    matching = _contour_matching(tree)
     pmap = bmap.map
-    root_old = pmap.alpha_of(walk[0])
-    glued, index = _glue_core(pmap, walk, matching, [], root_old)
+    sigma, alpha, index = _sew(pmap, walk, _contour_matching(tree))
+    glued = _sewn_map(pmap, sigma, alpha, index, pmap.alpha_of(walk[0]))
     tree_edges = frozenset(
         glued.edge_of(index[pmap.alpha_of(b)]) for b in walk)
     return TreeDecoratedMap(glued, tree_edges)
@@ -249,14 +261,11 @@ def glue_partial(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
         return glue(bmap, tree)
     walk = list(bmap.boundary_walk())
     consumed = walk[: 2 * m2]
-    matching = _contour_matching(tree)
-    # the surviving labels stay external; their phi orbit runs against
-    # label order, so the face cycle is the reversed remainder
-    external_after = [walk[2 * m2]] + walk[2 * m2 + 1:][::-1]
-    glued, index = _glue_core(bmap.map, consumed, matching,
-                              external_after, walk[2 * m2])
+    pmap = bmap.map
+    sigma, alpha, index = _sew(pmap, consumed, _contour_matching(tree))
+    glued = _sewn_map(pmap, sigma, alpha, index, walk[2 * m2])
     tree_edges = frozenset(
-        glued.edge_of(index[bmap.map.alpha_of(b)]) for b in consumed)
+        glued.edge_of(index[pmap.alpha_of(b)]) for b in consumed)
     return TreeDecoratedMap(glued, tree_edges)
 
 
@@ -286,68 +295,39 @@ def glue_forest(mmap: MultiBoundaryMap, forest) -> ForestDecoratedMap:
         raise BoundariesNotDisjoint("two roots share a boundary face")
     consumed: list[int] = []
     matching: list[int] = []
-    offsets = []
-    for i, tree in enumerate(forest):
-        offsets.append(len(consumed))
+    for walk, tree in zip(walks, forest):
         matching.extend(len(consumed) + j for j in _contour_matching(tree))
-        consumed.extend(walks[i])
-    root_old = pmap.alpha_of(consumed[0])
-    glued, index = _glue_core_multi(pmap, consumed, matching, root_old)
+        consumed.extend(walk)
+    sigma, alpha, index = _sew(pmap, consumed, matching)
+    glued = _sewn_map(pmap, sigma, alpha, index, pmap.alpha_of(consumed[0]))
     trees = []
     roots = []
-    for i, walk in enumerate(walks):
+    for walk in walks:
         trees.append(frozenset(
             glued.edge_of(index[pmap.alpha_of(b)]) for b in walk))
         roots.append(index[pmap.alpha_of(walk[0])])
     return ForestDecoratedMap(glued, tuple(trees), tuple(roots))
 
 
-def _glue_core_multi(pmap: PlanarMap, consumed: list[int], matching: list[int],
-                     root_old: int):
-    """Like _glue_core but deletes several whole face cycles."""
-    consumed_set = set(consumed)
-    survivors = [d for d in pmap.darts() if d not in consumed_set]
-    index = {d: i + 1 for i, d in enumerate(survivors)}
-    n = len(survivors)
-    phi = [0] * n
-    alpha = [0] * n
-    for d in survivors:
-        phi[index[d] - 1] = index[pmap.phi_of(d)]
-        a = pmap.alpha_of(d)
-        if a not in consumed_set:
-            alpha[index[d] - 1] = index[a]
-    for i, j in enumerate(matching):
-        ai = pmap.alpha_of(consumed[i])
-        alpha[index[ai] - 1] = index[pmap.alpha_of(consumed[j])]
-    sigma = [phi[alpha[d - 1] - 1] for d in range(1, n + 1)]
-    labels = [(index[d], v) for d, v in pmap.labels if d in index]
-    glued = build_map(sigma, alpha, index[root_old], labels)
-    return glued, index
-
-
 def decorated_to_line(tdm: TreeDecoratedMap) -> str:
-    from .maps import map_to_line
-
     return map_to_line(tdm.map) + " tree=" + ",".join(
         str(e) for e in sorted(tdm.tree_edges))
 
 
 def decorated_from_line(line: str) -> TreeDecoratedMap:
-    from .errors import FormatError
-    from .maps import map_from_line
-
     if " tree=" not in line:
         raise FormatError("missing tree= field")
     head, tree_part = line.rsplit(" tree=", 1)
     pmap = map_from_line(head)
-    edges = frozenset(int(x) for x in tree_part.split(","))
+    try:
+        edges = frozenset(int(x) for x in tree_part.split(","))
+    except ValueError as exc:
+        raise FormatError(f"malformed tree= field {tree_part!r}") from exc
     check_tree_decoration(pmap, edges)
     return TreeDecoratedMap(pmap, edges)
 
 
 def forest_to_line(fdm: ForestDecoratedMap) -> str:
-    from .maps import map_to_line
-
     groups = []
     for root, edges in zip(fdm.tree_roots, fdm.trees):
         groups.append(f"{root}:" + ",".join(str(e) for e in sorted(edges)))
@@ -355,17 +335,17 @@ def forest_to_line(fdm: ForestDecoratedMap) -> str:
 
 
 def forest_from_line(line: str) -> ForestDecoratedMap:
-    from .errors import FormatError
-    from .maps import map_from_line
-
     if " trees=" not in line:
         raise FormatError("missing trees= field")
     head, part = line.rsplit(" trees=", 1)
     pmap = map_from_line(head)
     trees = []
     roots = []
-    for group in part.split(";"):
-        root, edges = group.split(":", 1)
-        roots.append(int(root))
-        trees.append(frozenset(int(x) for x in edges.split(",")))
+    try:
+        for group in part.split(";"):
+            root, edges = group.split(":", 1)
+            roots.append(int(root))
+            trees.append(frozenset(int(x) for x in edges.split(",")))
+    except ValueError as exc:
+        raise FormatError(f"malformed trees= field {part!r}") from exc
     return ForestDecoratedMap(pmap, tuple(trees), tuple(roots))

@@ -23,7 +23,9 @@ gluing cannot be reversed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BoundaryHasBridge,
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .maps import BoundaryMap, PlanarMap, build_map, map_from_line, map_to_line
 from .trees import DyckPath, contour_classes, contour_to_tree, tree_to_contour
-from .bijection import _contour_matching
+from .bijection import _contour_matching, _cut, _sew
 
 
 @dataclass(frozen=True)
@@ -77,15 +79,27 @@ class BubbleMap:
 
     # -- global dart addressing -------------------------------------------
 
-    def offsets(self) -> list[int]:
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
         out = [0]
         for s in self.spheres:
             out.append(out[-1] + s.dart_count)
-        return out
+        return tuple(out)
+
+    @cached_property
+    def _pinch_parent(self) -> dict:
+        """Union-find forest identifying the pinched vertex copies."""
+        parent: dict = {}
+        for a, va, b, vb in self.pinches:
+            _union(parent, (a, va), (b, vb))
+        return parent
+
+    def offsets(self) -> list[int]:
+        return list(self._offsets)
 
     @property
     def dart_count(self) -> int:
-        return sum(s.dart_count for s in self.spheres)
+        return self._offsets[-1]
 
     @property
     def edge_count(self) -> int:
@@ -96,14 +110,14 @@ class BubbleMap:
         return self.spheres[0].root
 
     def to_local(self, g: int) -> tuple[int, int]:
-        offs = self.offsets()
-        for k in range(len(self.spheres)):
-            if g <= offs[k + 1]:
-                return k, g - offs[k]
-        raise FormatError(f"dart {g} out of range")
+        offs = self._offsets
+        k = bisect_left(offs, g, 1) - 1
+        if k == len(self.spheres):
+            raise FormatError(f"dart {g} out of range")
+        return k, g - offs[k]
 
     def to_global(self, sphere: int, d: int) -> int:
-        return self.offsets()[sphere] + d
+        return self._offsets[sphere] + d
 
     def alpha_of(self, g: int) -> int:
         k, d = self.to_local(g)
@@ -116,14 +130,7 @@ class BubbleMap:
         """(sphere, local vertex id) of the tail of ``g``, pinch-collapsed:
         pinched copies share one representative."""
         k, d = self.to_local(g)
-        v = (k, self.spheres[k].vertex_of(d))
-        ident = {}
-        for a, va, b, vb in self.pinches:
-            ra = _find(ident, (a, va))
-            rb = _find(ident, (b, vb))
-            if ra != rb:
-                ident[max(ra, rb)] = min(ra, rb)
-        return _find(ident, v)
+        return _find(self._pinch_parent, (k, self.spheres[k].vertex_of(d)))
 
     def darts(self) -> range:
         return range(1, self.dart_count + 1)
@@ -133,6 +140,12 @@ def _find(parent: dict, x):
     while x in parent:
         x = parent[x]
     return x
+
+
+def _union(parent: dict, x, y) -> None:
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[max(rx, ry)] = min(rx, ry)
 
 
 @dataclass(frozen=True)
@@ -309,27 +322,12 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
         raise SizeMismatch(f"perimeter {bmap.perimeter} != 2*{m} tree edges")
     pmap = bmap.map
     walk = list(bmap.boundary_walk())
-    matching = _contour_matching(tree)
-    two_m = 2 * m
-
-    consumed = set(walk)
-    survivors = [d for d in pmap.darts() if d not in consumed]
-    index = {d: i + 1 for i, d in enumerate(survivors)}
-    n = len(survivors)
-    phi = [0] * n
-    alpha = [0] * n
-    for d in survivors:
-        phi[index[d] - 1] = index[pmap.phi_of(d)]
-        a = pmap.alpha_of(d)
-        if a not in consumed:
-            alpha[index[d] - 1] = index[a]
-    for i, j in enumerate(matching):
-        alpha[index[pmap.alpha_of(walk[i])] - 1] = index[pmap.alpha_of(walk[j])]
-    sigma = [phi[alpha[d - 1] - 1] for d in range(1, n + 1)]
+    sigma, alpha, index = _sew(pmap, walk, _contour_matching(tree))
+    n = len(sigma)
     root_new = index[pmap.alpha_of(walk[0])]
     # circuit step p is the image of contour step p: the survivor partner
     # of the boundary dart at label p (so the circuit starts at the root)
-    circuit_raw = [index[pmap.alpha_of(walk[p])] for p in range(two_m)]
+    circuit_raw = [index[pmap.alpha_of(b)] for b in walk]
 
     cuts = _wicked_cuts(bmap, tree)
     if not cuts:
@@ -345,16 +343,15 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     for d in range(1, n + 1):
         _union(parent, d, alpha[d - 1])
         _union(parent, d, sigma[d - 1])
-    comps = sorted({_find_i(parent, d) for d in range(1, n + 1)},
-                   key=lambda c: (c != _find_i(parent, root_new), c))
-    final = {c: i for i, c in enumerate(comps)}
+    comps = sorted({_find(parent, d) for d in range(1, n + 1)},
+                   key=lambda c: (c != _find(parent, root_new), c))
     if len(comps) != len(cuts) + 1:
         raise InternalMismatch("component count does not match the wicked "
                                "identifications")
     spheres = []
     local: dict[int, tuple[int, int]] = {}
     for k, c in enumerate(comps):
-        ds = [d for d in range(1, n + 1) if _find_i(parent, d) == c]
+        ds = [d for d in range(1, n + 1) if _find(parent, d) == c]
         li = {d: i + 1 for i, d in enumerate(ds)}
         for d in ds:
             local[d] = (k, li[d])
@@ -382,18 +379,6 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     return bubble, Circuit(bubble, circuit)
 
 
-def _union(parent, x, y):
-    rx, ry = _find_i(parent, x), _find_i(parent, y)
-    if rx != ry:
-        parent[max(rx, ry)] = min(rx, ry)
-
-
-def _find_i(parent, x):
-    while x in parent:
-        x = parent[x]
-    return x
-
-
 def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
     """Cut a circuit-decorated bubble-map open along its circuit.
 
@@ -412,26 +397,12 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
     if root not in circuit.darts and bubble.alpha_of(root) not in circuit.darts:
         raise MalformedCircuit("circuit does not contain the root edge")
 
-    n = bubble.dart_count
-    offs = bubble.offsets()
-    phi = [0] * n
-    alpha = [0] * n
-    for k, s in enumerate(bubble.spheres):
-        for d in s.darts():
-            phi[offs[k] + d - 1] = offs[k] + s.phi_of(d)
-            alpha[offs[k] + d - 1] = offs[k] + s.alpha_of(d)
-    two_m = len(circuit.darts)
-    twin = {d: n + 1 + i for i, d in enumerate(sorted(circuit.darts))}
-    phi += [0] * two_m
-    alpha += [0] * two_m
-    for d, t in twin.items():
-        alpha[d - 1] = t
-        alpha[t - 1] = d
-    for i in range(two_m):
-        phi[twin[circuit.darts[(i + 1) % two_m]] - 1] = \
-            twin[circuit.darts[i]]
-    sigma = [phi[alpha[d - 1] - 1] for d in range(1, n + two_m + 1)]
-    bmap = BoundaryMap(build_map(sigma, alpha, twin[circuit.darts[0]]))
+    phi = []
+    alpha = []
+    for off, s in zip(bubble.offsets(), bubble.spheres):
+        phi += [off + s.phi_of(d) for d in s.darts()]
+        alpha += [off + a for a in s.alpha]
+    bmap = BoundaryMap(build_map(*_cut(phi, alpha, circuit.darts)))
     tree = contour_to_tree(circuit_to_contour(circuit))
     return tree, bmap
 
@@ -577,21 +548,22 @@ def bubble_from_text(text: str):
     pinches: tuple = ()
     circuit_darts = None
     for ln in lines[count + 1:]:
-        if ln.startswith("pinch="):
-            body = ln.split("=", 1)[1]
-            out = []
-            if body:
-                for item in body.split(","):
+        body = ln.split("=", 1)[-1]
+        try:
+            if ln.startswith("pinch="):
+                out = []
+                for item in body.split(",") if body else ():
                     left, right = item.split("~")
                     a, va = left.split(".")
                     b, vb = right.split(".")
                     out.append((int(a) - 1, int(va), int(b) - 1, int(vb)))
-            pinches = tuple(out)
-        elif ln.startswith("circuit="):
-            circuit_darts = tuple(
-                int(x) for x in ln.split("=", 1)[1].split(","))
-        else:
-            raise FormatError(f"unexpected line {ln!r}")
+                pinches = tuple(out)
+            elif ln.startswith("circuit="):
+                circuit_darts = tuple(int(x) for x in body.split(","))
+            else:
+                raise FormatError(f"unexpected line {ln!r}")
+        except ValueError as exc:
+            raise FormatError(f"malformed line {ln!r}") from exc
     bubble = BubbleMap(spheres, pinches)
     circuit = (Circuit(bubble, circuit_darts)
                if circuit_darts is not None else None)

@@ -13,10 +13,9 @@ import argparse
 import sys
 
 from .bijection import (TreeDecoratedMap, decorated_from_line,
-                        decorated_to_line, extract_tree, glue, glue_partial,
-                        unglue)
-from .bubbles import (Circuit, bubble_from_text, bubble_to_text,
-                      circuit_to_contour, glue_bridgeless, unglue_bubble)
+                        decorated_to_line, glue, glue_partial, unglue)
+from .bubbles import (bubble_from_text, bubble_to_text, circuit_to_contour,
+                      glue_bridgeless, unglue_bubble)
 from .counting import (catalan_ext, count_boundary_decorated,
                        count_boundary_decorated_tri_printed, count_bubble,
                        count_forest, count_forest_printed, count_spanning,
@@ -30,8 +29,7 @@ from .maps import BoundaryMap, map_from_line, map_to_line
 from .sampler import SampleSpec, export_decorated, sample_tree_decorated
 from .series import (TruncatedSeries2, format_series, series_B, series_B1,
                      series_S)
-from .trees import (DyckPath, catalan, contour_to_tree, enumerate_trees,
-                    tree_to_contour)
+from .trees import DyckPath, contour_to_tree, enumerate_trees, tree_to_contour
 
 
 class UsageError(Exception):
@@ -96,7 +94,16 @@ def _cmd_count(args) -> int:
     else:  # catalan
         _need(args, "m", "n")
         value = catalan_ext(args.m, args.n)
-    print(value)
+    # exact counts can exceed the int-to-str digit limit that Python 3.11
+    # sets by default (older releases have no limit and no setter)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(value)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

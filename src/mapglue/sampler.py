@@ -21,8 +21,7 @@ from .counting import count_tree_decorated
 from .enumeration import get_catalog
 from .errors import FormatError, UnknownFormat
 from .maps import BoundaryMap, PlanarMap, build_map
-from .trees import catalan, contour_to_tree, sample_dyck_uniform, \
-    tree_to_contour
+from .trees import contour_to_tree, sample_dyck_uniform, tree_to_contour
 
 
 @dataclass(frozen=True)
@@ -94,9 +93,6 @@ def tree_marginal_test(spec: SampleSpec, draws: int | None = None,
         counts[tree_to_contour(tree).to_word()] = 1 + counts.get(
             tree_to_contour(tree).to_word(), 0)
     if words is None:
-        if len(counts) != catalan(spec.m):
-            # a missing cell means non-uniformity (or far too few draws)
-            pass
         words = tuple(sorted(counts))
     observed = [counts.get(w, 0) for w in words]
     total = sum(observed)

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from mapglue.bijection import (ForestDecoratedMap, MultiBoundaryMap,
@@ -5,13 +7,15 @@ from mapglue.bijection import (ForestDecoratedMap, MultiBoundaryMap,
                                decorated_from_line, decorated_to_line,
                                extract_tree, forest_from_line, forest_to_line,
                                glue, glue_forest, glue_partial, unglue)
+from mapglue.bubbles import glue_bridgeless, unglue_bubble
 from mapglue.enumeration import (enumerate_boundary_maps, enumerate_maps,
                                  tree_submaps)
 from mapglue.errors import (BoundaryNotSimple, DecorationNotATree, EmptyTree,
                             FormatError, SizeMismatch, TreeTooLarge)
 from mapglue.maps import BoundaryMap, build_map
 from mapglue.trees import (DyckPath, catalan, contour_to_tree,
-                           enumerate_trees, tree_to_contour)
+                           enumerate_trees, sample_dyck_uniform,
+                           tree_to_contour)
 
 EDGE = build_map([1, 2], [2, 1], 1)
 
@@ -171,3 +175,44 @@ def test_decorated_line_round_trip():
     assert again == tdm
     with pytest.raises(FormatError):
         decorated_from_line("map E=1 root=1 sigma=1,2 alpha=2,1")
+    with pytest.raises(FormatError):
+        decorated_from_line("map E=1 root=1 sigma=1,2 alpha=2,1 tree=a")
+
+
+def test_forest_line_malformed():
+    head = "map E=1 root=1 sigma=1,2 alpha=2,1 trees="
+    for part in ("1", "x:1", "1:a", "1:1;2"):
+        with pytest.raises(FormatError):
+            forest_from_line(head + part)
+
+
+@pytest.mark.parametrize("size", [500, 2000])
+def test_round_trips_beyond_exhaustive_caps(size):
+    rng = Random(f"beyond-caps-{size}")
+    host = contour_to_tree(sample_dyck_uniform(size, rng))
+    # the edges met by a prefix of the contour form a subtree on the root
+    # edge; cutting it open leaves the rest of the tree hanging inside
+    prefix = host.root_face()[:size]
+    tdm = TreeDecoratedMap(host, frozenset(host.edge_of(d) for d in prefix))
+    tree, bmap = unglue(tdm)
+    m = tree.edge_count
+    back = glue(bmap, tree)
+    assert back.map == tdm.map
+    assert back.tree_edges == tdm.tree_edges
+
+    path = sample_dyck_uniform(m, rng)
+    tree2, bmap2 = unglue(glue(bmap, contour_to_tree(path)))
+    assert tree_to_contour(tree2) == path
+    assert bmap2.map.canonical_code() == bmap.map.canonical_code()
+
+    small = contour_to_tree(sample_dyck_uniform(m // 3, rng))
+    part = glue_partial(bmap, small)
+    check_tree_decoration(part.map, part.tree_edges)
+    assert len(part.tree_edges) == m // 3
+    assert len(part.map.root_face()) == 2 * (m - m // 3)
+
+    bubble, circuit = glue_bridgeless(bmap, contour_to_tree(path))
+    assert len(bubble.spheres) == 1
+    tree3, bmap3 = unglue_bubble(bubble, circuit)
+    assert tree_to_contour(tree3) == path
+    assert bmap3.map.canonical_code() == bmap.map.canonical_code()

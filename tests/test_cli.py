@@ -1,9 +1,11 @@
 import io
 import contextlib
+import sys
 
 import pytest
 
 from mapglue.cli import main
+from mapglue.counting import count_tree_decorated
 from mapglue.enumeration import enumerate_boundary_maps, enumerate_maps
 from mapglue.maps import BoundaryMap, map_to_line
 
@@ -124,6 +126,46 @@ def test_glue_input_errors():
         code, _, err = run("glue", "--boundary", "map E=1 root=1 sigma=1,2 "
                            f"alpha=2,1 labels={labels}", "--tree", "UD")
         assert code == 2 and "FormatError" in err
+
+
+def test_unglue_input_errors():
+    path2 = "map E=2 root=2 sigma=1,3,2,4 alpha=2,1,4,3"
+    for tree in ("a", ""):
+        code, _, err = run("unglue", "--decorated", f"{path2} tree={tree}")
+        assert code == 2 and "FormatError" in err
+        assert "Traceback" not in err
+    for pm in enumerate_maps(2).maps():
+        bm = BoundaryMap(pm)
+        if bm.perimeter == 2 and bm.is_bridgeless() and not bm.is_simple():
+            break
+    code, text, _ = run("glue", "--boundary", map_to_line(pm), "--tree",
+                        "UD", "--bridgeless")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[-2].startswith("pinch=") and lines[-1].startswith("circuit=")
+    for i, bad in ((-2, "pinch=1.x~2.1"), (-2, "pinch=1.1"),
+                   (-1, "circuit=1,x")):
+        mutated = lines.copy()
+        mutated[i] = bad
+        code, _, err = run("unglue", "--decorated", "\n".join(mutated),
+                           "--bridgeless")
+        assert code == 2 and "FormatError" in err
+        assert "Traceback" not in err
+
+
+def test_count_beyond_str_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run("count", "--family", "decorated", "--q", "4",
+                       "--faces", "10000", "--tree-edges", "1")
+    assert code == 0
+    digits = out.strip()
+    assert len(digits) == 10787
+    value = 0  # parse in chunks: int() of the whole string hits the limit
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == count_tree_decorated(4, 10000, 1)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_sample_deterministic():
