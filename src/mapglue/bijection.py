@@ -73,19 +73,17 @@ def check_tree_decoration(pmap: PlanarMap, tree_edges) -> None:
     tree_edges = set(tree_edges)
     if not tree_edges:
         raise DecorationNotATree("empty decoration")
-    all_edges = set(pmap.edges())
-    if not tree_edges <= all_edges:
+    n = pmap.dart_count
+    if not all(1 <= e <= n and e < pmap.alpha_of(e) for e in tree_edges):
         raise DecorationNotATree("unknown edge ids in decoration")
-    verts: set[int] = set()
-    for e in tree_edges:
-        verts.add(pmap.vertex_of(e))
-        verts.add(pmap.vertex_of(pmap.alpha_of(e)))
+    ends = [(pmap.vertex_of(e), pmap.vertex_of(pmap.alpha_of(e)))
+            for e in tree_edges]
+    verts = {v for pair in ends for v in pair}
     if len(verts) != len(tree_edges) + 1:
         raise DecorationNotATree("edge set contains a cycle")
     # connectivity over tree edges
     adj: dict[int, list[int]] = {v: [] for v in verts}
-    for e in tree_edges:
-        u, w = pmap.vertex_of(e), pmap.vertex_of(pmap.alpha_of(e))
+    for u, w in ends:
         adj[u].append(w)
         adj[w].append(u)
     seen = {next(iter(verts))}

@@ -21,8 +21,10 @@ each filtered pool of sphere q-angulations, and each catalog fetched through
 memos is consulted, so a warm call refuses exactly what a cold call refuses.
 
 Catalogs can be persisted as text files; the directory is taken from the
-MAPGLUE_CATALOG_DIR environment variable when set.  The last line of a file
-is ``checksum=sha256:<hex>``, the SHA-256 digest of every line above it, so
+MAPGLUE_CATALOG_DIR environment variable when set.  A file is written under
+a temporary name in the same directory and renamed over the target, so a
+reader never sees a partial file.  The last line of a file is
+``checksum=sha256:<hex>``, the SHA-256 digest of every line above it, so
 any edit, truncation or reordering of the entries is detected.  Files
 written with the earlier byte-sum checksum are refused with
 :class:`FormatError`, as is a file whose header names another filter than
@@ -32,6 +34,7 @@ the one requested.
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -483,8 +486,16 @@ def save_catalog(cat: Catalog, directory: str | None = None) -> str:
         raise FormatError("no catalog directory configured")
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, _catalog_filename(cat.filter))
-    with open(path, "w") as fh:
-        fh.write(catalog_to_text(cat))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(catalog_to_text(cat))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return path
 
 

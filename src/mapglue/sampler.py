@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .bijection import TreeDecoratedMap, extract_tree, glue
+from .bijection import (TreeDecoratedMap, check_tree_decoration,
+                        extract_tree, glue)
 from .counting import count_tree_decorated
 from .enumeration import get_catalog
-from .errors import FormatError, UnknownFormat
+from .errors import DecorationNotATree, FormatError, UnknownFormat
 from .maps import BoundaryMap, PlanarMap, build_map
 from .trees import contour_to_tree, sample_dyck_uniform, tree_to_contour
 
@@ -134,8 +135,8 @@ def parse_decorated(text: str) -> TreeDecoratedMap:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("decorated "):
         raise FormatError("expected a 'decorated' header")
-    fields = dict(tok.split("=") for tok in lines[0].split()[1:])
     try:
+        fields = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
         edges = int(fields["edges"])
         root = int(fields["root"])
     except (KeyError, ValueError) as exc:
@@ -146,18 +147,30 @@ def parse_decorated(text: str) -> TreeDecoratedMap:
     tree = None
     for ln in lines[1:]:
         if ln.startswith("vertex "):
-            pairs = ln.split(":", 1)[1].split()
             darts = []
-            for tok in pairs:
-                d, a = tok.split("/")
-                darts.append(int(d))
-                alpha[int(d) - 1] = int(a)
+            for tok in ln.split(":", 1)[1].split():
+                try:
+                    d, a = map(int, tok.split("/"))
+                except ValueError as exc:
+                    raise FormatError(f"malformed vertex line {ln!r}") from exc
+                if not 0 < d <= n:
+                    raise FormatError(f"dart {d} out of range in {ln!r}")
+                alpha[d - 1] = a
+                darts.append(d)
             for d, e in zip(darts, darts[1:] + darts[:1]):
                 sigma[d - 1] = e
         elif ln.startswith("tree:"):
-            tree = frozenset(int(x) for x in ln.split(":", 1)[1].split(","))
+            try:
+                tree = frozenset(int(x) for x in ln.split(":", 1)[1].split(","))
+            except ValueError as exc:
+                raise FormatError(f"malformed tree line {ln!r}") from exc
         else:
             raise FormatError(f"unexpected line {ln!r}")
     if tree is None:
         raise FormatError("missing tree line")
-    return TreeDecoratedMap(build_map(sigma, alpha, root), tree)
+    pmap = build_map(sigma, alpha, root)
+    try:
+        check_tree_decoration(pmap, tree)
+    except DecorationNotATree as exc:
+        raise FormatError(f"tree line: {exc}") from exc
+    return TreeDecoratedMap(pmap, tree)

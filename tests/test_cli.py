@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from mapglue import verify
 from mapglue.cli import main
 from mapglue.counting import count_tree_decorated
 from mapglue.enumeration import enumerate_boundary_maps, enumerate_maps
@@ -185,18 +186,27 @@ def test_sample_unknown_format():
     assert code == 2 and "UnknownFormat" in err
 
 
-def test_verify_integrality_and_bubbles():
-    code, out, _ = run("verify", "--suite", "integrality")
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_suites(suite):
+    code, out, _ = run("verify", "--suite", suite, "--cap", "3")
     assert code == 0
-    assert out.strip().endswith("suite integrality: ok")
-    code, out, _ = run("verify", "--suite", "bubbles", "--cap", "3")
-    assert code == 0
+    assert out.splitlines()[-1] == f"suite {suite}: ok"
 
 
 def test_verify_roundtrip_small_cap():
     code, out, _ = run("verify", "--suite", "roundtrip", "--cap", "3")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_verify_series_reports_each_check(monkeypatch):
+    monkeypatch.setitem(verify.PRINTED_S, (3, 2), 6)
+    code, out, _ = run("verify", "--suite", "series")
+    assert code == 1
+    lines = out.splitlines()
+    assert "s(3,2) = 5 (expected 6) FAIL" in lines
+    assert "s coefficients vs enumeration, e <= 4: ok" in lines
+    assert lines[-1] == "suite series: FAIL"
 
 
 def test_verify_counts_reports_divergences():
@@ -214,4 +224,7 @@ def test_usage_exit_codes():
     assert run()[0] == 2
     assert run("bogus")[0] == 2
     assert run("verify", "--suite", "bogus")[0] == 2
+    for cap in ("7", "0", "-3"):
+        code, out, err = run("verify", "--suite", "roundtrip", "--cap", cap)
+        assert code == 2 and out == "" and "--cap" in err
     assert run("--help")[0] == 0

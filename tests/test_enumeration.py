@@ -108,6 +108,21 @@ def test_catalog_disk_round_trip(tmp_path):
     assert load_catalog(CatalogFilter(q=9), str(tmp_path)) is None
 
 
+def test_save_catalog_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    from mapglue import enumeration
+    cat = enumerate_boundary_maps(q=4, f=1, perimeter=2, simple=True)
+    target = tmp_path / "q4_f1_e0_p2_s1_b0.cat"
+    assert save_catalog(cat, str(tmp_path)) == str(target)
+    before = target.read_bytes()
+    # a lone surrogate cannot be encoded, so the write raises partway
+    monkeypatch.setattr(enumeration, "catalog_to_text",
+                        lambda cat: before.decode()[:40] + "\udc80")
+    with pytest.raises(UnicodeEncodeError):
+        save_catalog(cat, str(tmp_path))
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_bytes() == before
+
+
 def test_get_catalog_uses_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
     from mapglue import enumeration

@@ -103,3 +103,14 @@ def test_export_errors():
     with pytest.raises(FormatError):
         parse_decorated("decorated vertices=3 edges=2 root=1\n"
                         "vertex 1: 1/3 2/4\nvertex 3: 3/1\nvertex 4: 4/2\n")
+    header = "decorated vertices=2 edges=1 root=1\n"
+    edge = "vertex 1: 1/2\nvertex 2: 2/1\n"
+    for text in ("decorated vertices=1 edges\n",
+                 header + "vertex 1: 1/x\nvertex 2: 2/1\ntree: 1\n",
+                 header + "vertex 1: 1\nvertex 2: 2/1\ntree: 1\n",
+                 header + edge + "tree: a\n",
+                 header + "vertex 1: 5/2\nvertex 2: 2/1\ntree: 1\n",
+                 header + edge + "tree: 7\n"):
+        with pytest.raises(FormatError):
+            parse_decorated(text)
+    assert parse_decorated(header + edge + "tree: 1\n").tree_edges == {1}
