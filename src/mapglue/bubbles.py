@@ -16,6 +16,15 @@ affect the contour values).  Ungluing then doubles every circuit edge so
 that the new darts form a fresh external face, re-thickening the pinch
 vertices in the process.
 
+The wicked and non-crossing checks each run in one pass.  Wicked
+identifications come from one grouping of the boundary positions by
+(vertex, contour class).  The non-crossing test walks the vertex cycles
+once to give every dart its rotation position, then runs a stack check of
+the corner chords at each vertex.  At a pinch vertex the positions list
+the pinched copies in sphere order; the verdicts depend on that order,
+which reports a crossing on some exact round trips through a pinch vertex
+(``bench/README.md``, known defect 2).
+
 Boundaries with bridges are refused: two bridges identified by the tree
 would force the circuit through the same oriented edge twice, and the
 gluing cannot be reversed.
@@ -126,11 +135,36 @@ class BubbleMap:
     def edge_of(self, g: int) -> int:
         return min(g, self.alpha_of(g))
 
+    @cached_property
+    def _corners(self) -> tuple[list, list[int]]:
+        """Pinch-collapsed vertex and rotation position of every global
+        dart (index 0 unused), from one walk over the vertex cycles.
+
+        The positions of a vertex list the sigma cycles of its pinched
+        copies one after another: by sphere index, then in
+        :meth:`~mapglue.maps.PlanarMap.vertices` order, each cycle from its
+        smallest dart.
+        """
+        parent = self._pinch_parent
+        rep: list = [None] * (self.dart_count + 1)
+        rank = [0] * (self.dart_count + 1)
+        size: dict = {}
+        for k, (off, s) in enumerate(zip(self._offsets, self.spheres)):
+            for cyc in s.vertices():
+                v = _find(parent, (k, cyc[0]))
+                base = size.get(v, 0)
+                for i, d in enumerate(cyc, base):
+                    rep[off + d] = v
+                    rank[off + d] = i
+                size[v] = base + len(cyc)
+        return rep, rank
+
     def vertex_of(self, g: int) -> tuple[int, int]:
         """(sphere, local vertex id) of the tail of ``g``, pinch-collapsed:
         pinched copies share one representative."""
-        k, d = self.to_local(g)
-        return _find(self._pinch_parent, (k, self.spheres[k].vertex_of(d)))
+        if not 1 <= g <= self.dart_count:
+            raise FormatError(f"dart {g} out of range")
+        return self._corners[0][g]
 
     def darts(self) -> range:
         return range(1, self.dart_count + 1)
@@ -183,35 +217,43 @@ class Circuit:
         Each pass through a vertex occupies the corner between the reversed
         incoming dart and the outgoing dart; the circuit is non-crossing
         when these corner chords never interleave in the rotation order.
+        One scan buckets the chords by pinch-collapsed vertex, with the
+        positions of ``BubbleMap._corners``, and :func:`_nested` decides
+        each bucket.  At a pinch vertex the positions run through the
+        copies in sphere order.  Chords can straddle two copies, so that
+        order decides some verdicts: it gives False on some exact round
+        trips (``bench/README.md``, known defect 2).
         """
         bub = self.bubble
+        rep, rank = bub._corners
         chords: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for prev, g in zip(self.darts[-1:] + self.darts[:-1], self.darts):
             v = bub.vertex_of(g)
-            chords.setdefault(v, []).append((bub.alpha_of(prev), g))
-        for v, pairs in chords.items():
-            # rotation positions around the (possibly pinched) vertex: list
-            # the sigma cycles of every pinched copy one after another —
-            # chords never straddle two copies, so any concatenation works
-            order: dict[int, int] = {}
-            offs = bub.offsets()
-            for k, s in enumerate(bub.spheres):
-                for cyc in s.vertices():
-                    if bub.vertex_of(cyc[0] + offs[k]) != v:
-                        continue
-                    for d in cyc:
-                        order[d + offs[k]] = len(order)
-            pos = [(order[a], order[b]) for a, b in pairs]
-            for i in range(len(pos)):
-                for j in range(i + 1, len(pos)):
-                    a, b = pos[i]
-                    c, d = pos[j]
-                    if len({a, b, c, d}) < 4:
-                        continue
-                    lo, hi = min(a, b), max(a, b)
-                    if (lo < c < hi) != (lo < d < hi):
-                        return False
-        return True
+            a = bub.alpha_of(prev)
+            if rep[a] != v:
+                raise MalformedCircuit(
+                    f"head of dart {prev} is not the tail of dart {g}")
+            chords.setdefault(v, []).append((rank[a], rank[g]))
+        return all(_nested(c) for c in chords.values())
+
+
+def _nested(chords) -> bool:
+    """True when no two chords with four distinct endpoints interleave.
+
+    Chords sharing an endpoint never cross; that includes duplicate chords
+    and degenerate ``(a, a)`` ones.  The chords are swept by left end,
+    wider first, over a stack of open right ends: a chord closes before
+    another opens at the same position, and inner chords close first.
+    """
+    open_ends: list[int] = []
+    for lo, hi in sorted(((min(c), max(c)) for c in chords),
+                         key=lambda c: (c[0], -c[1])):
+        while open_ends and open_ends[-1] <= lo:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < hi:
+            return False
+        open_ends.append(hi)
+    return True
 
 
 def circuit_to_contour(circuit: Circuit) -> DyckPath:
@@ -223,6 +265,11 @@ def circuit_to_contour(circuit: Circuit) -> DyckPath:
     only changes the embedding bookkeeping, never the contour values.
     """
     circuit.validate()
+    return _scan_contour(circuit)
+
+
+def _scan_contour(circuit: Circuit) -> DyckPath:
+    """:func:`circuit_to_contour` of a circuit already validated."""
     seen: set[int] = set()
     steps = []
     for g in circuit.darts:
@@ -251,25 +298,11 @@ def detect_wicked(bmap: BoundaryMap, tree: PlanarMap):
     m = tree.edge_count
     if bmap.perimeter != 2 * m:
         raise SizeMismatch(f"perimeter {bmap.perimeter} != 2*{m} tree edges")
-    walk = bmap.boundary_walk()
-    # boundary darts run against the contour, so the vertex sitting at
-    # contour position p is the head of the dart at label p
-    bv = [bmap.map.vertex_of(bmap.map.alpha_of(d)) for d in walk]
-    cls_of = _position_classes(tree)
     out = []
-    for v in sorted(set(bv)):
-        positions = [p for p in range(2 * m) if bv[p] == v]
-        if len(positions) < 2:
-            continue
-        hits = []
-        byclass: dict[int, list[int]] = {}
-        for p in positions:
-            byclass.setdefault(cls_of[p], []).append(p)
-        for ps in byclass.values():
-            if len(ps) >= 2:
-                hits.extend(ps)
+    for v, classes in _boundary_groups(bmap, tree):
+        hits = sorted(p for ps in classes if len(ps) >= 2 for p in ps)
         if hits:
-            out.append((v, tuple(sorted(hits))))
+            out.append((v, tuple(hits)))
     return out
 
 
@@ -284,25 +317,32 @@ def _position_classes(tree: PlanarMap) -> list[int]:
     return cls_of
 
 
+def _boundary_groups(bmap: BoundaryMap, tree: PlanarMap):
+    """Boundary positions grouped by (vertex, contour class) in one pass.
+
+    Returns ``(vertex, classes)`` pairs by ascending vertex; ``classes``
+    holds the ascending positions of each contour class the vertex occurs
+    in, ordered by their first position.  Boundary darts run against the
+    contour, so the vertex sitting at contour position p is the head of
+    the dart at label p.
+    """
+    pmap = bmap.map
+    vertex = {d: cyc[0] for cyc in pmap.vertices() for d in cyc}
+    cls_of = _position_classes(tree)
+    groups: dict[int, dict[int, list[int]]] = {}
+    for p, d in enumerate(bmap.boundary_walk()):
+        v = vertex[pmap.alpha_of(d)]
+        groups.setdefault(v, {}).setdefault(cls_of[p], []).append(p)
+    return [(v, list(groups[v].values())) for v in sorted(groups)]
+
+
 def _wicked_cuts(bmap: BoundaryMap, tree: PlanarMap):
     """Laminar intervals [a, b) of boundary positions pinched off by wicked
     identifications, as (a, b, vertex) triples."""
-    walk = bmap.boundary_walk()
-    bv = [bmap.map.vertex_of(bmap.map.alpha_of(d)) for d in walk]
-    cls_of = _position_classes(tree)
-    cuts = []
-    for v in sorted(set(bv)):
-        positions = [p for p in range(len(walk)) if bv[p] == v]
-        byclass: dict[int, list[int]] = {}
-        for p in positions:
-            byclass.setdefault(cls_of[p], []).append(p)
-        for ps in byclass.values():
-            for a, b in zip(ps, ps[1:]):
-                cuts.append((a, b, v))
-    for a1, b1, _ in cuts:
-        for a2, b2, _ in cuts:
-            if a1 < a2 < b1 < b2:
-                raise InternalMismatch("wicked cuts cross")
+    cuts = [(a, b, v) for v, classes in _boundary_groups(bmap, tree)
+            for ps in classes for a, b in zip(ps, ps[1:])]
+    if not _nested((a, b) for a, b, _ in cuts):
+        raise InternalMismatch("wicked cuts cross")
     return cuts
 
 
@@ -343,15 +383,17 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     for d in range(1, n + 1):
         _union(parent, d, alpha[d - 1])
         _union(parent, d, sigma[d - 1])
-    comps = sorted({_find(parent, d) for d in range(1, n + 1)},
-                   key=lambda c: (c != _find(parent, root_new), c))
+    members: dict[int, list[int]] = {}
+    for d in range(1, n + 1):
+        members.setdefault(_find(parent, d), []).append(d)
+    comps = sorted(members, key=lambda c: (c != _find(parent, root_new), c))
     if len(comps) != len(cuts) + 1:
         raise InternalMismatch("component count does not match the wicked "
                                "identifications")
     spheres = []
     local: dict[int, tuple[int, int]] = {}
     for k, c in enumerate(comps):
-        ds = [d for d in range(1, n + 1) if _find(parent, d) == c]
+        ds = members[c]
         li = {d: i + 1 for i, d in enumerate(ds)}
         for d in ds:
             local[d] = (k, li[d])
@@ -388,9 +430,9 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
     duplicated darts all join that face.
     """
     circuit.validate()
+    on_circuit = {bubble.vertex_of(g) for g in circuit.darts}
     for a, va, b, vb in bubble.pinches:
-        rep = bubble.vertex_of(bubble.to_global(a, va))
-        if all(bubble.vertex_of(g) != rep for g in circuit.darts):
+        if bubble.vertex_of(bubble.to_global(a, va)) not in on_circuit:
             raise CircuitMissesPinch(
                 f"circuit avoids the pinch at sphere {a} vertex {va}")
     root = bubble.root
@@ -403,7 +445,7 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
         phi += [off + s.phi_of(d) for d in s.darts()]
         alpha += [off + a for a in s.alpha]
     bmap = BoundaryMap(build_map(*_cut(phi, alpha, circuit.darts)))
-    tree = contour_to_tree(circuit_to_contour(circuit))
+    tree = contour_to_tree(_scan_contour(circuit))
     return tree, bmap
 
 

@@ -23,7 +23,9 @@ memos is consulted, so a warm call refuses exactly what a cold call refuses.
 Catalogs can be persisted as text files; the directory is taken from the
 MAPGLUE_CATALOG_DIR environment variable when set.  A file is written under
 a temporary name in the same directory and renamed over the target, so a
-reader never sees a partial file.  The last line of a file is
+reader never sees a partial file.  Its header ends in ``version=1``, the
+file format version; a file without it or with another one is refused with
+:class:`FormatError`.  The last line of a file is
 ``checksum=sha256:<hex>``, the SHA-256 digest of every line above it, so
 any edit, truncation or reordering of the entries is detected.  Files
 written with the earlier byte-sum checksum are refused with
@@ -50,6 +52,7 @@ from .trees import contour_to_tree, enumerate_trees
 
 EDGE_CAP = 6        # general enumeration, by edge count
 QANG_EDGE_CAP = 10  # q-angulation boundary catalogs, by total edge count
+CATALOG_VERSION = "1"  # catalog file format
 
 
 @dataclass(frozen=True)
@@ -432,7 +435,7 @@ def catalog_to_text(cat: Catalog) -> str:
     lines = [
         f"catalog q={filt.q} f={filt.f} e={filt.e} perim={filt.perimeter} "
         f"simple={int(filt.simple)} bridgeless={int(filt.bridgeless)} "
-        f"count={len(cat.entries)}"
+        f"count={len(cat.entries)} version={CATALOG_VERSION}"
     ]
     lines.extend(",".join(str(v) for v in c.code) for c in cat.entries)
     body = "".join(line + "\n" for line in lines)
@@ -455,6 +458,14 @@ def catalog_from_text(text: str) -> Catalog:
         raise FormatError("not a catalog file")
     try:
         kv = dict(tok.split("=", 1) for tok in head[1:])
+    except ValueError as exc:
+        raise FormatError("malformed catalog header") from exc
+    if "version" not in kv:
+        raise FormatError("catalog header has no format version")
+    if kv["version"] != CATALOG_VERSION:
+        raise FormatError(f"catalog format version {kv['version']}, "
+                          f"expected {CATALOG_VERSION}")
+    try:
         filt = CatalogFilter(int(kv["q"]), int(kv["f"]), int(kv["e"]),
                              int(kv["perim"]), bool(int(kv["simple"])),
                              bool(int(kv["bridgeless"])))

@@ -99,6 +99,24 @@ def test_catalog_text_corruption_detected():
             catalog_from_text(body + _checksum_line(body) + "\n")
 
 
+def _with_header(text: str, head: str) -> str:
+    """``text`` with its header line replaced and its checksum redone."""
+    from mapglue.enumeration import _checksum_line
+    body = "".join(line + "\n" for line in [head] + text.splitlines()[1:-1])
+    return body + _checksum_line(body) + "\n"
+
+
+def test_catalog_format_version_required():
+    text = catalog_to_text(enumerate_maps(2))
+    head = text.splitlines()[0]
+    assert head.endswith(" version=1")
+    assert catalog_from_text(_with_header(text, head)) == enumerate_maps(2)
+    with pytest.raises(FormatError, match="no format version"):
+        catalog_from_text(_with_header(text, head[:-len(" version=1")]))
+    with pytest.raises(FormatError, match="version 2"):
+        catalog_from_text(_with_header(text, head[:-1] + "2"))
+
+
 def test_catalog_disk_round_trip(tmp_path):
     cat = enumerate_boundary_maps(q=3, f=2, perimeter=2, simple=True)
     path = save_catalog(cat, str(tmp_path))
