@@ -346,4 +346,8 @@ def forest_from_line(line: str) -> ForestDecoratedMap:
             trees.append(frozenset(int(x) for x in edges.split(",")))
     except ValueError as exc:
         raise FormatError(f"malformed trees= field {part!r}") from exc
+    for root, edges in zip(roots, trees):
+        check_tree_decoration(pmap, edges)
+        if not (1 <= root <= pmap.dart_count and pmap.edge_of(root) in edges):
+            raise FormatError(f"root {root} is not a dart of its tree")
     return ForestDecoratedMap(pmap, tuple(trees), tuple(roots))

@@ -25,6 +25,13 @@ the pinched copies in sphere order; the verdicts depend on that order,
 which reports a crossing on some exact round trips through a pinch vertex
 (``bench/README.md``, known defect 2).
 
+The canonical key numbers the darts with one breadth-first search over the
+global dart table: from the root through the root sphere, then from the
+first circuit dart that enters each sphere not yet reached, in circuit
+order.  The circuit fixes where every sphere is entered, so no rooting of
+a sphere is searched over; the key up to rotation of the circuit is the
+smallest key over its rotations.
+
 Boundaries with bridges are refused: two bridges identified by the tree
 would force the circuit through the same oriented edge twice, and the
 gluing cannot be reversed.
@@ -45,7 +52,8 @@ from .errors import (
     MalformedCircuit,
     SizeMismatch,
 )
-from .maps import BoundaryMap, PlanarMap, build_map, map_from_line, map_to_line
+from .maps import (BoundaryMap, PlanarMap, _canonical, _cycles,
+                   build_map, map_from_line, map_to_line)
 from .trees import DyckPath, contour_classes, contour_to_tree, tree_to_contour
 from .bijection import _contour_matching, _cut, _sew
 
@@ -96,6 +104,17 @@ class BubbleMap:
         return tuple(out)
 
     @cached_property
+    def _table(self) -> tuple[list[int], list[int]]:
+        """Global ``sigma`` and ``alpha`` as flat image lists (dart g at
+        index g - 1)."""
+        sigma: list[int] = []
+        alpha: list[int] = []
+        for off, s in zip(self._offsets, self.spheres):
+            sigma += [off + x for x in s.sigma]
+            alpha += [off + a for a in s.alpha]
+        return sigma, alpha
+
+    @cached_property
     def _pinch_parent(self) -> dict:
         """Union-find forest identifying the pinched vertex copies."""
         parent: dict = {}
@@ -129,8 +148,9 @@ class BubbleMap:
         return self._offsets[sphere] + d
 
     def alpha_of(self, g: int) -> int:
-        k, d = self.to_local(g)
-        return self.to_global(k, self.spheres[k].alpha_of(d))
+        if not 1 <= g <= self.dart_count:
+            raise FormatError(f"dart {g} out of range")
+        return self._table[1][g - 1]
 
     def edge_of(self, g: int) -> int:
         return min(g, self.alpha_of(g))
@@ -149,14 +169,13 @@ class BubbleMap:
         rep: list = [None] * (self.dart_count + 1)
         rank = [0] * (self.dart_count + 1)
         size: dict = {}
-        for k, (off, s) in enumerate(zip(self._offsets, self.spheres)):
-            for cyc in s.vertices():
-                v = _find(parent, (k, cyc[0]))
-                base = size.get(v, 0)
-                for i, d in enumerate(cyc, base):
-                    rep[off + d] = v
-                    rank[off + d] = i
-                size[v] = base + len(cyc)
+        for cyc in _cycles(self._table[0]):
+            v = _find(parent, self.to_local(cyc[0]))
+            base = size.get(v, 0)
+            for i, g in enumerate(cyc, base):
+                rep[g] = v
+                rank[g] = i
+            size[v] = base + len(cyc)
         return rep, rank
 
     def vertex_of(self, g: int) -> tuple[int, int]:
@@ -439,11 +458,8 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
     if root not in circuit.darts and bubble.alpha_of(root) not in circuit.darts:
         raise MalformedCircuit("circuit does not contain the root edge")
 
-    phi = []
-    alpha = []
-    for off, s in zip(bubble.offsets(), bubble.spheres):
-        phi += [off + s.phi_of(d) for d in s.darts()]
-        alpha += [off + a for a in s.alpha]
+    sigma, alpha = bubble._table
+    phi = [sigma[a - 1] for a in alpha]
     bmap = BoundaryMap(build_map(*_cut(phi, alpha, circuit.darts)))
     tree = contour_to_tree(_scan_contour(circuit))
     return tree, bmap
@@ -482,85 +498,56 @@ def bubble_canonical_key(bubble: BubbleMap, circuit: Circuit,
     """Relabelling-invariant identity of a circuit-decorated bubble-map.
 
     With ``cyclic`` the circuit is compared up to rotation (root anywhere);
-    otherwise its starting point is part of the identity.
+    otherwise its starting point is part of the identity.  A cyclic key is
+    the smallest key of :func:`_labelled_key` over the rotations of the
+    circuit.
     """
-    best = None
-    for key in _canonical_keys(bubble, circuit.darts, cyclic):
-        if best is None or key < best:
-            best = key
-    return best
+    darts = circuit.darts
+    if not darts or not all(0 < g <= bubble.dart_count for g in darts):
+        raise MalformedCircuit("circuit darts missing or out of range")
+    sphere_of = [k for k, s in enumerate(bubble.spheres) for _ in s.darts()]
+    # a rotation's labelling depends only on the first circuit dart that
+    # enters each non-root sphere, so rotations are grouped by those darts
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i in range(len(darts)) if cyclic else (0,):
+        entries: dict[int, int] = {}
+        for g in darts[i:] + darts[:i]:
+            entries.setdefault(sphere_of[g - 1], g)
+        entries.pop(0, None)
+        groups.setdefault(tuple(entries.values()), []).append(i)
+    return min(_labelled_key(bubble, darts, seeds, starts)
+               for seeds, starts in groups.items())
 
 
-def _canonical_keys(bubble, circuit_darts, cyclic):
-    offs = bubble.offsets()
-    first = bubble.spheres[0]
-    image0 = first.canonical_relabelling()
-    stack = [({0: image0}, [0])]
-    while stack:
-        images, order = stack.pop()
-        if len(order) == len(bubble.spheres):
-            yield _assemble_key(bubble, images, order, circuit_darts, cyclic)
-            continue
-        # expand along the smallest reachable pinch, deterministically
-        options = []
-        for a, va, b, vb in bubble.pinches:
-            for known, new, vk, vn in ((a, b, va, vb), (b, a, vb, va)):
-                if known in order and new not in order:
-                    rank = (order.index(known),
-                            _image_vertex(bubble.spheres[known],
-                                          images[known], vk))
-                    options.append((rank, new, vn))
-        if not options:
-            continue
-        options.sort()
-        rank0 = options[0][0]
-        for rank, new, vn in options:
-            if rank != rank0:
-                break
-            sph = bubble.spheres[new]
-            for d in sph.darts():
-                if sph.vertex_of(d) != vn:
-                    continue
-                stack.append(({**images,
-                               new: sph.canonical_relabelling(root=d)},
-                              order + [new]))
+def _labelled_key(bubble: BubbleMap, darts, seeds, starts):
+    """``(code, pinches, circuit)`` under one breadth-first labelling of
+    the global darts: the root sphere from the root, then each other
+    sphere from its seed, in seed order.
 
+    ``code`` is the relabelled global sigma then alpha, ``pinches`` the
+    sorted pinch pairs with each vertex labelled by the smallest label
+    among its darts, and ``circuit`` the smallest relabelled rotation of
+    ``darts`` that starts at one of ``starts``.
+    """
+    sigma, alpha = bubble._table
+    new_sigma, new_alpha, image = _canonical(sigma, alpha,
+                                             (bubble.root,) + seeds)
+    if len(new_sigma) != len(sigma):
+        raise MalformedCircuit("the circuit does not enter every sphere")
 
-def _image_vertex(sphere, image, v) -> int:
-    return min(image[d] for d in sphere.darts()
-               if sphere.vertex_of(d) == v)
+    def vertex_label(k: int, v: int) -> int:
+        g = d = bubble.to_global(k, v)
+        low = image[g]
+        while (d := sigma[d - 1]) != g:
+            low = min(low, image[d])
+        return low
 
-
-def _assemble_key(bubble, images, order, circuit_darts, cyclic):
-    offs_old = bubble.offsets()
-    pos = {old: new for new, old in enumerate(order)}
-    counts = [bubble.spheres[old].dart_count for old in order]
-    offs_new = [0]
-    for c in counts:
-        offs_new.append(offs_new[-1] + c)
-    sphere_codes = []
-    for new, old in enumerate(order):
-        s = bubble.spheres[old].relabel(images[old])
-        # only the root sphere's root is meaningful
-        sphere_codes.append(s.sigma + s.alpha
-                            + ((s.root,) if new == 0 else ()))
-    pinch_key = tuple(sorted(
-        tuple(sorted(((pos[a], _image_vertex(bubble.spheres[a], images[a],
-                                             va)),
-                      (pos[b], _image_vertex(bubble.spheres[b], images[b],
-                                             vb)))))
+    pinches = tuple(sorted(
+        tuple(sorted((vertex_label(a, va), vertex_label(b, vb))))
         for a, va, b, vb in bubble.pinches))
-    circ = []
-    for g in circuit_darts:
-        k = next(i for i in range(len(bubble.spheres))
-                 if g <= offs_old[i + 1])
-        circ.append(offs_new[pos[k]] + images[k][g - offs_old[k]])
-    if cyclic:
-        rots = [tuple(circ[i:] + circ[:i]) for i in range(len(circ))]
-        circ = min(rots)
-    else:
-        circ = tuple(circ)
-    return (tuple(sphere_codes), pinch_key, circ)
+    circ = [image[g] for g in darts]
+    return (tuple(new_sigma + new_alpha), pinches,
+            min(tuple(circ[i:] + circ[:i]) for i in starts))
 
 
 # -- text serialization -------------------------------------------------------
@@ -587,26 +574,33 @@ def bubble_from_text(text: str):
     if len(lines) < count + 1:
         raise FormatError("missing sphere records")
     spheres = tuple(map_from_line(ln) for ln in lines[1:count + 1])
-    pinches: tuple = ()
+    pinches = []
     circuit_darts = None
+    seen = set()
     for ln in lines[count + 1:]:
-        body = ln.split("=", 1)[-1]
+        key, _, body = ln.partition("=")
+        if key in seen:
+            raise FormatError(f"repeated {key}= line")
+        seen.add(key)
         try:
             if ln.startswith("pinch="):
-                out = []
                 for item in body.split(",") if body else ():
                     left, right = item.split("~")
                     a, va = left.split(".")
                     b, vb = right.split(".")
-                    out.append((int(a) - 1, int(va), int(b) - 1, int(vb)))
-                pinches = tuple(out)
+                    pinches.append((int(a) - 1, int(va), int(b) - 1, int(vb)))
             elif ln.startswith("circuit="):
                 circuit_darts = tuple(int(x) for x in body.split(","))
             else:
                 raise FormatError(f"unexpected line {ln!r}")
         except ValueError as exc:
             raise FormatError(f"malformed line {ln!r}") from exc
-    bubble = BubbleMap(spheres, pinches)
+    for a, va, b, vb in pinches:
+        for k, v in ((a, va), (b, vb)):
+            if not (0 <= k < count and 1 <= v <= spheres[k].dart_count
+                    and spheres[k].vertex_of(v) == v):
+                raise FormatError(f"pinch names no vertex {k + 1}.{v}")
+    bubble = BubbleMap(spheres, tuple(pinches))
     circuit = (Circuit(bubble, circuit_darts)
                if circuit_darts is not None else None)
     return bubble, circuit

@@ -160,14 +160,15 @@ class PlanarMap:
         alternating sigma then alpha, as an image array: dart ``d`` becomes
         ``image[d]`` (index 0 is unused)."""
         return _canonical_bfs(self.sigma, self.alpha,
-                              self.root if root is None else root)[0]
+                              (self.root if root is None else root,))[0]
 
     def canonical_code(self) -> "CanonicalCode":
-        sigma, alpha, _ = _canonical(self)
+        sigma, alpha, _ = _canonical(self.sigma, self.alpha, (self.root,))
         return CanonicalCode(tuple(sigma + alpha))
 
     def canonical_form(self) -> "PlanarMap":
-        sigma, alpha, image = _canonical(self)
+        sigma, alpha, image = _canonical(self.sigma, self.alpha,
+                                         (self.root,))
         labels = tuple(sorted([(image[d], v) for d, v in self.labels]))
         return PlanarMap(tuple(sigma), tuple(alpha), 1, labels)
 
@@ -176,34 +177,44 @@ class PlanarMap:
 
 
 def _canonical_bfs(sigma: Perm, alpha: Perm,
-                   root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first exploration from ``root``, sigma before alpha.
+                   seeds) -> tuple[list[int], list[int]]:
+    """Breadth-first exploration from the first seed, sigma before alpha;
+    when the queue runs dry it continues from the next seed that has no
+    label yet.
 
     Returns ``(image, order)``: ``image[d]`` is the new label of dart ``d``
-    (index 0 unused) and ``order[k]`` is the dart labelled ``k + 1``.
+    (index 0 unused, 0 for a dart no seed reaches) and ``order[k]`` is the
+    dart labelled ``k + 1``.
     """
     image = [0] * (len(sigma) + 1)
-    image[root] = 1
-    order = [root]
-    n = 1
-    for d in order:  # also visits the darts appended while it runs
-        e = sigma[d - 1]
-        if not image[e]:
-            n += 1
-            image[e] = n
-            order.append(e)
-        e = alpha[d - 1]
-        if not image[e]:
-            n += 1
-            image[e] = n
-            order.append(e)
+    order: list[int] = []
+    n = 0
+    for seed in seeds:
+        if image[seed]:
+            continue
+        n += 1
+        image[seed] = n
+        queue = [seed]
+        for d in queue:  # also visits the darts appended while it runs
+            e = sigma[d - 1]
+            if not image[e]:
+                n += 1
+                image[e] = n
+                queue.append(e)
+            e = alpha[d - 1]
+            if not image[e]:
+                n += 1
+                image[e] = n
+                queue.append(e)
+        order += queue
     return image, order
 
 
-def _canonical(pmap: PlanarMap) -> tuple[list[int], list[int], list[int]]:
-    """sigma and alpha of the canonical form, and the image array."""
-    sigma, alpha = pmap.sigma, pmap.alpha
-    image, order = _canonical_bfs(sigma, alpha, pmap.root)
+def _canonical(sigma: Perm, alpha: Perm,
+               seeds) -> tuple[list[int], list[int], list[int]]:
+    """sigma and alpha relabelled by :func:`_canonical_bfs` (darts that no
+    seed reaches are left out), and the image array."""
+    image, order = _canonical_bfs(sigma, alpha, seeds)
     return ([image[sigma[d - 1]] for d in order],
             [image[alpha[d - 1]] for d in order], image)
 
@@ -266,11 +277,6 @@ class BoundaryMap:
     @property
     def perimeter(self) -> int:
         return len(self.external_face)
-
-    @property
-    def internal_faces(self) -> list[tuple[int, ...]]:
-        ext = self.map.face_of(self.map.root)
-        return [f for f in self.map.faces() if self.map.face_of(f[0]) != ext]
 
     @property
     def internal_face_count(self) -> int:
@@ -336,20 +342,25 @@ def map_to_line(pmap: PlanarMap) -> str:
     return " ".join(parts)
 
 
-def _fields(line: str, kind: str) -> dict[str, str]:
+_MAP_FIELDS = frozenset({"E", "root", "sigma", "alpha", "labels"})
+
+
+def _fields(line: str) -> dict[str, str]:
+    """Fields of a ``map`` record, each known field at most once."""
     toks = line.split()
-    if not toks or toks[0] != kind:
-        raise FormatError(f"expected a {kind!r} record: {line!r}")
+    if not toks or toks[0] != "map":
+        raise FormatError(f"expected a 'map' record: {line!r}")
     out = {}
     for tok in toks[1:]:
-        if "=" not in tok:
-            raise FormatError(f"bad field {tok!r}")
-        k, v = tok.split("=", 1)
+        k, eq, v = tok.partition("=")
+        if not eq or k not in _MAP_FIELDS or k in out:
+            raise FormatError(f"bad, unknown or repeated field {tok!r}")
         out[k] = v
     return out
 
+
 def map_from_line(line: str) -> PlanarMap:
-    f = _fields(line, "map")
+    f = _fields(line)
     try:
         e = int(f["E"])
         root = int(f["root"])

@@ -177,13 +177,20 @@ def test_decorated_line_round_trip():
         decorated_from_line("map E=1 root=1 sigma=1,2 alpha=2,1")
     with pytest.raises(FormatError):
         decorated_from_line("map E=1 root=1 sigma=1,2 alpha=2,1 tree=a")
+    with pytest.raises(FormatError):
+        decorated_from_line(
+            "map E=1 root=1 sigma=1,2 alpha=2,1 tree=5 tree=1")
 
 
 def test_forest_line_malformed():
     head = "map E=1 root=1 sigma=1,2 alpha=2,1 trees="
-    for part in ("1", "x:1", "1:a", "1:1;2"):
+    for part in ("1", "x:1", "1:a", "1:1;2", "7:1"):
         with pytest.raises(FormatError):
             forest_from_line(head + part)
+    with pytest.raises(DecorationNotATree):
+        forest_from_line(head + "1:99")
+    with pytest.raises(DecorationNotATree):  # a loop is not a tree
+        forest_from_line("map E=1 root=1 sigma=2,1 alpha=2,1 trees=1:1")
 
 
 @pytest.mark.parametrize("size", [500, 2000])

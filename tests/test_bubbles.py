@@ -129,6 +129,138 @@ def test_rooted_anywhere_cardinality():
         assert len(keys) == count_bubble(e, m), (e, m)
 
 
+# -- canonical key against the branching search it replaced -------------------
+
+def _branching_key(bubble, circuit, cyclic=False):
+    """Reference bubble_canonical_key: root every newly attached sphere at
+    every dart of its pinch vertex, and keep the smallest assembled key."""
+    best = None
+    stack = [({0: bubble.spheres[0].canonical_relabelling()}, [0])]
+    while stack:
+        images, order = stack.pop()
+        if len(order) == len(bubble.spheres):
+            key = _assembled_key(bubble, images, order, circuit.darts, cyclic)
+            if best is None or key < best:
+                best = key
+            continue
+        options = []
+        for a, va, b, vb in bubble.pinches:
+            for known, new, vk, vn in ((a, b, va, vb), (b, a, vb, va)):
+                if known in order and new not in order:
+                    rank = (order.index(known), _image_vertex(
+                        bubble.spheres[known], images[known], vk))
+                    options.append((rank, new, vn))
+        options.sort()
+        for rank, new, vn in options:
+            if rank != options[0][0]:
+                break
+            sph = bubble.spheres[new]
+            for d in sph.darts():
+                if sph.vertex_of(d) == vn:
+                    stack.append(({**images,
+                                   new: sph.canonical_relabelling(root=d)},
+                                  order + [new]))
+    return best
+
+
+def _image_vertex(sphere, image, v):
+    return min(image[d] for d in sphere.darts() if sphere.vertex_of(d) == v)
+
+
+def _assembled_key(bubble, images, order, circuit_darts, cyclic):
+    offs_old = bubble.offsets()
+    pos = {old: new for new, old in enumerate(order)}
+    offs_new = [0]
+    for old in order:
+        offs_new.append(offs_new[-1] + bubble.spheres[old].dart_count)
+    codes = []
+    for new, old in enumerate(order):
+        s = bubble.spheres[old].relabel(images[old])
+        codes.append(s.sigma + s.alpha + ((s.root,) if new == 0 else ()))
+    pinches = tuple(sorted(
+        tuple(sorted(((pos[a], _image_vertex(bubble.spheres[a], images[a],
+                                             va)),
+                      (pos[b], _image_vertex(bubble.spheres[b], images[b],
+                                             vb)))))
+        for a, va, b, vb in bubble.pinches))
+    circ = []
+    for g in circuit_darts:
+        k, d = bubble.to_local(g)
+        circ.append(offs_new[pos[k]] + images[k][d])
+    if cyclic:
+        circ = min(circ[i:] + circ[:i] for i in range(len(circ)))
+    return tuple(codes), pinches, tuple(circ)
+
+
+def _same_partition(keys, reference):
+    return (len(set(keys)) == len(set(reference))
+            == len(set(zip(keys, reference))))
+
+
+def test_key_partition_matches_branching_key():
+    keys, ref = [], []
+    rerooted, rerooted_ref = [], []
+    for pm, bm, path in _bridgeless_inputs(5):
+        bubble, circuit = glue_bridgeless(bm, contour_to_tree(path))
+        keys.append(bubble_canonical_key(bubble, circuit))
+        ref.append(_branching_key(bubble, circuit))
+        if pm.edge_count > 4:
+            continue
+        for g in bubble.darts():
+            nb, mapping = bubble_rerooted(bubble, g)
+            nc = Circuit(nb, tuple(mapping[d] for d in circuit.darts))
+            rerooted.append(bubble_canonical_key(nb, nc, cyclic=True))
+            rerooted_ref.append(_branching_key(nb, nc, cyclic=True))
+    assert _same_partition(keys, ref) and len(set(keys)) == len(keys)
+    assert _same_partition(rerooted, rerooted_ref)
+    assert len(set(rerooted)) < len(rerooted)
+
+
+def _spheres_permuted(bubble, circuit, perm):
+    """The same decorated bubble with sphere ``perm[i]`` stored at index i
+    (``perm[0] == 0``)."""
+    spheres = tuple(bubble.spheres[old] for old in perm)
+    inv = {old: new for new, old in enumerate(perm)}
+    pinches = tuple((inv[a], va, inv[b], vb)
+                    for a, va, b, vb in bubble.pinches)
+    out = BubbleMap(spheres, pinches)
+    darts = []
+    for g in circuit.darts:
+        k, d = bubble.to_local(g)
+        darts.append(out.to_global(inv[k], d))
+    return out, Circuit(out, tuple(darts))
+
+
+def test_key_ignores_sphere_order_on_sixteen_spheres():
+    bm, path = _joined_disc(16, 0)
+    bubble, circuit = glue_bridgeless(bm, contour_to_tree(path))
+    assert len(bubble.spheres) == 16
+    rest = list(range(1, 16))
+    Random(0).shuffle(rest)
+    nb, nc = _spheres_permuted(bubble, circuit, [0] + rest)
+    assert nb.spheres != bubble.spheres
+    for cyclic in (False, True):
+        assert (bubble_canonical_key(nb, nc, cyclic)
+                == bubble_canonical_key(bubble, circuit, cyclic))
+    # a rotated circuit is the same object only up to rotation
+    turned = Circuit(nb, nc.darts[1:] + nc.darts[:1])
+    assert (bubble_canonical_key(nb, turned, cyclic=True)
+            == bubble_canonical_key(bubble, circuit, cyclic=True))
+    assert (bubble_canonical_key(nb, turned)
+            != bubble_canonical_key(bubble, circuit))
+
+
+def test_key_tells_pinch_vertices_apart():
+    path2 = build_map([1, 3, 2, 4], [2, 1, 4, 3], 1)  # A - B - C
+    loop = build_map([2, 1], [2, 1], 1)
+    keys = set()
+    for d in (1, 2, 4):  # the loop hangs at A, B or C
+        bubble = BubbleMap((path2, loop), ((0, path2.vertex_of(d), 1, 1),))
+        circuit = Circuit(bubble, (1, 5, 6, 3, 4, 2))
+        keys.add(bubble_canonical_key(bubble, circuit))
+    assert len(keys) == 3
+
+
 def test_bridged_boundary_refused():
     bridge = BoundaryMap(build_map([1, 2], [2, 1], 1))
     tree = contour_to_tree(DyckPath.from_word("UD"))
@@ -147,6 +279,9 @@ def test_malformed_circuits():
         Circuit(bubble, circuit.darts * 2).validate()  # edge visited 4 times
     with pytest.raises(MalformedCircuit):
         Circuit(bubble, (99, 100)).validate()
+    for darts in ((99, 100), (0, 1), ()):
+        with pytest.raises(MalformedCircuit):
+            bubble_canonical_key(bubble, Circuit(bubble, darts))
     # chain break: two darts whose head and tail vertices do not meet
     path2 = build_map([1, 3, 2, 4], [2, 1, 4, 3], 1)
     loop = build_map([2, 1], [2, 1], 1)
@@ -164,6 +299,8 @@ def test_circuit_misses_pinch():
     circuit.validate()
     with pytest.raises(CircuitMissesPinch):
         unglue_bubble(bubble, circuit)
+    with pytest.raises(MalformedCircuit):  # no labelling reaches the loop
+        bubble_canonical_key(bubble, circuit)
 
 
 def test_root_edge_must_be_on_circuit():
@@ -192,6 +329,17 @@ def test_serialization_errors():
     with pytest.raises(FormatError):
         bubble_from_text("bubble spheres=2\nmap E=1 root=1 sigma=2,1 "
                          "alpha=2,1\n")
+    two = ("bubble spheres=2\nmap E=1 root=1 sigma=2,1 alpha=2,1\n"
+           "map E=1 root=1 sigma=2,1 alpha=2,1\n")
+    _, circuit = bubble_from_text(two + "pinch=1.1~2.1\ncircuit=1,2")
+    assert circuit.darts == (1, 2)
+    for tail in ("pinch=1.1~5.1",                 # no sphere 5
+                 "pinch=1.9~2.1",                 # no dart 9
+                 "pinch=1.2~2.1",                 # vertex named by dart 2
+                 "pinch=1.1~2.1\npinch=1.1~2.1",
+                 "pinch=1.1~2.1\ncircuit=1,2\ncircuit=2,1"):
+        with pytest.raises(FormatError):
+            bubble_from_text(two + tail)
 
 
 # -- one-pass kernels against the quadratic rules they replaced ---------------

@@ -81,6 +81,10 @@ def test_map_line_errors():
         map_from_line("map E=2 root=1 sigma=1,2 alpha=2,1")
     with pytest.raises(FormatError):
         map_from_line("map E=1 root=1 sigma=1,2 alphas")
+    with pytest.raises(FormatError):
+        map_from_line("map E=1 root=1 sigma=1,2 alpha=2,1 sigma=2,1")
+    with pytest.raises(FormatError):
+        map_from_line("map E=1 root=1 sigma=1,2 alpha=2,1 colour=red")
 
 
 def test_boundary_simplicity():

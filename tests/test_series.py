@@ -5,8 +5,9 @@ import pytest
 from mapglue.enumeration import enumerate_maps
 from mapglue.errors import NonIntegral
 from mapglue.maps import BoundaryMap
-from mapglue.series import (TruncatedSeries2, format_series, series_B,
-                            series_B1, series_B1_radical, series_S)
+from mapglue.series import (TruncatedSeries2, _series_S_substitution,
+                            format_series, series_B, series_B1,
+                            series_B1_radical, series_S)
 
 
 def test_arithmetic_basics():
@@ -103,6 +104,12 @@ def test_substitution_identity():
     y = TruncatedSeries2.variable("y", order, order)
     s = series_S(order, order)
     assert s.substitute(x, y * b) == b.truncate(order, order)
+
+
+@pytest.mark.parametrize("orders", [(5, 3), (4, 4), (8, 8)])
+def test_series_S_matches_substitution_reference(orders):
+    # the orders the series verification suite uses
+    assert series_S(*orders) == _series_S_substitution(*orders)
 
 
 def test_coefficients_are_nonnegative_integers():
