@@ -508,15 +508,28 @@ def bubble_canonical_key(bubble: BubbleMap, circuit: Circuit,
     sphere_of = [k for k, s in enumerate(bubble.spheres) for _ in s.darts()]
     # a rotation's labelling depends only on the first circuit dart that
     # enters each non-root sphere, so rotations are grouped by those darts
+    met: dict[int, int] = {}
+    for g in darts:
+        met.setdefault(sphere_of[g - 1], g)
+    order = list(met.items())  # (sphere, first dart in it), as met from 0
+    if not cyclic:
+        return _labelled_key(bubble, darts, _entries(order), (0,))
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i in range(len(darts)) if cyclic else (0,):
-        entries: dict[int, int] = {}
-        for g in darts[i:] + darts[:i]:
-            entries.setdefault(sphere_of[g - 1], g)
-        entries.pop(0, None)
-        groups.setdefault(tuple(entries.values()), []).append(i)
+    for i in reversed(range(len(darts))):
+        # met from i: the order met from i + 1, with the sphere of
+        # darts[i] moved to the front and entered at darts[i]
+        g = darts[i]
+        k = sphere_of[g - 1]
+        order = [(k, g)] + [x for x in order if x[0] != k]
+        groups.setdefault(_entries(order), []).append(i)
     return min(_labelled_key(bubble, darts, seeds, starts)
                for seeds, starts in groups.items())
+
+
+def _entries(met) -> tuple[int, ...]:
+    """The entry darts of the non-root spheres among ``(sphere, dart)``
+    pairs, in order."""
+    return tuple(g for k, g in met if k)
 
 
 def _labelled_key(bubble: BubbleMap, darts, seeds, starts):
@@ -600,7 +613,10 @@ def bubble_from_text(text: str):
             if not (0 <= k < count and 1 <= v <= spheres[k].dart_count
                     and spheres[k].vertex_of(v) == v):
                 raise FormatError(f"pinch names no vertex {k + 1}.{v}")
-    bubble = BubbleMap(spheres, tuple(pinches))
+    try:
+        bubble = BubbleMap(spheres, tuple(pinches))
+    except InternalMismatch as exc:  # the pinches form no tree
+        raise FormatError(str(exc)) from exc
     circuit = (Circuit(bubble, circuit_darts)
                if circuit_darts is not None else None)
     return bubble, circuit

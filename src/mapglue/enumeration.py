@@ -6,6 +6,13 @@ that does not carry the root dart, so inserting one edge in every possible
 way into the maps with e-1 edges and deduplicating by canonical code yields
 each rooted map with e edges exactly once.
 
+Insertion candidates are never built as maps: each candidate's raw rotation
+arrays are canonicalised directly, and only the distinct codes are kept.
+Each distinct level map is then validated once, when its code is decoded
+through :func:`~mapglue.maps.build_map` before the level is memoised.  No
+check is lost: a disconnected candidate has a short code, and any other
+invalid candidate is a relabelling of its code, which fails at decode.
+
 Boundary catalogs of q-angulations need more edges than the general growth
 can afford, so they are grown separately: starting from a plane tree (whose
 single face is the external face), each level splits the external face with
@@ -45,9 +52,9 @@ try:  # the builtin module, as random.py does: hashlib also loads OpenSSL
 except ImportError:
     from hashlib import sha256
 
-from .errors import CapExceeded, FormatError, Infeasible
-from .maps import (BoundaryMap, CanonicalCode, PlanarMap, build_map,
-                   is_q_angulation)
+from .errors import CapExceeded, Disconnected, FormatError, Infeasible
+from .maps import (BoundaryMap, CanonicalCode, PlanarMap, _array_code,
+                   build_map, is_q_angulation)
 from .trees import contour_to_tree, enumerate_trees
 
 EDGE_CAP = 6        # general enumeration, by edge count
@@ -105,39 +112,39 @@ def _check_cap(edges: int, cap: int | None, default: int) -> None:
 
 # -- general rooted maps, by edge count ----------------------------------------
 
-def _base_maps() -> list[PlanarMap]:
-    edge = build_map((1, 2), (2, 1), 1)
-    loop = build_map((2, 1), (2, 1), 1)
-    return [edge, loop]
-
-
-def _with_edge_inserted(pmap: PlanarMap) -> list[PlanarMap]:
-    """All maps obtained by inserting one edge, keeping the root dart.
+def _with_edge_inserted(pmap: PlanarMap):
+    """Canonical codes of all maps obtained by inserting one edge, keeping
+    the root dart.
 
     A corner is named by the dart it precedes in the rotation; the corner of
     dart d lies on the face of d, so an edge may join two corners exactly
     when their darts share a face.  The two new darts are interchangeable,
-    hence unordered corner pairs suffice up to isomorphism.
+    hence unordered corner pairs suffice up to isomorphism.  Each candidate
+    is canonicalised from its raw rotation arrays; :func:`_level` validates
+    the distinct codes.
     """
     n = pmap.dart_count
     x, y = n + 1, n + 2
     sigma = pmap.sigma
     alpha = pmap.alpha + (y, x)
+    root = (pmap.root,)
     pred = [0] * n
     for d in range(1, n + 1):
         pred[sigma[d - 1] - 1] = d
-    face = [pmap.face_of(d) for d in range(1, n + 1)]
-    out = []
+    face = [0] * n
+    for f, cyc in enumerate(pmap.faces()):
+        for d in cyc:
+            face[d - 1] = f
     for c1 in range(1, n + 1):
         p1 = pred[c1 - 1]
         # pendant edge hanging into the face at this corner
         s = list(sigma) + [c1, y]
         s[p1 - 1] = x
-        out.append(build_map(s, alpha, pmap.root))
+        yield _array_code(s, alpha, root)
         # trivial loop inside the corner
         s = list(sigma) + [y, c1]
         s[p1 - 1] = x
-        out.append(build_map(s, alpha, pmap.root))
+        yield _array_code(s, alpha, root)
         for c2 in range(c1 + 1, n + 1):
             if face[c1 - 1] != face[c2 - 1]:
                 continue  # joining distinct faces would raise the genus
@@ -145,23 +152,35 @@ def _with_edge_inserted(pmap: PlanarMap) -> list[PlanarMap]:
             s = list(sigma) + [c1, c2]
             s[p1 - 1] = x
             s[p2 - 1] = y
-            out.append(build_map(s, alpha, pmap.root))
-    return out
+            yield _array_code(s, alpha, root)
 
 
 _LEVELS: dict[int, Catalog] = {}
 
 
 def _level(e: int) -> Catalog:
-    """All rooted planar maps with e edges, sorted by code."""
+    """All rooted planar maps with e edges, sorted by code.
+
+    Only the distinct codes of the candidates are kept, and each is
+    decoded through :func:`~mapglue.maps.build_map` once before the level
+    is memoised.  A candidate that ``build_map`` would reject fails here
+    too: its code is short (it is disconnected), or the code is a
+    relabelling of it, which fails at decode.
+    """
     if e not in _LEVELS:
         if e == 1:
-            candidates = _base_maps()
-        else:  # streamed: only the distinct codes are kept
-            candidates = (cand for pm in _level(e - 1).maps()
-                          for cand in _with_edge_inserted(pm))
-        codes = {cand.canonical_code() for cand in candidates}
-        _LEVELS[e] = Catalog(CatalogFilter(e=e), tuple(sorted(codes)))
+            codes = {(1, 2, 2, 1), (2, 1, 2, 1)}  # the edge and the loop
+        else:
+            codes = set()
+            for pm in _level(e - 1).maps():
+                codes.update(_with_edge_inserted(pm))
+        if min(map(len, codes)) != 4 * e:
+            raise Disconnected("the darts do not form a connected map")
+        cat = Catalog(CatalogFilter(e=e),
+                      tuple([CanonicalCode(c) for c in sorted(codes)]))
+        del codes
+        cat.maps()  # decode and validate every map of the level
+        _LEVELS[e] = cat
     return _LEVELS[e]
 
 
@@ -191,9 +210,9 @@ def _add_qgon(pmap: PlanarMap, i: int, q: int) -> PlanarMap:
     face1 = [x] + [walk[(i + k) % p] for k in range(q - 1)]
     face2 = [y] + [walk[(i + k) % p] for k in range(q - 1, p)]
     phi = [0] * (n + 2)
-    ext = pmap.face_of(pmap.root)
+    external = set(walk)
     for d in pmap.darts():
-        if pmap.face_of(d) != ext:
+        if d not in external:
             phi[d - 1] = pmap.phi_of(d)
     for cyc in (face1, face2):
         for k, d in enumerate(cyc):

@@ -20,6 +20,21 @@ from .errors import Disconnected, FormatError, NonPlanar, NotInvolution
 Perm = tuple[int, ...]
 
 
+def _orbit_count(perm) -> int:
+    """Number of orbits of a permutation given as a 1-indexed image table."""
+    seen = [False] * (len(perm) + 1)
+    count = 0
+    for start in range(1, len(perm) + 1):
+        if seen[start]:
+            continue
+        count += 1
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            d = perm[d - 1]
+    return count
+
+
 def _cycles(perm: Perm) -> list[tuple[int, ...]]:
     """Orbits of a permutation given as a 1-indexed image table."""
     n = len(perm)
@@ -107,11 +122,11 @@ class PlanarMap:
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices())
+        return _orbit_count(self.sigma)
 
     @property
     def face_count(self) -> int:
-        return len(self.faces())
+        return _orbit_count([self.sigma[a - 1] for a in self.alpha])
 
     def face_cycle(self, d: int) -> tuple[int, ...]:
         cyc = [d]
@@ -155,16 +170,15 @@ class PlanarMap:
         labels = tuple(sorted((image[d], v) for d, v in self.labels))
         return PlanarMap(tuple(sigma), tuple(alpha), image[self.root], labels)
 
-    def canonical_relabelling(self, root: int | None = None) -> list[int]:
+    def canonical_relabelling(self) -> list[int]:
         """First-visit order of the breadth-first exploration from the root,
         alternating sigma then alpha, as an image array: dart ``d`` becomes
         ``image[d]`` (index 0 is unused)."""
-        return _canonical_bfs(self.sigma, self.alpha,
-                              (self.root if root is None else root,))[0]
+        return _canonical_bfs(self.sigma, self.alpha, (self.root,))[0]
 
     def canonical_code(self) -> "CanonicalCode":
-        sigma, alpha, _ = _canonical(self.sigma, self.alpha, (self.root,))
-        return CanonicalCode(tuple(sigma + alpha))
+        return CanonicalCode(_array_code(self.sigma, self.alpha,
+                                         (self.root,)))
 
     def canonical_form(self) -> "PlanarMap":
         sigma, alpha, image = _canonical(self.sigma, self.alpha,
@@ -219,6 +233,14 @@ def _canonical(sigma: Perm, alpha: Perm,
             [image[alpha[d - 1]] for d in order], image)
 
 
+def _array_code(sigma, alpha, seeds) -> tuple[int, ...]:
+    """Relabelled sigma then alpha of :func:`_canonical` as one tuple: the
+    canonical code of raw rotation arrays, shorter than the arrays when the
+    seeds do not reach every dart."""
+    new_sigma, new_alpha, _ = _canonical(sigma, alpha, seeds)
+    return tuple(new_sigma + new_alpha)
+
+
 @dataclass(frozen=True, order=True)
 class CanonicalCode:
     """Relabelling-invariant identity of a rooted map."""
@@ -240,23 +262,14 @@ def build_map(sigma, alpha, root: int, labels=()) -> PlanarMap:
         raise NotInvolution("need an equal even number of darts")
     if sorted(sigma) != list(range(1, n + 1)):
         raise NotInvolution("sigma is not a permutation of 1..2E")
-    for d in range(1, n + 1):
-        a = alpha[d - 1]
+    for d, a in enumerate(alpha, 1):
         if not 1 <= a <= n or a == d or alpha[a - 1] != d:
             raise NotInvolution("alpha is not a fixed-point-free involution")
     if not 1 <= root <= n:
         raise FormatError("root dart out of range")
     m = PlanarMap(sigma, alpha, root, tuple(sorted(tuple(labels))))
     # transitivity of <sigma, alpha>
-    seen = {1}
-    stack = [1]
-    while stack:
-        d = stack.pop()
-        for e in (sigma[d - 1], alpha[d - 1]):
-            if e not in seen:
-                seen.add(e)
-                stack.append(e)
-    if len(seen) != n:
+    if len(_canonical_bfs(sigma, alpha, (1,))[1]) != n:
         raise Disconnected("the darts do not form a connected map")
     euler = m.vertex_count - m.edge_count + m.face_count
     if euler != 2:

@@ -157,9 +157,8 @@ def _branching_key(bubble, circuit, cyclic=False):
             sph = bubble.spheres[new]
             for d in sph.darts():
                 if sph.vertex_of(d) == vn:
-                    stack.append(({**images,
-                                   new: sph.canonical_relabelling(root=d)},
-                                  order + [new]))
+                    image = sph.rerooted(d).canonical_relabelling()
+                    stack.append(({**images, new: image}, order + [new]))
     return best
 
 
@@ -337,6 +336,9 @@ def test_serialization_errors():
                  "pinch=1.9~2.1",                 # no dart 9
                  "pinch=1.2~2.1",                 # vertex named by dart 2
                  "pinch=1.1~2.1\npinch=1.1~2.1",
+                 "pinch=1.1~1.1",                 # pinches sphere 1 to itself
+                 "pinch=",                        # no pinch
+                 "pinch=1.1~2.1,1.1~2.1",         # one pinch too many
                  "pinch=1.1~2.1\ncircuit=1,2\ncircuit=2,1"):
         with pytest.raises(FormatError):
             bubble_from_text(two + tail)

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from mapglue.enumeration import (Catalog, CatalogFilter, brute_count_decorated,
@@ -6,13 +8,77 @@ from mapglue.enumeration import (Catalog, CatalogFilter, brute_count_decorated,
                                  enumerate_maps, get_catalog, load_catalog,
                                  save_catalog, sphere_qangulations,
                                  tree_submaps)
-from mapglue.errors import CapExceeded, FormatError
+from mapglue.errors import (CapExceeded, Disconnected, FormatError,
+                            NonPlanar)
 from mapglue.maps import BoundaryMap, build_map, is_q_angulation
 
 
 def test_enumerate_maps_counts():
-    # rooted planar maps with e edges: 2, 9, 54, 378
-    assert [len(enumerate_maps(e)) for e in range(1, 5)] == [2, 9, 54, 378]
+    # rooted planar maps with e edges: 2 3^e C(2e, e) / ((e + 1)(e + 2))
+    sizes = [len(enumerate_maps(e)) for e in range(1, 7)]
+    assert sizes == [2 * 3 ** e * comb(2 * e, e) // ((e + 1) * (e + 2))
+                     for e in range(1, 7)]
+    assert sizes == [2, 9, 54, 378, 2916, 24057]
+
+
+def test_level_build_validates_each_distinct_map_once(monkeypatch):
+    from mapglue import enumeration
+    before = enumerate_maps(5)
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    calls = []
+    real = enumeration.build_map
+
+    def counting_build_map(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "build_map", counting_build_map)
+    sizes = [len(enumerate_maps(e)) for e in range(1, 6)]
+    # one decode per distinct code of each level, and no other validation
+    assert len(calls) == sum(sizes)
+    again = enumerate_maps(5)
+    assert again is not before and again == before
+    assert again.maps() == before.maps()
+
+
+def _joining_two_faces(pmap):
+    """Raw rotation arrays of ``pmap`` plus an edge between corners on two
+    different faces: a map of genus 1."""
+    n = pmap.dart_count
+    c1, c2 = pmap.faces()[0][0], pmap.faces()[1][0]
+    sigma = list(pmap.sigma)
+    sigma[sigma.index(c1)] = n + 1  # the new darts precede c1 and c2
+    sigma[sigma.index(c2)] = n + 2
+    return sigma + [c1, c2], pmap.alpha + (n + 2, n + 1)
+
+
+def _with_loose_loop(pmap):
+    """Raw rotation arrays of ``pmap`` plus a loop at a new vertex."""
+    n = pmap.dart_count
+    loop = (n + 2, n + 1)
+    return list(pmap.sigma) + list(loop), pmap.alpha + loop
+
+
+@pytest.mark.parametrize("bad_candidate, error", [
+    (_joining_two_faces, NonPlanar),
+    (_with_loose_loop, Disconnected),
+])
+def test_invalid_insertion_candidate_raises(monkeypatch, bad_candidate,
+                                            error):
+    from mapglue import enumeration
+    from mapglue.maps import _array_code
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    real = enumeration._with_edge_inserted
+
+    def generator(pmap):
+        yield from real(pmap)
+        if pmap.face_count > 1:
+            sigma, alpha = bad_candidate(pmap)
+            yield _array_code(sigma, alpha, (pmap.root,))
+
+    monkeypatch.setattr(enumeration, "_with_edge_inserted", generator)
+    with pytest.raises(error):
+        enumerate_maps(2)
 
 
 def test_enumerate_maps_entries_are_canonical_and_distinct():

@@ -141,7 +141,7 @@ def test_canonical_kernel_matches_reference_relabelling():
         for d in pmap.darts():
             rerooted = pmap.rerooted(d)
             ref = _reference_relabelling(pmap, d)
-            image = pmap.canonical_relabelling(root=d)
+            image = rerooted.canonical_relabelling()
             assert [image[x] for x in pmap.darts()] == [ref[x] for x in
                                                          pmap.darts()]
             want = rerooted.relabel(ref)
