@@ -32,7 +32,8 @@ from .errors import (
     SizeMismatch,
     TreeTooLarge,
 )
-from .maps import BoundaryMap, PlanarMap, build_map, map_from_line, map_to_line
+from .maps import (BoundaryMap, PlanarMap, _ints, _map_record, build_map,
+                   map_to_line)
 
 
 @dataclass(frozen=True)
@@ -313,14 +314,8 @@ def decorated_to_line(tdm: TreeDecoratedMap) -> str:
 
 
 def decorated_from_line(line: str) -> TreeDecoratedMap:
-    if " tree=" not in line:
-        raise FormatError("missing tree= field")
-    head, tree_part = line.rsplit(" tree=", 1)
-    pmap = map_from_line(head)
-    try:
-        edges = frozenset(int(x) for x in tree_part.split(","))
-    except ValueError as exc:
-        raise FormatError(f"malformed tree= field {tree_part!r}") from exc
+    pmap, f = _map_record(line, ("tree",))
+    edges = frozenset(_ints(f["tree"]))
     check_tree_decoration(pmap, edges)
     return TreeDecoratedMap(pmap, edges)
 
@@ -333,19 +328,15 @@ def forest_to_line(fdm: ForestDecoratedMap) -> str:
 
 
 def forest_from_line(line: str) -> ForestDecoratedMap:
-    if " trees=" not in line:
-        raise FormatError("missing trees= field")
-    head, part = line.rsplit(" trees=", 1)
-    pmap = map_from_line(head)
+    pmap, f = _map_record(line, ("trees",))
     trees = []
     roots = []
-    try:
-        for group in part.split(";"):
-            root, edges = group.split(":", 1)
-            roots.append(int(root))
-            trees.append(frozenset(int(x) for x in edges.split(",")))
-    except ValueError as exc:
-        raise FormatError(f"malformed trees= field {part!r}") from exc
+    for group in f["trees"].split(";"):
+        root, colon, edges = group.partition(":")
+        if not colon:
+            raise FormatError(f"a tree needs root:edges: {group!r}")
+        roots.extend(_ints(root, count=1))
+        trees.append(frozenset(_ints(edges)))
     for root, edges in zip(roots, trees):
         check_tree_decoration(pmap, edges)
         if not (1 <= root <= pmap.dart_count and pmap.edge_of(root) in edges):

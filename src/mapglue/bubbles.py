@@ -52,8 +52,8 @@ from .errors import (
     MalformedCircuit,
     SizeMismatch,
 )
-from .maps import (BoundaryMap, PlanarMap, _canonical, _cycles,
-                   build_map, map_from_line, map_to_line)
+from .maps import (BoundaryMap, PlanarMap, _canonical, _cycles, _ints,
+                   _record, build_map, map_from_line, map_to_line)
 from .trees import DyckPath, contour_classes, contour_to_tree, tree_to_contour
 from .bijection import _contour_matching, _cut, _sew
 
@@ -79,20 +79,12 @@ class BubbleMap:
         # the sphere-incidence graph must be a tree
         if len(self.pinches) != k - 1:
             raise InternalMismatch("pinch count must be sphere count - 1")
-        seen = {0}
-        pending = list(self.pinches)
-        while pending:
-            progress = False
-            for p in list(pending):
-                a, _, b, _ = p
-                if a in seen or b in seen:
-                    seen.update((a, b))
-                    pending.remove(p)
-                    progress = True
-            if not progress:
+        parent: dict = {}
+        for a, _, b, _ in self.pinches:
+            if not (0 <= a < k and 0 <= b < k) or (
+                    _find(parent, a) == _find(parent, b)):
                 raise InternalMismatch("pinches do not connect the spheres")
-        if seen != set(range(k)):
-            raise InternalMismatch("pinches do not connect the spheres")
+            _union(parent, a, b)
 
     # -- global dart addressing -------------------------------------------
 
@@ -578,45 +570,29 @@ def bubble_to_text(bubble: BubbleMap, circuit: Circuit | None = None) -> str:
 
 def bubble_from_text(text: str):
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("bubble spheres="):
-        raise FormatError("expected a 'bubble spheres=' header")
-    try:
-        count = int(lines[0].split("=", 1)[1])
-    except ValueError:
-        raise FormatError("malformed sphere count")
+    head = _record(lines[0] if lines else "", "bubble", ("spheres",))
+    count = _ints(head["spheres"], count=1)[0]
     if len(lines) < count + 1:
         raise FormatError("missing sphere records")
     spheres = tuple(map_from_line(ln) for ln in lines[1:count + 1])
+    # the lines after the spheres are the fields of one more record
+    f = _record(" ".join(["bubble", *lines[count + 1:]]), "bubble", (),
+                ("pinch", "circuit"))
     pinches = []
-    circuit_darts = None
-    seen = set()
-    for ln in lines[count + 1:]:
-        key, _, body = ln.partition("=")
-        if key in seen:
-            raise FormatError(f"repeated {key}= line")
-        seen.add(key)
-        try:
-            if ln.startswith("pinch="):
-                for item in body.split(",") if body else ():
-                    left, right = item.split("~")
-                    a, va = left.split(".")
-                    b, vb = right.split(".")
-                    pinches.append((int(a) - 1, int(va), int(b) - 1, int(vb)))
-            elif ln.startswith("circuit="):
-                circuit_darts = tuple(int(x) for x in body.split(","))
-            else:
-                raise FormatError(f"unexpected line {ln!r}")
-        except ValueError as exc:
-            raise FormatError(f"malformed line {ln!r}") from exc
-    for a, va, b, vb in pinches:
-        for k, v in ((a, va), (b, vb)):
-            if not (0 <= k < count and 1 <= v <= spheres[k].dart_count
-                    and spheres[k].vertex_of(v) == v):
-                raise FormatError(f"pinch names no vertex {k + 1}.{v}")
+    for item in f["pinch"].split(",") if f.get("pinch") else ():
+        ends = [_ints(end, ".", 2) for end in item.split("~")]
+        if len(ends) != 2:
+            raise FormatError(f"a pinch needs a~b: {item!r}")
+        for k, v in ends:
+            if not (1 <= k <= count and 1 <= v <= spheres[k - 1].dart_count
+                    and spheres[k - 1].vertex_of(v) == v):
+                raise FormatError(f"pinch names no vertex {k}.{v}")
+        (a, va), (b, vb) = ends
+        pinches.append((a - 1, va, b - 1, vb))
     try:
         bubble = BubbleMap(spheres, tuple(pinches))
     except InternalMismatch as exc:  # the pinches form no tree
         raise FormatError(str(exc)) from exc
-    circuit = (Circuit(bubble, circuit_darts)
-               if circuit_darts is not None else None)
+    circuit = (Circuit(bubble, tuple(_ints(f["circuit"])))
+               if "circuit" in f else None)
     return bubble, circuit

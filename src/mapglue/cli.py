@@ -20,7 +20,7 @@ from .counting import (catalan_ext, count_boundary_decorated, count_bubble,
                        count_forest, count_spanning, count_spanning_forest,
                        count_tree_decorated, mullin_count)
 from .enumeration import EDGE_CAP, enumerate_boundary_maps, save_catalog
-from .errors import MapGlueError, FormatError
+from .errors import MapGlueError
 from .maps import BoundaryMap, map_from_line, map_to_line
 from .sampler import SampleSpec, export_decorated, sample_tree_decorated
 from .series import format_series, series_B, series_B1, series_S
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (MapGlueError, FormatError) as exc:
+    except MapGlueError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

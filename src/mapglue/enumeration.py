@@ -54,7 +54,7 @@ except ImportError:
 
 from .errors import CapExceeded, Disconnected, FormatError, Infeasible
 from .maps import (BoundaryMap, CanonicalCode, PlanarMap, _array_code,
-                   build_map, is_q_angulation)
+                   _ints, _record, build_map, is_q_angulation)
 from .trees import contour_to_tree, enumerate_trees
 
 EDGE_CAP = 6        # general enumeration, by edge count
@@ -449,6 +449,9 @@ def brute_count_forest(q: int, f: int, sizes, rooted_labeled: bool,
 
 # -- catalog persistence --------------------------------------------------------
 
+_CATALOG_FIELDS = ("q", "f", "e", "perim", "simple", "bridgeless", "count")
+
+
 def catalog_to_text(cat: Catalog) -> str:
     filt = cat.filter
     lines = [
@@ -472,30 +475,16 @@ def catalog_from_text(text: str) -> Catalog:
     body = "".join(line + "\n" for line in lines[:-1])
     if lines[-1] != _checksum_line(body):
         raise FormatError("catalog checksum mismatch")
-    head = lines[0].split()
-    if not head or head[0] != "catalog":
-        raise FormatError("not a catalog file")
-    try:
-        kv = dict(tok.split("=", 1) for tok in head[1:])
-    except ValueError as exc:
-        raise FormatError("malformed catalog header") from exc
-    if "version" not in kv:
+    head = _record(lines[0], "catalog", _CATALOG_FIELDS, ("version",))
+    if "version" not in head:
         raise FormatError("catalog header has no format version")
-    if kv["version"] != CATALOG_VERSION:
-        raise FormatError(f"catalog format version {kv['version']}, "
+    if head["version"] != CATALOG_VERSION:
+        raise FormatError(f"catalog format version {head['version']}, "
                           f"expected {CATALOG_VERSION}")
-    try:
-        filt = CatalogFilter(int(kv["q"]), int(kv["f"]), int(kv["e"]),
-                             int(kv["perim"]), bool(int(kv["simple"])),
-                             bool(int(kv["bridgeless"])))
-        count = int(kv["count"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError("malformed catalog header") from exc
-    try:
-        entries = tuple([CanonicalCode(tuple([int(v) for v in ln.split(",")]))
-                         for ln in lines[1:-1]])
-    except ValueError as exc:
-        raise FormatError("malformed catalog entry") from exc
+    q, f, e, perim, simple, bridgeless, count = _ints(
+        ",".join(head[k] for k in _CATALOG_FIELDS), count=7)
+    filt = CatalogFilter(q, f, e, perim, bool(simple), bool(bridgeless))
+    entries = tuple([CanonicalCode(tuple(_ints(ln))) for ln in lines[1:-1]])
     if len(entries) != count:
         raise FormatError("catalog count does not match the entry lines")
     return Catalog(filt, entries)

@@ -88,7 +88,8 @@ class NonIntegral(MapGlueError):
 
 
 class InternalMismatch(MapGlueError):
-    """Two independent constructions of the same series disagree."""
+    """Bubble-map invariant broken: pinches that form no tree over the
+    spheres, or wicked cuts that cross or split off the wrong spheres."""
 
 
 class UnknownFormat(MapGlueError):

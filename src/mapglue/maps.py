@@ -253,7 +253,8 @@ def build_map(sigma, alpha, root: int, labels=()) -> PlanarMap:
 
     Raises :class:`NotInvolution`, :class:`Disconnected` or
     :class:`NonPlanar` when the data does not describe a rooted map on the
-    sphere.
+    sphere, and :class:`FormatError` when the root or a label is not on a
+    dart of it.
     """
     sigma = tuple(sigma)
     alpha = tuple(alpha)
@@ -267,7 +268,12 @@ def build_map(sigma, alpha, root: int, labels=()) -> PlanarMap:
             raise NotInvolution("alpha is not a fixed-point-free involution")
     if not 1 <= root <= n:
         raise FormatError("root dart out of range")
-    m = PlanarMap(sigma, alpha, root, tuple(sorted(tuple(labels))))
+    labels = tuple(sorted(labels))
+    if labels:
+        darts = [d for d, _ in labels]  # sorted
+        if darts[0] < 1 or darts[-1] > n or len(set(darts)) != len(darts):
+            raise FormatError("labels must sit on distinct darts of the map")
+    m = PlanarMap(sigma, alpha, root, labels)
     # transitivity of <sigma, alpha>
     if len(_canonical_bfs(sigma, alpha, (1,))[1]) != n:
         raise Disconnected("the darts do not form a connected map")
@@ -336,10 +342,6 @@ def is_q_angulation(pmap: PlanarMap, q: int, skip_external: bool = False) -> boo
     return True
 
 
-def canonical_code(pmap: PlanarMap) -> CanonicalCode:
-    return pmap.canonical_code()
-
-
 # -- text serialization -------------------------------------------------------
 
 def map_to_line(pmap: PlanarMap) -> str:
@@ -355,37 +357,57 @@ def map_to_line(pmap: PlanarMap) -> str:
     return " ".join(parts)
 
 
-_MAP_FIELDS = frozenset({"E", "root", "sigma", "alpha", "labels"})
-
-
-def _fields(line: str) -> dict[str, str]:
-    """Fields of a ``map`` record, each known field at most once."""
-    toks = line.split()
-    if not toks or toks[0] != "map":
-        raise FormatError(f"expected a 'map' record: {line!r}")
+def _record(line: str, kind: str, required,
+            optional=()) -> dict[str, str]:
+    """Fields of a ``kind name=value ...`` record: every name is one of
+    ``required`` or ``optional``, none repeats, and every required one is
+    present.  Values never contain blanks."""
+    words = line.split()
+    if not words or words[0] != kind:
+        raise FormatError(f"expected a {kind!r} record: {line!r}")
     out = {}
-    for tok in toks[1:]:
-        k, eq, v = tok.partition("=")
-        if not eq or k not in _MAP_FIELDS or k in out:
-            raise FormatError(f"bad, unknown or repeated field {tok!r}")
-        out[k] = v
+    for word in words[1:]:
+        name, eq, value = word.partition("=")
+        if not eq or name in out or (name not in required
+                                     and name not in optional):
+            raise FormatError(f"bad, unknown or repeated field {word!r}")
+        out[name] = value
+    for name in required:
+        if name not in out:
+            raise FormatError(f"{kind} record has no {name}= field")
     return out
 
 
-def map_from_line(line: str) -> PlanarMap:
-    f = _fields(line)
+def _ints(text: str, sep: str | None = ",",
+          count: int | None = None) -> list[int]:
+    """The integers of a ``sep``-separated list (blank-separated when
+    ``sep`` is None), exactly ``count`` of them if given."""
     try:
-        e = int(f["E"])
-        root = int(f["root"])
-        sigma = [int(x) for x in f["sigma"].split(",")]
-        alpha = [int(x) for x in f["alpha"].split(",")]
-        labels = []
-        if "labels" in f:
-            for item in f["labels"].split(","):
-                k, v = item.split(":", 1)
-                labels.append((int(k), v))
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"malformed map record: {line!r}") from exc
-    if len(sigma) != 2 * e:
-        raise FormatError("E does not match the sigma length")
-    return build_map(sigma, alpha, root, labels)
+        out = list(map(int, text.split(sep)))
+    except ValueError:
+        raise FormatError(f"not a list of integers: {text!r}") from None
+    if count is not None and len(out) != count:
+        raise FormatError(f"expected {count} integers: {text!r}")
+    return out
+
+
+def _map_record(line: str, extra=()) -> tuple[PlanarMap, dict[str, str]]:
+    """The map of a ``map`` record that also carries the required fields
+    named in ``extra``, and the record's fields."""
+    f = _record(line, "map", ("E", "root", "sigma", "alpha", *extra),
+                ("labels",))
+    e, root = _ints(f"{f['E']},{f['root']}", count=2)
+    sigma = _ints(f["sigma"], count=2 * e)
+    alpha = _ints(f["alpha"])
+    labels = ()
+    if "labels" in f:
+        items = [item.partition(":") for item in f["labels"].split(",")]
+        if not all(colon for _, colon, _ in items):
+            raise FormatError(f"a label needs dart:text: {f['labels']!r}")
+        darts = _ints(",".join(d for d, _, _ in items))
+        labels = zip(darts, [text for _, _, text in items])
+    return build_map(sigma, alpha, root, labels), f
+
+
+def map_from_line(line: str) -> PlanarMap:
+    return _map_record(line)[0]

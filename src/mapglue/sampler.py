@@ -13,7 +13,9 @@ serial generation and a fixed spec is byte-reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 from random import Random
 
 from .bijection import (TreeDecoratedMap, check_tree_decoration,
@@ -21,7 +23,7 @@ from .bijection import (TreeDecoratedMap, check_tree_decoration,
 from .counting import count_tree_decorated
 from .enumeration import get_catalog
 from .errors import DecorationNotATree, FormatError, UnknownFormat
-from .maps import BoundaryMap, PlanarMap, build_map
+from .maps import BoundaryMap, PlanarMap, _ints, _record, build_map
 from .trees import contour_to_tree, sample_dyck_uniform, tree_to_contour
 
 
@@ -130,44 +132,60 @@ def export_decorated(tdm: TreeDecoratedMap, format: str = "plain") -> str:
     return "\n".join(lines) + "\n"
 
 
+# two "/" in one word of a vertex line
+_TWO_SLASHES = re.compile(r"/[^\s/]*/")
+
+
 def parse_decorated(text: str) -> TreeDecoratedMap:
     """Inverse of :func:`export_decorated` for the plain format."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("decorated "):
-        raise FormatError("expected a 'decorated' header")
-    try:
-        fields = dict(tok.split("=", 1) for tok in lines[0].split()[1:])
-        edges = int(fields["edges"])
-        root = int(fields["root"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError("malformed decorated header") from exc
-    n = 2 * edges
-    sigma = [0] * n
-    alpha = [0] * n
+    head = _record(lines[0] if lines else "", "decorated",
+                   ("vertices", "edges", "root"))
+    vertices, edges, root = _ints(
+        f"{head['vertices']},{head['edges']},{head['root']}", count=3)
+    names, rotations, sizes = [], [], []
     tree = None
     for ln in lines[1:]:
-        if ln.startswith("vertex "):
-            darts = []
-            for tok in ln.split(":", 1)[1].split():
-                try:
-                    d, a = map(int, tok.split("/"))
-                except ValueError as exc:
-                    raise FormatError(f"malformed vertex line {ln!r}") from exc
-                if not 0 < d <= n:
-                    raise FormatError(f"dart {d} out of range in {ln!r}")
-                alpha[d - 1] = a
-                darts.append(d)
-            for d, e in zip(darts, darts[1:] + darts[:1]):
-                sigma[d - 1] = e
-        elif ln.startswith("tree:"):
-            try:
-                tree = frozenset(int(x) for x in ln.split(":", 1)[1].split(","))
-            except ValueError as exc:
-                raise FormatError(f"malformed tree line {ln!r}") from exc
-        else:
+        name, colon, pairs = ln.partition(":")
+        if name == "tree":
+            if tree is not None:
+                raise FormatError("second tree line")
+            tree = frozenset(_ints(pairs))
+            continue
+        # vertex <first dart>: <dart>/<partner> ... in rotation order
+        slashes = pairs.count("/")
+        if not (slashes and colon and name.startswith("vertex ")):
             raise FormatError(f"unexpected line {ln!r}")
+        names.append(name[7:])
+        rotations.append(pairs)
+        sizes.append(slashes)
     if tree is None:
         raise FormatError("missing tree line")
+    if vertices != len(sizes):
+        raise FormatError("vertices= does not count the vertex lines")
+    # a word with at most one "/" holds two integers only as d/a, so two
+    # per word keeps every line to its own pairs
+    rotation = " ".join(rotations)
+    if _TWO_SLASHES.search(rotation):
+        raise FormatError("a vertex line holds a word that is no d/a pair")
+    nums = _ints(rotation.replace("/", " "), None, 2 * len(rotation.split()))
+    darts = nums[::2]
+    ends = list(accumulate(sizes))
+    firsts = [darts[end - size] for end, size in zip(ends, sizes)]
+    if _ints(",".join(names), ",", len(names)) != firsts:
+        raise FormatError("a vertex line is not named by its first dart")
+    successors = darts[1:] + darts[:1]
+    for end, first in zip(ends, firsts):
+        successors[end - 1] = first
+    n = 2 * edges
+    if sorted(darts) != list(range(1, n + 1)):
+        raise FormatError(f"the vertex lines do not list darts 1..{n} "
+                          f"once each")
+    sigma = [0] * n
+    alpha = [0] * n
+    for d, a, e in zip(darts, nums[1::2], successors):
+        sigma[d - 1] = e
+        alpha[d - 1] = a
     pmap = build_map(sigma, alpha, root)
     try:
         check_tree_decoration(pmap, tree)

@@ -344,6 +344,18 @@ def test_serialization_errors():
             bubble_from_text(two + tail)
 
 
+def test_pinches_must_form_a_tree():
+    loop = build_map([2, 1], [2, 1], 1)
+    for pinches in (((0, 1, 5, 1),),                  # no sphere 5
+                    ((0, 1, -1, 1),),                 # no sphere -1
+                    ((0, 1, 0, 1), (1, 1, 2, 1)),     # sphere 0 to itself
+                    ((0, 1, 1, 1), (1, 1, 0, 1))):    # a cycle, no sphere 2
+        with pytest.raises(InternalMismatch,
+                           match="do not connect the spheres"):
+            BubbleMap((loop,) * (len(pinches) + 1), pinches)
+    BubbleMap((loop,) * 3, ((2, 1, 0, 1), (1, 1, 2, 1)))
+
+
 # -- one-pass kernels against the quadratic rules they replaced ---------------
 
 def _crossing_pair(chords) -> bool:

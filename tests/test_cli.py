@@ -127,6 +127,11 @@ def test_glue_input_errors():
         code, _, err = run("glue", "--boundary", "map E=1 root=1 sigma=1,2 "
                            f"alpha=2,1 labels={labels}", "--tree", "UD")
         assert code == 2 and "FormatError" in err
+    square = "map E=4 root=1 sigma=2,1,5,6,3,4,8,7 alpha=3,4,1,2,7,8,5,6"
+    for labels in ("99:a", "-1:x", "0:x", "1:a,1:b"):
+        code, _, err = run("glue", "--boundary", f"{square} labels={labels}",
+                           "--tree", "UUDD")
+        assert code == 2 and "FormatError" in err
 
 
 def test_unglue_input_errors():

@@ -2,7 +2,7 @@ import pytest
 
 from mapglue.errors import (Disconnected, FormatError, NonPlanar,
                             NotInvolution)
-from mapglue.maps import (BoundaryMap, PlanarMap, build_map, canonical_code,
+from mapglue.maps import (BoundaryMap, PlanarMap, build_map,
                           is_q_angulation, map_from_line, map_to_line)
 
 EDGE = build_map([1, 2], [2, 1], 1)
@@ -54,7 +54,7 @@ def test_canonical_code_is_relabelling_invariant():
     image = {1: 3, 2: 5, 3: 1, 4: 6, 5: 2, 6: 4}
     other = TRIANGLE.relabel(image)
     assert other.root == 3
-    assert canonical_code(other) == canonical_code(TRIANGLE)
+    assert other.canonical_code() == TRIANGLE.canonical_code()
     assert other.canonical_form() == TRIANGLE.canonical_form()
 
 
@@ -85,6 +85,10 @@ def test_map_line_errors():
         map_from_line("map E=1 root=1 sigma=1,2 alpha=2,1 sigma=2,1")
     with pytest.raises(FormatError):
         map_from_line("map E=1 root=1 sigma=1,2 alpha=2,1 colour=red")
+    # labels must sit on distinct darts of the map
+    for labels in ("99:a", "-1:x", "0:x", "1:a,1:b", "3:a"):
+        with pytest.raises(FormatError):
+            map_from_line(f"map E=1 root=1 sigma=1,2 alpha=2,1 labels={labels}")
 
 
 def test_boundary_simplicity():

@@ -113,4 +113,19 @@ def test_export_errors():
                  header + edge + "tree: 7\n"):
         with pytest.raises(FormatError):
             parse_decorated(text)
+    # never written by export_decorated
+    for text in ("decorated vertices=3 edges=1 root=1\n" + edge + "tree: 1\n",
+                 "decorated edges=1 root=1\n" + edge + "tree: 1\n",
+                 header + "vertex 2: 1/2\nvertex 2: 2/1\ntree: 1\n",
+                 "decorated vertices=3 edges=1 root=1\n" + edge
+                 + "vertex 2: 2/1\ntree: 1\n",
+                 header + edge + "tree: 1\ntree: 1\n",
+                 "decorated vertices=2 edges=1 root=1 colour=red\n" + edge
+                 + "tree: 1\n",
+                 header + "vertex 1 1/2\nvertex 2: 2/1\ntree: 1\n",
+                 header + "vertex 1: 1 / 2\nvertex 2: 2/1\ntree: 1\n",
+                 "decorated vertices=3 edges=2 root=1\nvertex 1: 1/2/3 4\n"
+                 "vertex 2: 2/1\nvertex 4: 4/3\ntree: 1,3\n"):
+        with pytest.raises(FormatError):
+            parse_decorated(text)
     assert parse_decorated(header + edge + "tree: 1\n").tree_edges == {1}
