@@ -170,6 +170,8 @@ def _cmd_unglue(args) -> int:
 # -- sample --------------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:
+        raise UsageError("--count must be nonnegative")
     spec = SampleSpec(args.q, args.faces, args.tree_edges, args.seed,
                       args.count)
     for tdm in sample_tree_decorated(spec):

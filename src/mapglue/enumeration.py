@@ -19,11 +19,18 @@ single face is the external face), each level splits the external face with
 a chord that closes off one new internal q-gon.  The reverse move (deleting
 one edge shared by an internal face and the external face) reduces any map
 whose internal faces are all q-gons to a plane tree, so this growth is also
-exhaustive.
+exhaustive.  For q = 1 the tree may be the vertex map, which has no dart to
+root; the growth then starts from its one child, the one-loop map.
+
+The pools of sphere q-angulations that the brute-force counts sum over are
+grown the same way, as the maps whose root face is a q-gon and whose other
+faces are q-gons; the general level is never scanned for them.  The
+filter of the e-edge general level by face degree is kept in the tests as
+the reference these pools must equal.
 
 Everything is computed at most once per process: each general level (its
-catalog, and that catalog's decoded maps), each q-angulation boundary level,
-each filtered pool of sphere q-angulations, and each catalog fetched through
+catalog, and that catalog's decoded maps), each q-angulation boundary level
+(which holds the sphere pools too), and each catalog fetched through
 :func:`get_catalog`.  The size cap is checked before every one of these
 memos is consulted, so a warm call refuses exactly what a cold call refuses.
 
@@ -231,16 +238,20 @@ def _qangulation_boundary_maps(q: int, f: int, perimeter: int) -> tuple[PlanarMa
     key = (q, f, perimeter)
     if key in _QANG_LEVELS:
         return _QANG_LEVELS[key]
-    p0 = perimeter + f * (q - 2)
-    if p0 % 2 or p0 < 2:
+    p0 = perimeter + f * (q - 2)  # perimeter of the seed tree
+    if f < 0 or p0 % 2 or p0 < 0:
         _QANG_LEVELS[key] = ()
         return ()
+    if p0 == 0:  # q = 1, seeded by the vertex map's one child
+        seeds, steps = [build_map((2, 1), (2, 1), 1)], f - 1
+    else:
+        seeds = (contour_to_tree(path) for path in enumerate_trees(p0 // 2))
+        steps = f
     # representatives keyed by external-rooting-invariant identity
     level: dict[CanonicalCode, PlanarMap] = {}
-    for path in enumerate_trees(p0 // 2):
-        t = contour_to_tree(path)
+    for t in seeds:
         level.setdefault(_external_canonical(t), t)
-    for _ in range(f):
+    for _ in range(steps):
         nxt: dict[CanonicalCode, PlanarMap] = {}
         for pm in level.values():
             p = len(pm.root_face())
@@ -261,6 +272,8 @@ def _qangulation_boundary_maps(q: int, f: int, perimeter: int) -> tuple[PlanarMa
 def _check_boundary_family(q: int, f: int, e: int, perimeter: int,
                            cap: int | None) -> None:
     """Raise unless the boundary family is feasible and within the cap."""
+    if min(q, f, e, perimeter) < 0:
+        raise Infeasible("q, f, e and the perimeter must be nonnegative")
     if q == 0:
         if e < 1:
             raise Infeasible("general boundary catalogs need an edge count")
@@ -344,19 +357,23 @@ def _tree_vertices(pmap: PlanarMap, edges: frozenset[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-_SPHERES: dict[tuple[int, int], list[PlanarMap]] = {}
-
-
 def sphere_qangulations(q: int, f: int, cap: int | None = None) -> list[PlanarMap]:
-    """All rooted maps of the sphere whose faces all have degree q."""
+    """All rooted maps of the sphere whose f faces all have degree q,
+    sorted by code.
+
+    Such a map is exactly a map whose root face is a q-gon and whose other
+    f - 1 faces are q-gons, so the pool is the boundary growth of
+    :func:`_qangulation_boundary_maps` with perimeter q, memoised there.
+    The e-edge general level filtered with ``is_q_angulation`` gives the
+    same maps in the same order; the tests keep it as the reference.
+    """
     if q * f % 2:
         raise Infeasible(f"q={q}, f={f}: odd total degree")
     e = q * f // 2
     _check_cap(e, cap, EDGE_CAP)
-    if (q, f) not in _SPHERES:
-        _SPHERES[q, f] = [pm for pm in enumerate_maps(e, cap=cap).maps()
-                          if is_q_angulation(pm, q)]
-    return list(_SPHERES[q, f])
+    if e < 1:
+        raise Infeasible("edge count must be at least 1")
+    return list(_qangulation_boundary_maps(q, f - 1, q))
 
 
 def brute_count_decorated(q: int, f: int | None = None, e: int | None = None,

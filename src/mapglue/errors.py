@@ -80,7 +80,8 @@ class CapExceeded(MapGlueError):
 
 
 class Infeasible(MapGlueError):
-    """Parameters outside the domain of the counting formula."""
+    """Parameters outside the domain of a counting formula, series or
+    catalog family."""
 
 
 class NonIntegral(MapGlueError):

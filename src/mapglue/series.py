@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .errors import NonIntegral
+from .errors import Infeasible, NonIntegral
 
 Coeffs = dict[tuple[int, int], Fraction]
 
@@ -39,7 +39,7 @@ class TruncatedSeries2:
 
     def __init__(self, nx: int, ny: int, coeffs: Coeffs | None = None):
         if nx < 0 or ny < 0:
-            raise ValueError("truncation orders must be nonnegative")
+            raise Infeasible("truncation orders must be nonnegative")
         self.nx = nx
         self.ny = ny
         data: Coeffs = {}
@@ -279,7 +279,7 @@ def series_S(nx: int, nz: int) -> TruncatedSeries2:
     Expanded from the closed radical form.
     """
     if nx < 1 or nz < 1:
-        raise ValueError("series_S needs orders >= 1")
+        raise Infeasible("series_S needs orders >= 1")
     pad = nx + 1
     x = TruncatedSeries2.variable("x", pad, nz)
     z = TruncatedSeries2.variable("y", pad, nz)

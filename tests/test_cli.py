@@ -232,4 +232,12 @@ def test_usage_exit_codes():
     for cap in ("7", "0", "-3"):
         code, out, err = run("verify", "--suite", "roundtrip", "--cap", cap)
         assert code == 2 and out == "" and "--cap" in err
+    for argv in (("--which", "S", "--max-x", "-1", "--max-z", "2"),
+                 ("--which", "B1", "--max-x", "-1"),
+                 ("--which", "B", "--max-x", "0", "--max-y", "-1")):
+        code, out, err = run("series", *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+    code, out, err = run("sample", "--q", "4", "--faces", "1",
+                         "--tree-edges", "1", "--seed", "1", "--count", "-1")
+    assert code == 2 and out == "" and "--count" in err
     assert run("--help")[0] == 0

@@ -106,7 +106,7 @@ def test_boundary_map_anchors():
 
 
 def test_boundary_catalogs_match_direct_filter():
-    for q in (3, 4):
+    for q in (1, 2, 3, 4):
         for f in (1, 2):
             for m in (1, 2):
                 total = q * f + 2 * m
@@ -122,6 +122,20 @@ def test_boundary_catalogs_match_direct_filter():
                 grown = len(enumerate_boundary_maps(q=q, f=f,
                                                     perimeter=2 * m))
                 assert grown == direct, (q, f, m)
+
+
+def test_sphere_pools_match_filtered_level():
+    # the reference: every map of the e-edge level whose faces all have
+    # degree q, in level order; q = 1 at f = 2 (the one-loop map) is grown
+    # from no seed tree
+    cases = [(q, f) for q in range(1, 7) for f in range(1, 13)
+             if q * f % 2 == 0 and q * f // 2 <= 6]
+    assert (1, 2) in cases
+    for q, f in cases:
+        e = q * f // 2
+        direct = [pm for pm in enumerate_maps(e).maps()
+                  if is_q_angulation(pm, q)]
+        assert sphere_qangulations(q, f) == direct, (q, f)
 
 
 def test_tree_submaps():

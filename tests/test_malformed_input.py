@@ -13,8 +13,9 @@ import pytest
 
 from mapglue.bijection import decorated_from_line
 from mapglue.cli import main
-from mapglue.enumeration import (_checksum_line, catalog_from_text,
-                                 catalog_to_text, enumerate_maps)
+from mapglue.enumeration import (EDGE_CAP, QANG_EDGE_CAP, _checksum_line,
+                                 catalog_from_text, catalog_to_text,
+                                 enumerate_maps)
 from mapglue.errors import FormatError, MapGlueError
 from mapglue.maps import build_map, map_from_line
 from mapglue.sampler import (SampleSpec, draw_tree_decorated,
@@ -54,6 +55,75 @@ def _cli_survives(*argv):
     code, _, err = run(*argv)
     assert code in (0, 2), (argv, err)
     assert "Traceback" not in err
+
+
+# Each flag-only subcommand with small valid arguments, and its numeric
+# flags, each with the first value above its cap or domain (None where the
+# flag has no cap, as a series order or a draw count).
+FLAG_SWEEP = [
+    (("count", "--family", "decorated", "--q", "4", "--faces", "2",
+      "--tree-edges", "1"),
+     {"--q": 5, "--faces": None, "--tree-edges": 4}),
+    (("count", "--family", "spanning", "--q", "4", "--faces", "2"),
+     {"--q": 5, "--faces": None}),
+    (("count", "--family", "boundary-decorated", "--q", "4", "--faces", "2",
+      "--m1", "1", "--m2", "1"),
+     {"--m1": 3, "--m2": 3}),
+    (("count", "--family", "forest", "--q", "4", "--faces", "2",
+      "--sizes", "1"),
+     {"--q": 5, "--faces": None}),
+    (("count", "--family", "spanning-forest", "--q", "4", "--faces", "2",
+      "--sizes", "3"),
+     {"--q": 5, "--faces": None}),
+    (("count", "--family", "bubble", "--edges", "2", "--tree-edges", "1"),
+     {"--edges": None, "--tree-edges": None}),
+    (("count", "--family", "mullin", "--edges", "2"), {"--edges": None}),
+    (("count", "--family", "catalan", "--m", "2", "--n", "2"),
+     {"--m": None, "--n": None}),
+    (("series", "--which", "B", "--max-x", "2", "--max-y", "2"),
+     {"--max-x": None, "--max-y": None}),
+    (("series", "--which", "B1", "--max-x", "2"), {"--max-x": None}),
+    (("series", "--which", "S", "--max-x", "2", "--max-z", "2"),
+     {"--max-x": None, "--max-z": None}),
+    (("enumerate", "--edges", "2"),
+     {"--q": None, "--faces": None, "--edges": EDGE_CAP + 1,
+      "--perimeter": None, "--cap": EDGE_CAP + 1}),
+    (("enumerate", "--q", "4", "--faces", "1", "--perimeter", "2"),
+     {"--q": 5, "--faces": QANG_EDGE_CAP // 2,
+      "--perimeter": 2 * QANG_EDGE_CAP, "--cap": None}),
+    (("sample", "--q", "4", "--faces", "1", "--tree-edges", "1", "--seed",
+      "1", "--count", "1"),
+     {"--q": 5, "--faces": QANG_EDGE_CAP // 2, "--tree-edges": 3,
+      "--seed": None, "--count": None}),
+    (("verify", "--suite", "roundtrip", "--cap", "1"),
+     {"--cap": EDGE_CAP + 1}),
+]
+
+
+def _with_flag(base, flag, value):
+    argv = list(base)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(value)
+    else:
+        argv += [flag, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("base,flags", FLAG_SWEEP,
+                         ids=[" ".join(b[:3]) for b, _ in FLAG_SWEEP])
+def test_flag_only_subcommands_out_of_range(base, flags):
+    """-1, 0 and the first value above each numeric flag's cap exit 0 or
+    2 with no traceback; -1 is a usage or input error for every flag but a
+    seed."""
+    assert run(*base)[0] == 0
+    for flag, above in flags.items():
+        for value in (-1, 0) if above is None else (-1, 0, above):
+            argv = _with_flag(base, flag, value)
+            code, _, err = run(*argv)
+            assert code in (0, 2), (argv, err)
+            assert "Traceback" not in err
+            if value == -1 and flag != "--seed":
+                assert code == 2 and err.strip(), argv
 
 
 def _parses_or_refuses(parse, text):
