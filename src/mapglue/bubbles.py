@@ -30,7 +30,10 @@ global dart table: from the root through the root sphere, then from the
 first circuit dart that enters each sphere not yet reached, in circuit
 order.  The circuit fixes where every sphere is entered, so no rooting of
 a sphere is searched over; the key up to rotation of the circuit is the
-smallest key over its rotations.
+smallest key over its rotations.  Rotations that enter every sphere at the
+same darts share one labelling, and the labellings are compared by their
+codes with searches that stop as soon as they fall behind; only those
+that tie the smallest code are labelled in full.
 
 Boundaries with bridges are refused: two bridges identified by the tree
 would force the circuit through the same oriented edge twice, and the
@@ -53,7 +56,7 @@ from .errors import (
     SizeMismatch,
 )
 from .maps import (BoundaryMap, PlanarMap, _canonical, _cycles, _ints,
-                   _record, build_map, map_from_line, map_to_line)
+                   _min_code, _record, build_map, map_from_line, map_to_line)
 from .trees import DyckPath, contour_classes, contour_to_tree, tree_to_contour
 from .bijection import _contour_matching, _cut, _sew
 
@@ -492,7 +495,9 @@ def bubble_canonical_key(bubble: BubbleMap, circuit: Circuit,
     With ``cyclic`` the circuit is compared up to rotation (root anywhere);
     otherwise its starting point is part of the identity.  A cyclic key is
     the smallest key of :func:`_labelled_key` over the rotations of the
-    circuit.
+    circuit; since the key leads with the code, only the rotations whose
+    code ties the smallest one (found by :func:`~mapglue.maps._min_code`)
+    are labelled.
     """
     darts = circuit.darts
     if not darts or not all(0 < g <= bubble.dart_count for g in darts):
@@ -514,8 +519,11 @@ def bubble_canonical_key(bubble: BubbleMap, circuit: Circuit,
         k = sphere_of[g - 1]
         order = [(k, g)] + [x for x in order if x[0] != k]
         groups.setdefault(_entries(order), []).append(i)
-    return min(_labelled_key(bubble, darts, seeds, starts)
-               for seeds, starts in groups.items())
+    sigma, alpha = bubble._table
+    _, tied = _min_code(sigma, alpha,
+                        [(bubble.root,) + seeds for seeds in groups])
+    return min(_labelled_key(bubble, darts, seeds[1:], groups[seeds[1:]])
+               for seeds in tied)
 
 
 def _entries(met) -> tuple[int, ...]:

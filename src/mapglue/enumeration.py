@@ -20,7 +20,11 @@ a chord that closes off one new internal q-gon.  The reverse move (deleting
 one edge shared by an internal face and the external face) reduces any map
 whose internal faces are all q-gons to a plane tree, so this growth is also
 exhaustive.  For q = 1 the tree may be the vertex map, which has no dart to
-root; the growth then starts from its one child, the one-loop map.
+root; the growth then starts from its one child, the one-loop map.  This
+growth works on raw arrays too: each chord candidate is keyed by its
+smallest code over the rootings at its external face, found by
+:func:`~mapglue.maps._min_code`, whose searches stop as soon as they fall
+behind, and each distinct candidate of a step is validated once.
 
 The pools of sphere q-angulations that the brute-force counts sum over are
 grown the same way, as the maps whose root face is a q-gon and whose other
@@ -61,7 +65,8 @@ except ImportError:
 
 from .errors import CapExceeded, Disconnected, FormatError, Infeasible
 from .maps import (BoundaryMap, CanonicalCode, PlanarMap, _array_code,
-                   _ints, _record, build_map, is_q_angulation)
+                   _canonical, _ints, _min_code, _record, build_map,
+                   is_q_angulation)
 from .trees import contour_to_tree, enumerate_trees
 
 EDGE_CAP = 6        # general enumeration, by edge count
@@ -202,31 +207,32 @@ def enumerate_maps(e: int, cap: int | None = None) -> Catalog:
 
 # -- q-angulation boundary growth ----------------------------------------------
 
-def _external_canonical(pmap: PlanarMap) -> CanonicalCode:
-    """Identity of (map, external face): minimum code over external rootings."""
-    return min(pmap.rerooted(d).canonical_code() for d in pmap.root_face())
+def _add_qgon(sigma, alpha, walk, i: int, q: int):
+    """Split the external face, whose cycle is ``walk``, with a chord
+    closing a q-gon over the external darts at positions i..i+q-2 of the
+    walk.
 
-
-def _add_qgon(pmap: PlanarMap, i: int, q: int) -> PlanarMap:
-    """Split the external face with a chord closing a q-gon over the
-    external darts at positions i..i+q-2 of the boundary walk."""
-    walk = pmap.root_face()
+    Returns the candidate's raw ``sigma`` and ``alpha`` lists and its new
+    external face cycle, which starts at the new external dart.
+    """
     p = len(walk)
-    n = pmap.dart_count
+    n = len(sigma)
     x, y = n + 1, n + 2
     face1 = [x] + [walk[(i + k) % p] for k in range(q - 1)]
     face2 = [y] + [walk[(i + k) % p] for k in range(q - 1, p)]
-    phi = [0] * (n + 2)
-    external = set(walk)
-    for d in pmap.darts():
-        if d not in external:
-            phi[d - 1] = pmap.phi_of(d)
+    alpha = list(alpha) + [y, x]
+    # sigma(alpha(d)) = phi(d): only the darts of the two new faces change
+    sigma = list(sigma) + [0, 0]
     for cyc in (face1, face2):
         for k, d in enumerate(cyc):
-            phi[d - 1] = cyc[(k + 1) % len(cyc)]
-    alpha = pmap.alpha + (y, x)
-    sigma = [phi[alpha[d - 1] - 1] for d in range(1, n + 3)]
-    return build_map(sigma, alpha, y)
+            sigma[alpha[d - 1] - 1] = cyc[(k + 1) % len(cyc)]
+    return sigma, alpha, face2
+
+
+def _external_canonical(sigma, alpha, walk) -> tuple[int, ...]:
+    """Identity of (map, external face): the smallest code over the
+    rootings at the darts of the external face cycle ``walk``."""
+    return _min_code(sigma, alpha, [(d,) for d in walk])[0]
 
 
 _QANG_LEVELS: dict[tuple[int, int, int], tuple[PlanarMap, ...]] = {}
@@ -234,38 +240,54 @@ _QANG_LEVELS: dict[tuple[int, int, int], tuple[PlanarMap, ...]] = {}
 
 def _qangulation_boundary_maps(q: int, f: int, perimeter: int) -> tuple[PlanarMap, ...]:
     """Rooted maps with f internal q-gon faces and external (root) face of
-    the given degree, each rooted-map exactly once, sorted by code."""
-    key = (q, f, perimeter)
-    if key in _QANG_LEVELS:
-        return _QANG_LEVELS[key]
+    the given degree, each rooted-map exactly once, sorted by code.
+
+    Each growth step keys its candidates' raw arrays by
+    :func:`_external_canonical`, an early-stopping minimum over the
+    external rootings, and validates each distinct candidate once, through
+    :func:`~mapglue.maps.build_map`, the first time its key is met.  No
+    check is lost: a disconnected candidate has a short key and no valid
+    candidate of the step does, and any other invalid candidate is a
+    relabelling of its key, so the key cannot be a valid candidate's.
+    """
+    memo_key = (q, f, perimeter)
+    if memo_key in _QANG_LEVELS:
+        return _QANG_LEVELS[memo_key]
     p0 = perimeter + f * (q - 2)  # perimeter of the seed tree
     if f < 0 or p0 % 2 or p0 < 0:
-        _QANG_LEVELS[key] = ()
+        _QANG_LEVELS[memo_key] = ()
         return ()
     if p0 == 0:  # q = 1, seeded by the vertex map's one child
         seeds, steps = [build_map((2, 1), (2, 1), 1)], f - 1
     else:
         seeds = (contour_to_tree(path) for path in enumerate_trees(p0 // 2))
         steps = f
-    # representatives keyed by external-rooting-invariant identity
-    level: dict[CanonicalCode, PlanarMap] = {}
+    # (sigma, alpha, external face cycle) of one representative per
+    # external-rooting-invariant identity
+    level: dict[tuple[int, ...], tuple] = {}
     for t in seeds:
-        level.setdefault(_external_canonical(t), t)
+        walk = t.root_face()
+        level.setdefault(_external_canonical(t.sigma, t.alpha, walk),
+                         (t.sigma, t.alpha, walk))
     for _ in range(steps):
-        nxt: dict[CanonicalCode, PlanarMap] = {}
-        for pm in level.values():
-            p = len(pm.root_face())
-            for i in range(p):
-                cand = _add_qgon(pm, i, q)
-                nxt.setdefault(_external_canonical(cand), cand)
+        nxt: dict[tuple[int, ...], tuple] = {}
+        for sigma, alpha, walk in level.values():
+            for i in range(len(walk)):
+                cand = _add_qgon(sigma, alpha, walk, i, q)
+                code = _external_canonical(*cand)
+                if code not in nxt:
+                    build_map(cand[0], cand[1], cand[2][0])  # validate once
+                    nxt[code] = cand
         level = nxt
-    rooted: dict[CanonicalCode, PlanarMap] = {}
-    for pm in level.values():
-        for d in pm.root_face():
-            form = pm.rerooted(d).canonical_form()
-            rooted.setdefault(_code_of(form), form)
+    rooted: dict[tuple[int, ...], PlanarMap] = {}
+    for sigma, alpha, walk in level.values():
+        for d in walk:
+            new_sigma, new_alpha, _ = _canonical(sigma, alpha, (d,))
+            rooted.setdefault(tuple(new_sigma + new_alpha),
+                              PlanarMap(tuple(new_sigma), tuple(new_alpha),
+                                        1))
     result = tuple(rooted[c] for c in sorted(rooted))
-    _QANG_LEVELS[key] = result
+    _QANG_LEVELS[memo_key] = result
     return result
 
 

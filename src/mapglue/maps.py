@@ -241,6 +241,70 @@ def _array_code(sigma, alpha, seeds) -> tuple[int, ...]:
     return tuple(new_sigma + new_alpha)
 
 
+def _min_code(sigma, alpha, roots) -> tuple[tuple[int, ...], list]:
+    """The smallest :func:`_array_code` over the seed tuples ``roots`` (a
+    plain root is a 1-tuple), and the seed tuples that give it, in order.
+
+    Each seed tuple's search stops as soon as the relabelled sigma it has
+    emitted is larger than the best code so far (see :func:`_code_upto`).
+    """
+    best = None
+    tied: list = []
+    for seeds in roots:
+        code = _code_upto(sigma, alpha, seeds, best)
+        if code is None or (best is not None and code > best):
+            continue
+        if code == best:
+            tied.append(seeds)
+        else:
+            best, tied = code, [seeds]
+    return best, tied
+
+
+def _code_upto(sigma, alpha, seeds, bound):
+    """``_array_code(sigma, alpha, seeds)``, or None once it is known to be
+    larger than ``bound`` (None: no bound).
+
+    The search of :func:`_canonical_bfs` fixes one entry of the relabelled
+    sigma per dart it dequeues; each is compared with ``bound`` as soon as
+    it is fixed, until the prefix differs from it.
+    """
+    image = [0] * (len(sigma) + 1)
+    order: list[int] = []
+    # the next position to compare with ``bound``; -1 once there is
+    # nothing left to compare (no bound, or a smaller prefix)
+    k = -1 if bound is None else 0
+    n = 0
+    for seed in seeds:
+        if image[seed]:
+            continue
+        n += 1
+        image[seed] = n
+        queue = [seed]
+        for d in queue:  # also visits the darts appended while it runs
+            e = sigma[d - 1]
+            v = image[e]
+            if not v:
+                n += 1
+                image[e] = v = n
+                queue.append(e)
+            if k >= 0:
+                # k stays inside bound: a prefix that ties the first m
+                # entries of a code on m darts uses labels 1..m, so
+                # entry m exceeds every label of that code
+                if v > bound[k]:
+                    return None
+                k = k + 1 if v == bound[k] else -1
+            e = alpha[d - 1]
+            if not image[e]:
+                n += 1
+                image[e] = n
+                queue.append(e)
+        order += queue
+    return tuple([image[sigma[d - 1]] for d in order]
+                 + [image[alpha[d - 1]] for d in order])
+
+
 @dataclass(frozen=True, order=True)
 class CanonicalCode:
     """Relabelling-invariant identity of a rooted map."""

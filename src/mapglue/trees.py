@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 from .errors import EmptyTree, LevelOutOfRange, NotDyck
@@ -101,12 +102,18 @@ def contour_to_tree(path: DyckPath) -> PlanarMap:
 
     Dart ``i+1`` is the contour step from position ``i``; alpha pairs the two
     traversals of each edge, and the rotation at a vertex runs through its
-    class positions in increasing order.
+    class positions in increasing order.  Trees are immutable, so a tree
+    with at most ``_MEMO_EDGES`` edges is built once and then shared.
     """
-    m = path.m
-    if m == 0:
+    if path.m == 0:
         raise EmptyTree("a tree must have at least one edge")
-    n = 2 * m
+    if path.m <= _MEMO_EDGES:
+        return _memo_tree(path)
+    return _tree(path)
+
+
+def _tree(path: DyckPath) -> PlanarMap:
+    n = 2 * path.m
     alpha = [0] * n
     stack: list[int] = []
     for i, s in enumerate(path.steps):
@@ -122,6 +129,11 @@ def contour_to_tree(path: DyckPath) -> PlanarMap:
         for a, b in zip(positions, positions[1:] + positions[:1]):
             sigma[a] = b + 1
     return build_map(sigma, alpha, 1)
+
+
+_MEMO_EDGES = 6
+# room for every tree with at most _MEMO_EDGES edges: 1 + 2 + 5 + ... + 132
+_memo_tree = lru_cache(maxsize=256)(_tree)
 
 
 def is_plane_tree(pmap: PlanarMap) -> bool:

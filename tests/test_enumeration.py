@@ -81,6 +81,78 @@ def test_invalid_insertion_candidate_raises(monkeypatch, bad_candidate,
         enumerate_maps(2)
 
 
+def _counting(calls, real):
+    """``real``, appending each call's arguments to ``calls``."""
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    return counted
+
+
+def _recording(results, real):
+    """``real``, appending each call's result to ``results``."""
+    def recorded(*args):
+        results.append(real(*args))
+        return results[-1]
+    return recorded
+
+
+def test_qangulation_growth_validates_each_distinct_map_once(monkeypatch):
+    from mapglue import enumeration, trees
+    from mapglue.maps import _array_code
+    before = enumerate_boundary_maps(q=4, f=3, perimeter=4)
+    monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
+    trees._memo_tree.cache_clear()
+    calls, cands = [], []
+    monkeypatch.setattr(enumeration, "build_map",
+                        _counting(calls, enumeration.build_map))
+    monkeypatch.setattr(trees, "build_map", _counting(calls, trees.build_map))
+    monkeypatch.setattr(enumeration, "_add_qgon",
+                        _recording(cands, enumeration._add_qgon))
+    again = enumerate_boundary_maps(q=4, f=3, perimeter=4)
+    assert again == before
+    # each (map, external face) pair once, by its smallest code over the
+    # external rootings; the steps have different dart counts, so one set
+    # holds them all
+    distinct = {min(_array_code(sigma, alpha, (d,)) for d in walk)
+                for sigma, alpha, walk in cands}
+    assert len(cands) > len(distinct) > 0
+    seed_trees = 42  # the plane trees with 5 edges
+    assert len(calls) == seed_trees + len(distinct)
+
+
+def test_qangulation_growth_memoised(monkeypatch):
+    from mapglue import enumeration
+    monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
+    first = enumeration._qangulation_boundary_maps(4, 2, 4)
+    cands = []
+    monkeypatch.setattr(enumeration, "_add_qgon",
+                        _counting(cands, enumeration._add_qgon))
+    assert enumeration._qangulation_boundary_maps(4, 2, 4) is first
+    assert cands == []
+    assert list(enumeration._QANG_LEVELS) == [(4, 2, 4)]
+
+
+@pytest.mark.parametrize("bad_candidate, error", [
+    (_joining_two_faces, NonPlanar),
+    (_with_loose_loop, Disconnected),
+])
+def test_invalid_qangulation_candidate_raises(monkeypatch, bad_candidate,
+                                              error):
+    from mapglue import enumeration
+    monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
+    real = enumeration._add_qgon
+
+    def add_qgon(*args):
+        sigma, alpha, walk = real(*args)
+        sigma, alpha = bad_candidate(build_map(sigma, alpha, walk[0]))
+        return sigma, alpha, walk
+
+    monkeypatch.setattr(enumeration, "_add_qgon", add_qgon)
+    with pytest.raises(error):  # one step, so only the growth validates
+        enumerate_boundary_maps(q=4, f=1, perimeter=4)
+
+
 def test_enumerate_maps_entries_are_canonical_and_distinct():
     cat = enumerate_maps(2)
     assert len(set(cat.entries)) == len(cat)

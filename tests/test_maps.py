@@ -153,3 +153,42 @@ def test_canonical_kernel_matches_reference_relabelling():
             assert form == want and form.labels == want.labels
             assert rerooted.relabel(image).labels == want.labels
             assert rerooted.canonical_code().code == want.sigma + want.alpha
+
+
+def _check_min_code(sigma, alpha, roots):
+    from mapglue.maps import _array_code, _min_code
+    codes = [_array_code(sigma, alpha, seeds) for seeds in roots]
+    best = min(codes)
+    assert _min_code(sigma, alpha, roots) == (
+        best, [seeds for seeds, c in zip(roots, codes) if c == best])
+    return codes.count(best) > 1
+
+
+def test_min_code_is_smallest_array_code():
+    from mapglue.enumeration import _add_qgon, enumerate_maps
+    from mapglue.trees import contour_to_tree, enumerate_trees
+    ties = 0
+    for e in range(1, 6):
+        for pm in enumerate_maps(e).maps():
+            for darts in (pm.root_face(), pm.darts()):
+                ties += _check_min_code(pm.sigma, pm.alpha,
+                                        [(d,) for d in darts])
+    assert ties > 100  # rotational symmetry ties the smallest code
+    # the raw candidates of one q-angulation growth step
+    for path in enumerate_trees(4):
+        tree = contour_to_tree(path)
+        for i in range(tree.dart_count):
+            sigma, alpha, walk = _add_qgon(tree.sigma, tree.alpha,
+                                           tree.root_face(), i, 4)
+            _check_min_code(sigma, alpha, [(d,) for d in walk])
+    # two components: plain roots give codes of different lengths, and
+    # seed pairs label both
+    for pm in enumerate_maps(3).maps()[::5]:
+        n = pm.dart_count
+        sigma = pm.sigma + tuple(n + x for x in TRIANGLE.sigma)
+        alpha = pm.alpha + tuple(n + x for x in TRIANGLE.alpha)
+        _check_min_code(sigma, alpha,
+                        [(d,) for d in range(1, len(sigma) + 1)])
+        _check_min_code(sigma, alpha,
+                        [(d, g) for d in pm.root_face()
+                         for g in range(n + 1, len(sigma) + 1)])

@@ -91,3 +91,15 @@ def test_subtree_window():
         subtree_window(path, 0, 1)
     with pytest.raises(LevelOutOfRange):
         subtree_window(path, 99, 1)
+
+
+def test_small_trees_are_shared():
+    from mapglue import trees
+    trees._memo_tree.cache_clear()
+    for m in (1, 6, 7):
+        for path in enumerate_trees(m)[:20]:
+            tree = contour_to_tree(path)
+            again = contour_to_tree(DyckPath(path.steps))
+            assert again == tree == trees._tree(path)
+            assert (again is tree) == (m <= 6)
+    assert trees._memo_tree.cache_info().currsize == 1 + 20
