@@ -47,9 +47,6 @@ class TreeDecoratedMap:
     def root_on_tree(self) -> bool:
         return self.map.edge_of(self.map.root) in self.tree_edges
 
-    def tree_darts(self) -> list[int]:
-        return [d for d in self.map.darts() if self.map.edge_of(d) in self.tree_edges]
-
 
 @dataclass(frozen=True)
 class MultiBoundaryMap:
@@ -290,8 +287,6 @@ def glue_forest(mmap: MultiBoundaryMap, forest) -> ForestDecoratedMap:
                 f"boundary {i + 1} shares a vertex with an earlier boundary")
         seen_vertices |= verts
         walks.append(list(b.boundary_walk()))
-    if len({pmap.face_of(r) for r in mmap.roots}) != len(mmap.roots):
-        raise BoundariesNotDisjoint("two roots share a boundary face")
     consumed: list[int] = []
     matching: list[int] = []
     for walk, tree in zip(walks, forest):

@@ -1,11 +1,18 @@
 """Exact closed-form counts for decorated q-angulation families.
 
+By the gluing bijection a tree-decorated map is a plane tree together with
+a map with a simple boundary, so every family here is its number of tree
+choices times one kernel, _boundaries: the rooted q-angulations with
+vertex-disjoint simple boundaries, one per tree.  The kernel holds the only
+triangulation and quadrangulation closed form of the tree, forest and
+boundary-decorated families; _check_family holds their one domain check.
+
 All evaluations use exact rational arithmetic and must come out integral;
-a nonintegral result signals an implementation bug, not bad input.  Two
-published triangulation formulas are known to disagree with the exhaustive
-oracles (and with the rest of the formula family); their face values are
-kept available under *_printed names and the consistent variants are the
-defaults.  See the per-function notes.
+a nonintegral result signals an implementation bug, not bad input.  Some
+published formulas are known to disagree with the exhaustive oracles (and
+with the rest of the formula family); their face values are kept available
+under *_printed names and the consistent variants are the defaults.  See
+the per-function notes.
 """
 
 from __future__ import annotations
@@ -48,119 +55,94 @@ def oriented_edges(q: int, f: int) -> int:
     return q * f
 
 
-def _check_family(q: int, f: int) -> None:
+def _check_family(q: int, f: int, sizes) -> None:
+    """The one domain check: a q-angulation with f faces must have room for
+    r vertex-disjoint boundaries of lengths 2 m_i, i.e. f/2 - m + 2 - r >= 0
+    for triangulations and f - m + 2 - r >= 0 for quadrangulations, where
+    m = sum(m_i)."""
     if q not in (3, 4):
         raise Infeasible(f"q must be 3 or 4, got {q}")
     if f < 1:
         raise Infeasible("face count must be at least 1")
     if q == 3 and f % 2:
         raise Infeasible("triangulations need an even face count")
+    if not sizes or any(m < 1 for m in sizes):
+        raise Infeasible("tree sizes must be positive")
+    room = f // 2 if q == 3 else f
+    if room - sum(sizes) + 2 - len(sizes) < 0:
+        raise Infeasible(f"q={q}, f={f}: trees of sizes {sizes} need "
+                         f"{room} - sum(m_i) + 2 - r >= 0")
+
+
+def _boundaries(q: int, f: int, sizes) -> Fraction:
+    """Rooted q-angulations with f internal faces and r labelled, rooted,
+    vertex-disjoint simple boundaries of lengths 2 m_i, for the m_i in
+    sizes (already checked by _check_family).  Every decorated family is
+    its number of tree choices times this kernel."""
+    m, r = sum(sizes), len(sizes)
+    if q == 3:
+        value = (Fraction(2) ** (f - 2 * m)
+                 * double_factorial(3 * f // 2 + m - 2)
+                 / (factorial(f // 2 - m + 2 - r)
+                    * double_factorial(f // 2 + 3 * m)))
+        return value * prod(2 * mi * comb(4 * mi, 2 * mi) for mi in sizes)
+    value = (Fraction(3) ** (f - m) * factorial(2 * f + m - 1)
+             / (factorial(f + 2 * m) * factorial(f - m + 2 - r)))
+    return value * prod(2 * mi * comb(3 * mi, mi) for mi in sizes)
+
+
+def _vertices(q: int, f: int) -> int:
+    return f // 2 + 2 if q == 3 else f + 2
 
 
 def count_tree_decorated(q: int, f: int, m: int, root_mode: str = "anywhere") -> int:
-    """Tree-decorated q-angulations with f faces and an m-edge tree."""
-    _check_family(q, f)
-    if m < 1:
-        raise Infeasible("tree size must be at least 1")
-    if q == 3:
-        if m > f // 2 + 1:
-            raise Infeasible(f"triangulations need m <= f/2+1, got m={m}")
-        value = (Fraction(2) ** (f - 2 * m)
-                 * double_factorial(3 * f // 2 + m - 2)
-                 * Fraction(3 * f, m + 1)
-                 * multinomial(4 * m, (2 * m, m, m))
-                 / (factorial(f // 2 - m + 1)
-                    * double_factorial(f // 2 + 3 * m)))
-    else:
-        if m > f + 1:
-            raise Infeasible(f"quadrangulations need m <= f+1, got m={m}")
-        value = (Fraction(3) ** (f - m)
-                 * factorial(2 * f + m - 1)
-                 * Fraction(4 * f, m + 1)
-                 * multinomial(3 * m, (m, m, m))
-                 / (factorial(f + 2 * m) * factorial(f - m + 1)))
-    if root_mode == "on-tree":
-        value *= Fraction(2 * m, oriented_edges(q, f))
-    elif root_mode != "anywhere":
+    """Tree-decorated q-angulations with f faces and an m-edge tree: the
+    one-tree forest, rooted on the tree for root_mode "on-tree"."""
+    if root_mode not in ("anywhere", "on-tree"):
         raise Infeasible(f"unknown root mode {root_mode!r}")
-    return _as_int(value)
+    return count_forest(q, f, [m], rooted_labeled=(root_mode == "on-tree"))
 
 
 def count_spanning(q: int, f: int, root_mode: str = "anywhere") -> int:
-    """Spanning-tree decorated q-angulations with f faces.
-
-    For quadrangulations this is the dedicated closed form; for
-    triangulations the published dedicated form undercounts by a factor of 2
-    (see count_spanning_tri_printed), so the value is obtained from
-    count_tree_decorated at the spanning size m = f/2 + 1.
-    """
-    _check_family(q, f)
-    if q == 3:
-        return count_tree_decorated(3, f, f // 2 + 1, root_mode)
-    if root_mode == "on-tree":
-        value = Fraction(2, (f + 1) * (f + 2)) * multinomial(3 * f, (f, f, f))
-    elif root_mode == "anywhere":
-        value = (Fraction(4 * f, (f + 1) ** 2 * (f + 2))
-                 * multinomial(3 * f, (f, f, f)))
-    else:
-        raise Infeasible(f"unknown root mode {root_mode!r}")
-    return _as_int(value)
+    """Spanning-tree decorated q-angulations with f faces: the tree-decorated
+    count at the spanning size.  For triangulations the published dedicated
+    form undercounts by a factor of 2 (see count_spanning_tri_printed)."""
+    return count_tree_decorated(q, f, _vertices(q, f) - 1, root_mode)
 
 
 def count_spanning_tri_printed(f: int) -> int:
     """Published dedicated formula for spanning-tree decorated
     triangulations (root anywhere).  Disagrees with the exhaustive oracle
     and with count_tree_decorated by a factor of 2; kept for reporting."""
-    _check_family(3, f)
+    _check_family(3, f, [_vertices(3, f) - 1])
     value = (Fraction(12 * f, (f + 4) * (f + 2) ** 2)
              * multinomial(2 * f, (f, f // 2, f // 2)))
     return _as_int(value)
 
 
+def _boundary_decorated(q: int, f: int, m1: int, m2: int) -> Fraction:
+    """The kernel for the one boundary of length 2 (m1 + m2) that both
+    boundary-decorated counts share, after their common domain check."""
+    if m1 < 0 or m2 < 0:
+        raise Infeasible("need m1, m2 >= 0 with m1 + m2 >= 1")
+    _check_family(q, f, [m1 + m2])
+    return _boundaries(q, f, [m1 + m2])
+
+
 def count_boundary_decorated(q: int, f: int, m1: int, m2: int) -> int:
     """q-angulations with a simple boundary of size m1 decorated by an
-    m2-edge tree hanging at a boundary vertex (root on the tree)."""
-    _check_family(q, f)
-    if m1 < 0 or m2 < 0 or m1 + m2 < 1:
-        raise Infeasible("need m1, m2 >= 0 with m1 + m2 >= 1")
-    m = m1 + m2
-    if q == 3:
-        if m > f // 2 + 1:
-            raise Infeasible(f"triangulations need m1+m2 <= f/2+1, got {m}")
-        # the (m2+1) denominator makes this catalan(m2) times the simple
-        # boundary count, matching the oracle; the published form divides
-        # by (2 m2 + 1) instead (see count_boundary_decorated_tri_printed)
-        value = (Fraction(2) ** (f - 2 * m)
-                 * double_factorial(3 * f // 2 + m - 2)
-                 * Fraction(2 * m, m2 + 1)
-                 * comb(4 * m, 2 * m) * comb(2 * m2, m2)
-                 / (factorial(f // 2 - m + 1)
-                    * double_factorial(f // 2 + 3 * m)))
-    else:
-        if m > f + 1:
-            raise Infeasible(f"quadrangulations need m1+m2 <= f+1, got {m}")
-        value = (Fraction(3) ** (f - m)
-                 * factorial(2 * f + m - 1)
-                 * Fraction(2 * m, m2 + 1)
-                 * comb(3 * m, m) * comb(2 * m2, m2)
-                 / (factorial(f + 2 * m) * factorial(f - m + 1)))
-    return _as_int(value)
+    m2-edge tree hanging at a boundary vertex (root on the tree): the
+    kernel times catalan(m2)."""
+    return _as_int(_boundary_decorated(q, f, m1, m2) * catalan(m2))
 
 
 def count_boundary_decorated_tri_printed(f: int, m1: int, m2: int) -> int:
     """Published triangulation boundary-decorated formula, dividing by
-    2 m2 + 1.  Disagrees with the oracle (and with the quadrangulation
-    analogue) whenever m2 >= 1; kept for reporting."""
-    _check_family(3, f)
-    m = m1 + m2
-    if m1 < 0 or m2 < 0 or m < 1 or m > f // 2 + 1:
-        raise Infeasible("parameters out of domain")
-    value = (Fraction(2) ** (f - 2 * m)
-             * double_factorial(3 * f // 2 + m - 2)
-             * Fraction(2 * m, 2 * m2 + 1)
-             * comb(4 * m, 2 * m) * comb(2 * m2, m2)
-             / (factorial(f // 2 - m + 1)
-                * double_factorial(f // 2 + 3 * m)))
+    2 m2 + 1 where catalan(m2) divides by m2 + 1.  Disagrees with the oracle
+    (and with the quadrangulation analogue) whenever m2 >= 1; kept for
+    reporting."""
+    value = (_boundary_decorated(3, f, m1, m2)
+             * Fraction(comb(2 * m2, m2), 2 * m2 + 1))
     # the published form is not even always integral; report it as is
     return int(value) if value.denominator == 1 else value
 
@@ -169,79 +151,43 @@ def _multiplicities(sizes) -> list[int]:
     return [list(sizes).count(k) for k in sorted(set(sizes))]
 
 
-def _forest_feasibility(q: int, f: int, sizes) -> None:
-    _check_family(q, f)
-    sizes = list(sizes)
-    if not sizes or any(m < 1 for m in sizes):
-        raise Infeasible("forest sizes must be positive")
-    m, r = sum(sizes), len(sizes)
-    if q == 3 and f // 2 - m + 2 - r < 0:
-        raise Infeasible("triangulations need f/2 - m + 2 - r >= 0")
-    if q == 4 and f - m + 2 - r < 0:
-        raise Infeasible("quadrangulations need f - m + 2 - r >= 0")
-
-
-def _forest_base(q: int, f: int, sizes) -> Fraction:
-    sizes = list(sizes)
-    m, r = sum(sizes), len(sizes)
-    if q == 3:
-        base = (Fraction(2) ** (f - 2 * m)
-                * double_factorial(3 * f // 2 + m - 2)
-                / (factorial(f // 2 - m + 2 - r)
-                   * double_factorial(f // 2 + 3 * m)))
-        per_tree = [Fraction(multinomial(4 * mi, (2 * mi, mi, mi)), mi + 1)
-                    for mi in sizes]
-    else:
-        base = (Fraction(3) ** (f - m) * factorial(2 * f + m - 1)
-                / (factorial(f + 2 * m) * factorial(f - m + 2 - r)))
-        per_tree = [Fraction(multinomial(3 * mi, (mi, mi, mi)), mi + 1)
-                    for mi in sizes]
-    return base * prod(per_tree)
-
-
 def count_forest(q: int, f: int, sizes, rooted_labeled: bool = False) -> int:
     """r-forest decorated q-angulations with trees of the given sizes.
 
     rooted_labeled counts ordered forests of rooted trees with the map root
-    on tree 1 (serving as its root); the default counts unordered forests of
-    unrooted trees with the map rooted anywhere.  The unlabeled value
-    divides the marked-edge double count by the orderings compatible with
-    the size signature, which is the product of the c_k!; the published
-    closed form multiplies by r!/prod(c_k!) instead and is kept in
-    count_forest_printed.
+    on tree 1 (serving as its root): a plane tree per boundary, so the
+    kernel times prod(catalan(m_i)).  The default counts unordered forests
+    of unrooted trees with the map rooted anywhere: it re-roots at any of
+    the q f darts, forgets the 2 m_i tree rootings, and divides by the
+    orderings compatible with the size signature, which is the product of
+    the c_k!; the published closed form multiplies by r!/prod(c_k!)
+    instead and is kept in count_forest_printed.
     """
-    _forest_feasibility(q, f, sizes)
     sizes = list(sizes)
-    value = _forest_base(q, f, sizes)
-    if rooted_labeled:
-        value *= prod(2 * mi for mi in sizes)
-    else:
+    _check_family(q, f, sizes)
+    value = _boundaries(q, f, sizes) * prod(catalan(mi) for mi in sizes)
+    if not rooted_labeled:
         csym = prod(factorial(c) for c in _multiplicities(sizes))
-        value *= Fraction(oriented_edges(q, f), csym)
+        value *= Fraction(oriented_edges(q, f),
+                          csym * prod(2 * mi for mi in sizes))
     return _as_int(value)
 
 
 def count_forest_printed(q: int, f: int, sizes) -> int:
     """Published unlabeled forest formula (root anywhere), with the
-    r!/prod(c_k!) symmetry factor.  Disagrees with the oracle for r >= 2;
-    kept for reporting."""
-    _forest_feasibility(q, f, sizes)
+    r!/prod(c_k!) symmetry factor, i.e. r! times count_forest.  Disagrees
+    with the oracle for r >= 2; kept for reporting."""
     sizes = list(sizes)
-    r = len(sizes)
-    sym = Fraction(factorial(r), prod(factorial(c)
-                                      for c in _multiplicities(sizes)))
-    value = _forest_base(q, f, sizes) * oriented_edges(q, f) * sym
-    return _as_int(value)
+    return factorial(len(sizes)) * count_forest(q, f, sizes)
 
 
 def count_spanning_forest(q: int, f: int, sizes) -> int:
     """Spanning r-forest decorated q-angulations (root anywhere), computed
     by setting the forest size to the vertex count in count_forest."""
-    _forest_feasibility(q, f, sizes)
     sizes = list(sizes)
-    m, r = sum(sizes), len(sizes)
-    vertices = f // 2 + 2 if q == 3 else f + 2
-    if m + r != vertices:
+    _check_family(q, f, sizes)
+    vertices = _vertices(q, f)
+    if sum(sizes) + len(sizes) != vertices:
         raise Infeasible(f"spanning forest needs sum(m_i) + r = {vertices}")
     return count_forest(q, f, sizes, rooted_labeled=False)
 
@@ -251,8 +197,8 @@ def count_spanning_forest_printed(q: int, f: int, sizes) -> int:
     form agrees with count_spanning_forest; the triangulation form carries
     a (2f+2-r)!! factor where the substitution yields (2f-r)!! and is kept
     only for reporting."""
-    _forest_feasibility(q, f, sizes)
     sizes = list(sizes)
+    _check_family(q, f, sizes)
     r = len(sizes)
     sym = Fraction(factorial(r), prod(factorial(c)
                                       for c in _multiplicities(sizes)))

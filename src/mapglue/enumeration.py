@@ -65,8 +65,7 @@ except ImportError:
 
 from .errors import CapExceeded, Disconnected, FormatError, Infeasible
 from .maps import (BoundaryMap, CanonicalCode, PlanarMap, _array_code,
-                   _canonical, _ints, _min_code, _record, build_map,
-                   is_q_angulation)
+                   _canonical, _ints, _min_code, _record, build_map)
 from .trees import contour_to_tree, enumerate_trees
 
 EDGE_CAP = 6        # general enumeration, by edge count
@@ -318,18 +317,14 @@ def enumerate_boundary_maps(q: int = 0, f: int = 0, e: int = 0,
     _check_boundary_family(q, f, e, perimeter, cap)
     filt = CatalogFilter(q, f, e, perimeter, simple, bridgeless)
     if q == 0:
-        pool = enumerate_maps(e, cap=cap).maps()
-    else:
+        pool = [pm for pm in enumerate_maps(e, cap=cap).maps()
+                if (not perimeter or len(pm.root_face()) == perimeter)
+                and (not f or pm.face_count - 1 == f)]
+    else:  # grown with exactly the q, f and perimeter asked for
         pool = _qangulation_boundary_maps(q, f, perimeter)
     entries = []
     for pm in pool:
         b = BoundaryMap(pm)
-        if perimeter and b.perimeter != perimeter:
-            continue
-        if f and pm.face_count - 1 != f:
-            continue
-        if q and not is_q_angulation(pm, q, skip_external=True):
-            continue
         if simple and not b.is_simple():
             continue
         if bridgeless and not b.is_bridgeless():

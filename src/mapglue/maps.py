@@ -149,12 +149,6 @@ class PlanarMap:
             e = self.sigma_of(e)
         return n
 
-    def label_of(self, d: int) -> str | None:
-        for k, v in self.labels:
-            if k == d:
-                return v
-        return None
-
     # -- identity ---------------------------------------------------------
 
     def relabel(self, image: dict[int, int] | list[int]) -> "PlanarMap":
@@ -179,12 +173,6 @@ class PlanarMap:
     def canonical_code(self) -> "CanonicalCode":
         return CanonicalCode(_array_code(self.sigma, self.alpha,
                                          (self.root,)))
-
-    def canonical_form(self) -> "PlanarMap":
-        sigma, alpha, image = _canonical(self.sigma, self.alpha,
-                                         (self.root,))
-        labels = tuple(sorted([(image[d], v) for d, v in self.labels]))
-        return PlanarMap(tuple(sigma), tuple(alpha), 1, labels)
 
     def rerooted(self, root: int) -> "PlanarMap":
         return PlanarMap(self.sigma, self.alpha, root, self.labels)
@@ -360,10 +348,6 @@ class BoundaryMap:
     @property
     def perimeter(self) -> int:
         return len(self.external_face)
-
-    @property
-    def internal_face_count(self) -> int:
-        return self.map.face_count - 1
 
     def boundary_walk(self) -> tuple[int, ...]:
         """Darts of the external face in label order, starting at the root.

@@ -203,15 +203,6 @@ class TruncatedSeries2:
             out[i, 0] = out.get((i, 0), Fraction(0)) + c
         return TruncatedSeries2(self.nx, 0, out)
 
-    def integer_coefficients(self) -> dict[tuple[int, int], int]:
-        """Coefficients as integers; raises NonIntegral on a fractional one."""
-        out = {}
-        for key, c in sorted(self.coeffs.items()):
-            if c.denominator != 1:
-                raise NonIntegral(f"coefficient at {key} is {c}")
-            out[key] = int(c)
-        return out
-
 
 def _geometric_y(nx: int, ny: int) -> TruncatedSeries2:
     """1 / (1 - y) as the truncated geometric series."""

@@ -197,10 +197,6 @@ def sample_dyck_uniform(m: int, rng: Random) -> DyckPath:
     return DyckPath(tuple(rotated[:-1]))
 
 
-def sample_tree_uniform(m: int, seed) -> DyckPath:
-    return sample_dyck_uniform(m, Random(str(seed)))
-
-
 def subtree_window(path: DyckPath, x: int, level: int) -> tuple[int, int]:
     """Maximal window [lo, hi] around position ``x`` on which C - level is a
     Dyck path, with C(lo) = C(hi) = level."""

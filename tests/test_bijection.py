@@ -10,8 +10,9 @@ from mapglue.bijection import (ForestDecoratedMap, MultiBoundaryMap,
 from mapglue.bubbles import glue_bridgeless, unglue_bubble
 from mapglue.enumeration import (enumerate_boundary_maps, enumerate_maps,
                                  tree_submaps)
-from mapglue.errors import (BoundaryNotSimple, DecorationNotATree, EmptyTree,
-                            FormatError, SizeMismatch, TreeTooLarge)
+from mapglue.errors import (BoundariesNotDisjoint, BoundaryNotSimple,
+                            DecorationNotATree, EmptyTree, FormatError,
+                            RootNotOnTree, SizeMismatch, TreeTooLarge)
 from mapglue.maps import BoundaryMap, build_map
 from mapglue.trees import (DyckPath, catalan, contour_to_tree,
                            enumerate_trees, sample_dyck_uniform,
@@ -134,7 +135,8 @@ def test_glue_partial_properties():
         assert out.perimeter == 2 * m1
         assert out.is_simple()
         # the tree hangs at a single boundary vertex
-        tree_verts = {tdm.map.vertex_of(d) for d in tdm.tree_darts()}
+        tree_verts = {tdm.map.vertex_of(d) for d in tdm.map.darts()
+                      if tdm.map.edge_of(d) in tdm.tree_edges}
         assert len(tree_verts & set(out.boundary_vertices())) == 1
         image = tdm.map.canonical_relabelling()
         canon_tree = frozenset(min(image[e], image[tdm.map.alpha_of(e)])
@@ -167,6 +169,22 @@ def test_glue_forest_two_boundaries():
     line = forest_to_line(fdm)
     again = forest_from_line(line)
     assert again.map == fdm.map and again.trees == fdm.trees
+
+
+def test_glue_forest_boundaries_must_be_vertex_disjoint():
+    # bowtie host: two double edges sharing their middle vertex; the two
+    # digon faces are simple boundaries of perimeter 2 with a common vertex
+    host = build_map([2, 1, 4, 5, 6, 3, 8, 7], [3, 4, 1, 2, 7, 8, 5, 6], 1)
+    tree = contour_to_tree(DyckPath.from_word("UD"))
+    for roots in ((1, 6), (1, 1)):
+        with pytest.raises(BoundariesNotDisjoint):
+            glue_forest(MultiBoundaryMap(host, roots), (tree, tree))
+
+
+def test_unglue_root_not_on_tree():
+    triangle = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1)
+    with pytest.raises(RootNotOnTree):
+        unglue(TreeDecoratedMap(triangle, frozenset({2})))
 
 
 def test_decorated_line_round_trip():

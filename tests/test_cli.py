@@ -157,6 +157,9 @@ def test_unglue_input_errors():
                            "--bridgeless")
         assert code == 2 and "FormatError" in err
         assert "Traceback" not in err
+    code, _, err = run("unglue", "--decorated", "map E=3 root=1 "
+                       "sigma=2,1,4,3,6,5 alpha=4,5,6,1,2,3 tree=2")
+    assert code == 2 and err.startswith("error: RootNotOnTree")
 
 
 def test_count_beyond_str_digit_limit():

@@ -13,9 +13,11 @@ from mapglue.counting import (catalan_ext, count_boundary_decorated,
                               legendre_valuation, multinomial, mullin_count,
                               oriented_edges, reroot_check,
                               verify_integrality)
-from mapglue.enumeration import brute_count_decorated, brute_count_forest
+from mapglue.enumeration import (brute_count_decorated, brute_count_forest,
+                                 enumerate_boundary_maps)
 from mapglue.errors import Infeasible
 from mapglue.trees import catalan
+from mapglue.verify import _grid
 
 
 def test_small_helpers():
@@ -74,6 +76,23 @@ def test_boundary_decorated():
         for m2 in range(1, mmax + 1):
             assert count_boundary_decorated(q, f, 0, m2) == \
                 count_tree_decorated(q, f, m2, "on-tree")
+
+
+def test_boundary_decorated_matches_oracle():
+    # a boundary of m1 edges left bare plus an m2-edge tree: catalan(m2)
+    # trees on each simple boundary of perimeter 2 (m1 + m2)
+    cells = 0
+    for q in (3, 4):
+        for f, m in _grid(q):
+            if (q * f + 2 * m) // 2 > 8:
+                continue
+            simple = len(enumerate_boundary_maps(q=q, f=f, perimeter=2 * m,
+                                                 simple=True))
+            for m1 in range(m + 1):
+                assert count_boundary_decorated(q, f, m1, m - m1) == \
+                    catalan(m - m1) * simple, (q, f, m1)
+                cells += 1
+    assert cells == 29
 
 
 def test_boundary_decorated_tri_published_form_diverges():

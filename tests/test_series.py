@@ -114,8 +114,8 @@ def test_series_S_matches_substitution_reference(orders):
 
 def test_coefficients_are_nonnegative_integers():
     for ser in (series_B(5, 5), series_S(5, 5)):
-        ints = ser.integer_coefficients()
-        assert all(v >= 0 for v in ints.values())
+        assert all(c.denominator == 1 and c >= 0
+                   for c in ser.coeffs.values())
 
 
 def test_format_series_graded_lex():

@@ -5,8 +5,8 @@ import pytest
 from mapglue.errors import LevelOutOfRange, NotDyck
 from mapglue.trees import (DyckPath, catalan, contour_classes,
                            contour_to_tree, enumerate_trees, is_plane_tree,
-                           sample_dyck_uniform, sample_tree_uniform,
-                           subtree_window, tree_to_contour)
+                           sample_dyck_uniform, subtree_window,
+                           tree_to_contour)
 
 
 def test_dyck_validation():
@@ -70,8 +70,8 @@ def test_sampling_is_valid_and_deterministic():
     for _ in range(50):
         path = sample_dyck_uniform(4, rng)
         assert path.m == 4
-    a = sample_tree_uniform(5, 99)
-    b = sample_tree_uniform(5, 99)
+    a = sample_dyck_uniform(5, random.Random("99"))
+    b = sample_dyck_uniform(5, random.Random("99"))
     assert a == b
 
 
