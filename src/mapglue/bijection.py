@@ -32,8 +32,8 @@ from .errors import (
     SizeMismatch,
     TreeTooLarge,
 )
-from .maps import (BoundaryMap, PlanarMap, _ints, _map_record, build_map,
-                   map_to_line)
+from .maps import (BoundaryMap, PlanarMap, _edge_ends, _ints, _is_tree,
+                   _map_record, build_map, map_to_line)
 
 
 @dataclass(frozen=True)
@@ -66,33 +66,17 @@ class ForestDecoratedMap:
     tree_roots: tuple[int, ...]
 
 
-def check_tree_decoration(pmap: PlanarMap, tree_edges) -> None:
-    """Raise DecorationNotATree unless the edges form a tree submap."""
+def check_tree_decoration(pmap: PlanarMap, tree_edges) -> set[int]:
+    """Raise DecorationNotATree unless the edges form a tree submap, and
+    return the tree's vertices, each named by its smallest dart."""
     tree_edges = set(tree_edges)
-    if not tree_edges:
-        raise DecorationNotATree("empty decoration")
     n = pmap.dart_count
     if not all(1 <= e <= n and e < pmap.alpha_of(e) for e in tree_edges):
         raise DecorationNotATree("unknown edge ids in decoration")
-    ends = [(pmap.vertex_of(e), pmap.vertex_of(pmap.alpha_of(e)))
-            for e in tree_edges]
-    verts = {v for pair in ends for v in pair}
-    if len(verts) != len(tree_edges) + 1:
-        raise DecorationNotATree("edge set contains a cycle")
-    # connectivity over tree edges
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, w in ends:
-        adj[u].append(w)
-        adj[w].append(u)
-    seen = {next(iter(verts))}
-    stack = list(seen)
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != verts:
-        raise DecorationNotATree("edge set is not connected")
+    verts = _is_tree(_edge_ends(pmap, tree_edges))
+    if verts is None:
+        raise DecorationNotATree("edge set is not a tree")
+    return verts
 
 
 def extract_tree(pmap: PlanarMap, tree_edges, root: int | None = None):
@@ -269,8 +253,13 @@ def glue_forest(mmap: MultiBoundaryMap, forest) -> ForestDecoratedMap:
     """Glue one tree into each labelled boundary of a multi-boundary map."""
     forest = list(forest)
     pmap = mmap.map
+    if not forest:
+        raise SizeMismatch("a forest needs at least one tree")
     if len(forest) != len(mmap.roots):
         raise SizeMismatch("one tree per boundary required")
+    for root in mmap.roots:
+        if not 1 <= root <= pmap.dart_count:
+            raise FormatError(f"boundary root {root} out of range")
     walks = []
     seen_vertices: set[int] = set()
     for i, root in enumerate(mmap.roots):
@@ -332,8 +321,12 @@ def forest_from_line(line: str) -> ForestDecoratedMap:
             raise FormatError(f"a tree needs root:edges: {group!r}")
         roots.extend(_ints(root, count=1))
         trees.append(frozenset(_ints(edges)))
+    seen: set[int] = set()
     for root, edges in zip(roots, trees):
-        check_tree_decoration(pmap, edges)
+        verts = check_tree_decoration(pmap, edges)
+        if verts & seen:
+            raise DecorationNotATree("trees share a vertex")
+        seen |= verts
         if not (1 <= root <= pmap.dart_count and pmap.edge_of(root) in edges):
             raise FormatError(f"root {root} is not a dart of its tree")
     return ForestDecoratedMap(pmap, tuple(trees), tuple(roots))

@@ -53,11 +53,14 @@ from .errors import (
     FormatError,
     InternalMismatch,
     MalformedCircuit,
+    NotDyck,
     SizeMismatch,
 )
-from .maps import (BoundaryMap, PlanarMap, _canonical, _cycles, _ints,
-                   _min_code, _record, build_map, map_from_line, map_to_line)
-from .trees import DyckPath, contour_classes, contour_to_tree, tree_to_contour
+from .maps import (BoundaryMap, PlanarMap, _canonical, _cycles, _find,
+                   _ints, _min_code, _record, _union, build_map,
+                   map_from_line, map_to_line)
+from .trees import (DyckPath, _walk_contour, class_starts, contour_to_tree,
+                    tree_to_contour)
 from .bijection import _contour_matching, _cut, _sew
 
 
@@ -84,10 +87,8 @@ class BubbleMap:
             raise InternalMismatch("pinch count must be sphere count - 1")
         parent: dict = {}
         for a, _, b, _ in self.pinches:
-            if not (0 <= a < k and 0 <= b < k) or (
-                    _find(parent, a) == _find(parent, b)):
+            if not (0 <= a < k and 0 <= b < k and _union(parent, a, b)):
                 raise InternalMismatch("pinches do not connect the spheres")
-            _union(parent, a, b)
 
     # -- global dart addressing -------------------------------------------
 
@@ -108,14 +109,6 @@ class BubbleMap:
             sigma += [off + x for x in s.sigma]
             alpha += [off + a for a in s.alpha]
         return sigma, alpha
-
-    @cached_property
-    def _pinch_parent(self) -> dict:
-        """Union-find forest identifying the pinched vertex copies."""
-        parent: dict = {}
-        for a, va, b, vb in self.pinches:
-            _union(parent, (a, va), (b, vb))
-        return parent
 
     def offsets(self) -> list[int]:
         return list(self._offsets)
@@ -160,7 +153,9 @@ class BubbleMap:
         :meth:`~mapglue.maps.PlanarMap.vertices` order, each cycle from its
         smallest dart.
         """
-        parent = self._pinch_parent
+        parent: dict = {}  # identifies the pinched vertex copies
+        for a, va, b, vb in self.pinches:
+            _union(parent, (a, va), (b, vb))
         rep: list = [None] * (self.dart_count + 1)
         rank = [0] * (self.dart_count + 1)
         size: dict = {}
@@ -182,18 +177,6 @@ class BubbleMap:
 
     def darts(self) -> range:
         return range(1, self.dart_count + 1)
-
-
-def _find(parent: dict, x):
-    while x in parent:
-        x = parent[x]
-    return x
-
-
-def _union(parent: dict, x, y) -> None:
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx != ry:
-        parent[max(rx, ry)] = min(rx, ry)
 
 
 @dataclass(frozen=True)
@@ -284,19 +267,11 @@ def circuit_to_contour(circuit: Circuit) -> DyckPath:
 
 def _scan_contour(circuit: Circuit) -> DyckPath:
     """:func:`circuit_to_contour` of a circuit already validated."""
-    seen: set[int] = set()
-    steps = []
-    for g in circuit.darts:
-        e = circuit.bubble.edge_of(g)
-        if e in seen:
-            steps.append(-1)
-        else:
-            seen.add(e)
-            steps.append(1)
     try:
-        return DyckPath(tuple(steps))
-    except Exception as exc:
-        raise MalformedCircuit(f"scan does not close into a contour: {exc}")
+        return _walk_contour(map(circuit.bubble.edge_of, circuit.darts))
+    except NotDyck as exc:
+        raise MalformedCircuit(
+            f"scan does not close into a contour: {exc}") from exc
 
 
 def detect_wicked(bmap: BoundaryMap, tree: PlanarMap):
@@ -320,17 +295,6 @@ def detect_wicked(bmap: BoundaryMap, tree: PlanarMap):
     return out
 
 
-def _position_classes(tree: PlanarMap) -> list[int]:
-    """Contour-class index of each contour position 0..2m-1."""
-    path = tree_to_contour(tree)
-    cls_of = [0] * (2 * tree.edge_count)
-    for c, cls in enumerate(contour_classes(path)):
-        for p in cls:
-            if p < len(cls_of):
-                cls_of[p] = c
-    return cls_of
-
-
 def _boundary_groups(bmap: BoundaryMap, tree: PlanarMap):
     """Boundary positions grouped by (vertex, contour class) in one pass.
 
@@ -342,7 +306,7 @@ def _boundary_groups(bmap: BoundaryMap, tree: PlanarMap):
     """
     pmap = bmap.map
     vertex = {d: cyc[0] for cyc in pmap.vertices() for d in cyc}
-    cls_of = _position_classes(tree)
+    cls_of = class_starts(tree_to_contour(tree))
     groups: dict[int, dict[int, list[int]]] = {}
     for p, d in enumerate(bmap.boundary_walk()):
         v = vertex[pmap.alpha_of(d)]

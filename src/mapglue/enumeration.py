@@ -65,7 +65,8 @@ except ImportError:
 
 from .errors import CapExceeded, Disconnected, FormatError, Infeasible
 from .maps import (BoundaryMap, CanonicalCode, PlanarMap, _array_code,
-                   _canonical, _ints, _min_code, _record, build_map)
+                   _canonical, _edge_ends, _ints, _is_tree, _min_code,
+                   _record, build_map)
 from .trees import contour_to_tree, enumerate_trees
 
 EDGE_CAP = 6        # general enumeration, by edge count
@@ -335,43 +336,20 @@ def enumerate_boundary_maps(q: int = 0, f: int = 0, e: int = 0,
 
 # -- decorated brute-force counts -----------------------------------------------
 
-def _edge_endpoints(pmap: PlanarMap) -> dict[int, tuple[int, int]]:
-    return {d: (pmap.vertex_of(d), pmap.vertex_of(pmap.alpha_of(d)))
-            for d in pmap.edges()}
-
-
-def _is_tree_subset(ends: dict[int, tuple[int, int]], combo) -> bool:
-    parent: dict[int, int] = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in combo:
-        for v in ends[e]:
-            parent.setdefault(v, v)
-        a, b = find(ends[e][0]), find(ends[e][1])
-        if a == b:
-            return False
-        parent[a] = b
-    return len(parent) == len(combo) + 1
+def _subtrees(pmap: PlanarMap, m: int):
+    """``(edges, vertices)`` of every m-edge tree submap, the edges as a
+    frozenset of edge ids."""
+    edges = pmap.edges()
+    ends = dict(zip(edges, _edge_ends(pmap, edges)))
+    for combo in combinations(edges, m):
+        verts = _is_tree([ends[e] for e in combo])
+        if verts is not None:
+            yield frozenset(combo), verts
 
 
 def tree_submaps(pmap: PlanarMap, m: int) -> list[frozenset[int]]:
     """All m-edge tree submaps, as frozensets of edge ids."""
-    ends = _edge_endpoints(pmap)
-    return [frozenset(c) for c in combinations(pmap.edges(), m)
-            if _is_tree_subset(ends, c)]
-
-
-def _tree_vertices(pmap: PlanarMap, edges: frozenset[int]) -> frozenset[int]:
-    out = set()
-    for e in edges:
-        out.add(pmap.vertex_of(e))
-        out.add(pmap.vertex_of(pmap.alpha_of(e)))
-    return frozenset(out)
+    return [edges for edges, _ in _subtrees(pmap, m)]
 
 
 def sphere_qangulations(q: int, f: int, cap: int | None = None) -> list[PlanarMap]:
@@ -404,7 +382,7 @@ def brute_count_decorated(q: int, f: int | None = None, e: int | None = None,
     the count is a direct sum over catalog entries.
     """
     if root_mode not in ("on-tree", "anywhere"):
-        raise ValueError(f"unknown root mode {root_mode!r}")
+        raise Infeasible(f"unknown root mode {root_mode!r}")
     sizes = list(tree_sizes)
     if len(sizes) != 1:
         raise Infeasible("single-tree decorations only; see brute_count_forest")
@@ -442,8 +420,7 @@ def brute_count_forest(q: int, f: int, sizes, rooted_labeled: bool,
     pool = sphere_qangulations(q, f, cap=cap)
     total = 0
     for pm in pool:
-        by_size = {k: [(s, _tree_vertices(pm, s)) for s in tree_submaps(pm, k)]
-                   for k in set(sizes)}
+        by_size = {k: list(_subtrees(pm, k)) for k in set(sizes)}
         if rooted_labeled:
             root_edge = pm.edge_of(pm.root)
 

@@ -53,6 +53,50 @@ def _cycles(perm: Perm) -> list[tuple[int, ...]]:
     return out
 
 
+def _find(parent: dict, x):
+    """Representative of ``x`` in the union-find forest ``parent``, which
+    maps each joined item to its parent (representatives are absent);
+    halves the path it walks."""
+    while x in parent:
+        p = parent[x]
+        parent[x] = x = parent.get(p, p)  # p's parent, or p if it has none
+    return x
+
+
+def _union(parent: dict, x, y) -> bool:
+    """Join the classes of ``x`` and ``y``; False when they were already
+    one.  The larger representative is linked under the smaller, so every
+    class is represented by its smallest item."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx == ry:
+        return False
+    if rx < ry:
+        rx, ry = ry, rx
+    parent[rx] = ry
+    return True
+
+
+def _edge_ends(pmap: "PlanarMap", edges) -> list[tuple[int, int]]:
+    """The (tail, head) vertex ids of each edge of ``edges`` (given by a
+    dart), as :meth:`PlanarMap.vertex_of` names them."""
+    return [(pmap.vertex_of(e), pmap.vertex_of(pmap.alpha_of(e)))
+            for e in edges]
+
+
+def _is_tree(pairs) -> set | None:
+    """The vertices of the tree that the edges ``pairs`` (a list of vertex
+    pairs) form, or None when they form no tree: they must span one more
+    vertex than there are edges, and no edge may close a cycle."""
+    verts = {v for pair in pairs for v in pair}
+    if len(verts) != len(pairs) + 1:
+        return None
+    parent: dict = {}
+    for u, v in pairs:
+        if not _union(parent, u, v):
+            return None
+    return verts
+
+
 @dataclass(frozen=True)
 class PlanarMap:
     """Immutable rooted planar map.  Use :func:`build_map` to validate input."""

@@ -43,7 +43,7 @@ def _catalog_maps(spec: SampleSpec) -> list[PlanarMap]:
     # raises Infeasible for bad (q, f, m) before touching the catalog
     count_tree_decorated(spec.q, spec.f, spec.m, root_mode="on-tree")
     cat = get_catalog(q=spec.q, f=spec.f, perimeter=2 * spec.m, simple=True)
-    return list(cat.maps())
+    return cat.maps()
 
 
 def draw_tree_decorated(spec: SampleSpec, index: int,
@@ -93,8 +93,8 @@ def tree_marginal_test(spec: SampleSpec, draws: int | None = None,
     for i in range(draws):
         tdm = draw_tree_decorated(spec, i, pool)
         tree, _ = extract_tree(tdm.map, tdm.tree_edges)
-        counts[tree_to_contour(tree).to_word()] = 1 + counts.get(
-            tree_to_contour(tree).to_word(), 0)
+        word = tree_to_contour(tree).to_word()
+        counts[word] = 1 + counts.get(word, 0)
     if words is None:
         words = tuple(sorted(counts))
     observed = [counts.get(w, 0) for w in words]

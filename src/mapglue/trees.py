@@ -68,33 +68,32 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def contour_classes(path: DyckPath) -> list[tuple[int, ...]]:
-    """Partition of {0..2m} into vertices: positions i, j are equivalent when
-    C(i) = C(j) = min C on [i, j].  Returns m+1 classes sorted by first
-    element."""
-    heights = path.heights()
-    n = len(heights)
-    parent = list(range(n))
+def class_starts(path: DyckPath) -> list[int]:
+    """First position of the contour class of each position 0..2m.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # scan with a stack of open levels: position j joins the last open
-    # position at the same height that stays a running minimum
-    stack: list[int] = [0]
-    for j in range(1, n):
-        if path.steps[j - 1] == 1:
+    Positions i <= j are one vertex when C(i) = C(j) = min C on [i, j].
+    One scan keeps the first position of each vertex on the way back to
+    the root: an up step opens a class, a down step returns to the class
+    one level lower.
+    """
+    starts = [0]
+    stack = [0]
+    for j, s in enumerate(path.steps, 1):
+        if s == 1:
             stack.append(j)
         else:
             stack.pop()
-            parent[find(j)] = find(stack[-1])
+        starts.append(stack[-1])
+    return starts
+
+
+def contour_classes(path: DyckPath) -> list[tuple[int, ...]]:
+    """Partition of {0..2m} into vertices by :func:`class_starts`.
+    Returns m+1 ascending classes sorted by first element."""
     classes: dict[int, list[int]] = {}
-    for i in range(n):
-        classes.setdefault(find(i), []).append(i)
-    return sorted((tuple(sorted(v)) for v in classes.values()), key=lambda c: c[0])
+    for i, start in enumerate(class_starts(path)):
+        classes.setdefault(start, []).append(i)
+    return [tuple(c) for c in classes.values()]
 
 
 def contour_to_tree(path: DyckPath) -> PlanarMap:
@@ -147,10 +146,16 @@ def tree_to_contour(tree: PlanarMap) -> DyckPath:
         raise EmptyTree("a tree must have at least one edge")
     if not is_plane_tree(tree):
         raise NotDyck("map is not a plane tree (more than one face)")
+    return _walk_contour(map(tree.edge_of, tree.root_face()))
+
+
+def _walk_contour(edges) -> DyckPath:
+    """Contour of a closed walk given by the edge of each step: the first
+    step along an edge goes up, every later one down.  Raises NotDyck
+    when the steps are no Dyck path."""
     seen: set[int] = set()
     steps = []
-    for d in tree.root_face():
-        e = tree.edge_of(d)
+    for e in edges:
         if e in seen:
             steps.append(-1)
         else:

@@ -1,3 +1,4 @@
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -13,7 +14,7 @@ from mapglue.enumeration import (enumerate_boundary_maps, enumerate_maps,
 from mapglue.errors import (BoundariesNotDisjoint, BoundaryNotSimple,
                             DecorationNotATree, EmptyTree, FormatError,
                             RootNotOnTree, SizeMismatch, TreeTooLarge)
-from mapglue.maps import BoundaryMap, build_map
+from mapglue.maps import BoundaryMap, _edge_ends, _is_tree, build_map
 from mapglue.trees import (DyckPath, catalan, contour_to_tree,
                            enumerate_trees, sample_dyck_uniform,
                            tree_to_contour)
@@ -114,6 +115,49 @@ def test_check_tree_decoration_errors():
     check_tree_decoration(tri, set(list(tri.edges())[:2]))
 
 
+def _dfs_is_tree(pmap, edges) -> bool:
+    """Reference tree test: a nonempty edge set whose ends span one more
+    vertex than there are edges, all reached by a depth-first search."""
+    if not edges:
+        return False
+    adj = {}
+    for e in edges:
+        u, w = pmap.vertex_of(e), pmap.vertex_of(pmap.alpha_of(e))
+        adj.setdefault(u, []).append(w)
+        adj.setdefault(w, []).append(u)
+    seen = {next(iter(adj))}
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj) == len(edges) + 1
+
+
+def test_tree_kernel_matches_dfs_on_every_edge_subset():
+    """_is_tree, check_tree_decoration and tree_submaps against the
+    reference on every edge subset of every map with at most 4 edges."""
+    for e in range(1, 5):
+        for pmap in enumerate_maps(e).maps():
+            edges = pmap.edges()
+            for m in range(len(edges) + 1):
+                trees = []
+                for combo in combinations(edges, m):
+                    expected = _dfs_is_tree(pmap, combo)
+                    verts = _is_tree(_edge_ends(pmap, combo))
+                    assert (verts is not None) == expected
+                    if expected:
+                        trees.append(frozenset(combo))
+                        assert len(verts) == m + 1
+                        assert check_tree_decoration(pmap, combo) == verts
+                    else:
+                        with pytest.raises(DecorationNotATree):
+                            check_tree_decoration(pmap, combo)
+                if m:
+                    assert tree_submaps(pmap, m) == trees
+
+
 def test_extract_tree_preserves_rotation():
     for pmap in enumerate_maps(3).maps():
         for tdm in _decorations(pmap):
@@ -181,6 +225,19 @@ def test_glue_forest_boundaries_must_be_vertex_disjoint():
             glue_forest(MultiBoundaryMap(host, roots), (tree, tree))
 
 
+def test_glue_forest_refuses_bad_input_before_walking():
+    """An empty forest and a root outside 1..2E are refused before any
+    face walk (a root of 0 would walk its face forever)."""
+    host = build_map([3, 4, 1, 5, 2, 9, 6, 10, 7, 8],
+                     [2, 1, 4, 3, 6, 5, 8, 7, 10, 9], 1)
+    tree = contour_to_tree(DyckPath.from_word("UD"))
+    with pytest.raises(SizeMismatch):
+        glue_forest(MultiBoundaryMap(host, ()), ())
+    for roots in ((0,), (11,), (1, 0), (1, -3)):
+        with pytest.raises(FormatError):
+            glue_forest(MultiBoundaryMap(host, roots), [tree] * len(roots))
+
+
 def test_unglue_root_not_on_tree():
     triangle = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1)
     with pytest.raises(RootNotOnTree):
@@ -209,6 +266,13 @@ def test_forest_line_malformed():
         forest_from_line(head + "1:99")
     with pytest.raises(DecorationNotATree):  # a loop is not a tree
         forest_from_line("map E=1 root=1 sigma=2,1 alpha=2,1 trees=1:1")
+    with pytest.raises(DecorationNotATree):  # one tree twice
+        forest_from_line(head + "1:1;1:1")
+    # a path of two edges: its two edges share the middle vertex
+    path = "map E=2 root=1 sigma=1,3,2,4 alpha=2,1,4,3 trees="
+    assert len(forest_from_line(path + "1:1,3").trees) == 1
+    with pytest.raises(DecorationNotATree):
+        forest_from_line(path + "1:1;3:3")
 
 
 @pytest.mark.parametrize("size", [500, 2000])

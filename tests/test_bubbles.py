@@ -374,11 +374,18 @@ def _crossing_pair(chords) -> bool:
 
 
 def _pairwise_vertex(bub, g):
+    """Reference pinch collapse: the smallest (sphere, vertex) copy that
+    the pinches join to the tail of ``g``."""
     k, d = bub.to_local(g)
-    x = (k, bub.spheres[k].vertex_of(d))
-    while x in bub._pinch_parent:
-        x = bub._pinch_parent[x]
-    return x
+    copies = {(k, bub.spheres[k].vertex_of(d))}
+    grown = True
+    while grown:
+        grown = False
+        for a, va, b, vb in bub.pinches:
+            if ((a, va) in copies) != ((b, vb) in copies):
+                copies |= {(a, va), (b, vb)}
+                grown = True
+    return min(copies)
 
 
 def _pairwise_non_crossing(circuit) -> bool:

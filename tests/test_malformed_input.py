@@ -11,7 +11,8 @@ import re
 
 import pytest
 
-from mapglue.bijection import decorated_from_line
+from mapglue.bijection import (MultiBoundaryMap, decorated_from_line,
+                               forest_from_line, forest_to_line, glue_forest)
 from mapglue.cli import main
 from mapglue.enumeration import (EDGE_CAP, QANG_EDGE_CAP, _checksum_line,
                                  catalog_from_text, catalog_to_text,
@@ -20,6 +21,7 @@ from mapglue.errors import FormatError, MapGlueError
 from mapglue.maps import build_map, map_from_line
 from mapglue.sampler import (SampleSpec, draw_tree_decorated,
                              export_decorated, parse_decorated)
+from mapglue.trees import DyckPath, contour_to_tree
 
 SQUARE = ("map E=4 root=1 sigma=2,1,5,6,3,4,8,7 alpha=3,4,1,2,7,8,5,6 "
           "labels=2:a")
@@ -169,6 +171,18 @@ def test_export_mutations():
     parse_decorated(text)
     for mutated in mutations(text):
         _parses_or_refuses(parse_decorated, mutated)
+
+
+def test_forest_record_mutations():
+    # two digons joined by a bridge, each glued shut along a one-edge tree
+    host = build_map([3, 4, 1, 5, 2, 9, 6, 10, 7, 8],
+                     [2, 1, 4, 3, 6, 5, 8, 7, 10, 9], 1)
+    tree = contour_to_tree(DyckPath.from_word("UD"))
+    line = forest_to_line(glue_forest(MultiBoundaryMap(host, (1, 7)),
+                                      (tree, tree)))
+    assert len(forest_from_line(line).trees) == 2
+    for text in mutations(line):
+        _parses_or_refuses(forest_from_line, text)
 
 
 def test_catalog_mutations():

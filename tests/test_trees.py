@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mapglue.errors import LevelOutOfRange, NotDyck
-from mapglue.trees import (DyckPath, catalan, contour_classes,
+from mapglue.trees import (DyckPath, catalan, class_starts, contour_classes,
                            contour_to_tree, enumerate_trees, is_plane_tree,
                            sample_dyck_uniform, subtree_window,
                            tree_to_contour)
@@ -63,6 +63,22 @@ def test_contour_classes_identifications():
     # UDUD: positions 0, 2, 4 all sit at height 0 on the same vertex
     classes = contour_classes(DyckPath.from_word("UDUD"))
     assert (0, 2, 4) in classes
+
+
+def test_contour_classes_match_the_definition():
+    """On every Dyck path with m <= 7: i <= j are one class exactly when
+    C(i) = C(j) = min C on [i, j]."""
+    for m in range(1, 8):
+        for path in enumerate_trees(m):
+            c = path.heights()
+            starts = [min(i for i in range(j + 1)
+                          if c[i] == c[j] == min(c[i:j + 1]))
+                      for j in range(2 * m + 1)]
+            assert class_starts(path) == starts
+            classes = sorted({tuple(j for j in range(2 * m + 1)
+                                    if starts[j] == s) for s in starts})
+            assert contour_classes(path) == classes
+            assert len(classes) == m + 1
 
 
 def test_sampling_is_valid_and_deterministic():
