@@ -6,6 +6,13 @@ contour of the tree.  Gluing reverses this: the external face of a map with
 a simple boundary of perimeter 2m is sewn shut along the vertex equivalence
 induced by the contour of an m-edge tree.
 
+Ungluing reads the tree's contour in place, walking the tree darts of the
+map from its root, and returns the tree rebuilt from that contour by
+:func:`~mapglue.trees.contour_to_tree`: dart ``i + 1`` of the tree is
+contour step ``i``, and trees of at most six edges are built once and
+shared.  Gluing takes one walk of each boundary, which decides simplicity
+and size and gives the darts to sew.
+
 Both directions run through one kernel each, on flat arrays.  The cutting
 kernel :func:`_cut` doubles every dart of a closed walk (a tree contour, or
 a bubble-map circuit) and lets the new darts form one face running against
@@ -34,6 +41,7 @@ from .errors import (
 )
 from .maps import (BoundaryMap, PlanarMap, _edge_ends, _ints, _is_tree,
                    _map_record, build_map, map_to_line)
+from .trees import DyckPath, contour_to_tree
 
 
 @dataclass(frozen=True)
@@ -79,39 +87,43 @@ def check_tree_decoration(pmap: PlanarMap, tree_edges) -> set[int]:
     return verts
 
 
-def extract_tree(pmap: PlanarMap, tree_edges, root: int | None = None):
-    """Standalone plane tree of a decoration.
+def _tree_contour(pmap: PlanarMap, tree_edges) -> tuple[list[int],
+                                                     DyckPath]:
+    """The contour of the tree ``tree_edges`` read in place in ``pmap``,
+    whose root must be a tree dart: its darts in contour order from the
+    root, and its Dyck path (the first step along an edge goes up).
 
-    Returns (tree, to_ambient) where ``to_ambient`` sends tree darts back to
-    the darts of ``pmap``.  The rotation is the restriction of the ambient
-    rotation, so the embedding of the submap is preserved.
+    The dart after ``d`` is the first tree dart counterclockwise from
+    ``alpha(d)``, which is the face walk of the plane tree that restricting
+    the rotation of ``pmap`` to the tree darts gives.
     """
-    if root is None:
-        root = pmap.root
-    darts = sorted(d for d in pmap.darts() if pmap.edge_of(d) in tree_edges)
-    index = {d: i + 1 for i, d in enumerate(darts)}
-    n = len(darts)
-    sigma = [0] * n
-    alpha = [0] * n
-    for d in darts:
-        e = pmap.sigma_of(d)
-        while pmap.edge_of(e) not in tree_edges:
-            e = pmap.sigma_of(e)
-        sigma[index[d] - 1] = index[e]
-        alpha[index[d] - 1] = index[pmap.alpha_of(d)]
-    tree = build_map(sigma, alpha, index[root])
-    to_ambient = {v: k for k, v in index.items()}
-    return tree, to_ambient
-
-
-def contour_darts(tree: PlanarMap) -> tuple[int, ...]:
-    """Tree darts in contour order (the single face walk from the root)."""
-    return tree.root_face()
+    sigma, alpha = pmap.sigma, pmap.alpha
+    # 1: a tree dart whose edge the walk has not taken yet, 2: taken
+    state = [0] * (len(sigma) + 1)
+    for e in tree_edges:
+        state[e] = state[alpha[e - 1]] = 1
+    root = pmap.root
+    darts = []
+    steps = []
+    d = root
+    while True:
+        darts.append(d)
+        a = alpha[d - 1]
+        if state[d] == 1:
+            steps.append(1)
+            state[d] = state[a] = 2
+        else:
+            steps.append(-1)
+        d = sigma[a - 1]
+        while not state[d]:
+            d = sigma[d - 1]
+        if d == root:
+            return darts, DyckPath(tuple(steps))
 
 
 def _contour_matching(tree: PlanarMap) -> list[int]:
     """match[i] = j when contour steps i and j traverse the same edge."""
-    walk = contour_darts(tree)
+    walk = tree.root_face()
     pos = {d: i for i, d in enumerate(walk)}
     return [pos[tree.alpha_of(d)] for d in walk]
 
@@ -144,19 +156,22 @@ def unglue(tdm: TreeDecoratedMap):
     """Cut a tree-decorated map open along its tree.
 
     Returns ``(tree, bmap)`` with ``tree`` the decoration as a standalone
-    plane tree (rooted at the map root) and ``bmap`` a map with a simple
-    boundary of perimeter twice the tree size, whose internal faces are the
-    faces of the input in degree-preserving correspondence.
+    plane tree, built from its contour read from the map root (dart
+    ``i + 1`` is contour step ``i``; trees of at most six edges are shared,
+    see :func:`~mapglue.trees.contour_to_tree`), and ``bmap`` a map with a
+    simple boundary of perimeter twice the tree size, whose internal faces
+    are the faces of the input in degree-preserving correspondence.
     """
     pmap = tdm.map
     check_tree_decoration(pmap, tdm.tree_edges)
     if not tdm.root_on_tree:
         raise RootNotOnTree("map root edge must belong to the decoration")
-    tree, to_ambient = extract_tree(pmap, tdm.tree_edges)
-    contour = [to_ambient[d] for d in contour_darts(tree)]
-    sigma, alpha, root = _cut([pmap.phi_of(d) for d in pmap.darts()],
-                              list(pmap.alpha), contour)
-    return tree, BoundaryMap(build_map(sigma, alpha, root, pmap.labels))
+    contour, path = _tree_contour(pmap, tdm.tree_edges)
+    sigma, alpha = pmap.sigma, pmap.alpha
+    phi = [sigma[a - 1] for a in alpha]
+    sigma, alpha, root = _cut(phi, list(alpha), contour)
+    return (contour_to_tree(path),
+            BoundaryMap(build_map(sigma, alpha, root, pmap.labels)))
 
 
 def _sew(pmap: PlanarMap, consumed: list[int], matching: list[int]):
@@ -197,6 +212,16 @@ def _sewn_map(pmap: PlanarMap, sigma, alpha, index, root: int):
     return build_map(sigma, alpha, index[root], labels)
 
 
+def _simple_walk(bmap: BoundaryMap, what: str) -> tuple[list[int],
+                                                         list[int]]:
+    """:meth:`BoundaryMap.simple_walk`, raising BoundaryNotSimple with the
+    message ``what`` when the boundary is not simple."""
+    found = bmap.simple_walk()
+    if found is None:
+        raise BoundaryNotSimple(what)
+    return found
+
+
 def glue(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
     """Sew the simple boundary of ``bmap`` shut along the contour of ``tree``.
 
@@ -204,21 +229,13 @@ def glue(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
     steps i and j traverse the same tree edge, so the identified edges form
     a copy of the tree; the result is rooted on that tree.
     """
-    if not bmap.is_simple():
-        raise BoundaryNotSimple("gluing needs a simple boundary")
+    walk, _ = _simple_walk(bmap, "gluing needs a simple boundary")
     m = tree.edge_count
     if m == 0:
         raise EmptyTree("cannot glue a tree without edges")
-    if bmap.perimeter != 2 * m:
-        raise SizeMismatch(
-            f"perimeter {bmap.perimeter} != 2*{m} tree edges")
-    walk = list(bmap.boundary_walk())
-    pmap = bmap.map
-    sigma, alpha, index = _sew(pmap, walk, _contour_matching(tree))
-    glued = _sewn_map(pmap, sigma, alpha, index, pmap.alpha_of(walk[0]))
-    tree_edges = frozenset(
-        glued.edge_of(index[pmap.alpha_of(b)]) for b in walk)
-    return TreeDecoratedMap(glued, tree_edges)
+    if len(walk) != 2 * m:
+        raise SizeMismatch(f"perimeter {len(walk)} != 2*{m} tree edges")
+    return _glue_prefix(bmap.map, walk, tree)
 
 
 def glue_partial(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
@@ -227,23 +244,29 @@ def glue_partial(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
     The boundary edges labelled 0..2m2-1 are consumed; the result keeps a
     simple external face of perimeter 2m1 rooted at the former edge 2m2, and
     is decorated by a tree that meets the boundary only at its root vertex.
-    A full-size tree delegates to :func:`glue`.
+    A full-size tree is glued as :func:`glue` glues it.
     """
-    if not bmap.is_simple():
-        raise BoundaryNotSimple("partial gluing needs a simple boundary")
+    walk, _ = _simple_walk(bmap, "partial gluing needs a simple boundary")
     m2 = tree.edge_count
     if m2 == 0:
         raise EmptyTree("cannot glue a tree without edges")
-    if 2 * m2 > bmap.perimeter:
+    if 2 * m2 > len(walk):
         raise TreeTooLarge(
-            f"tree contour 2*{m2} exceeds perimeter {bmap.perimeter}")
-    if 2 * m2 == bmap.perimeter:
-        return glue(bmap, tree)
-    walk = list(bmap.boundary_walk())
-    consumed = walk[: 2 * m2]
-    pmap = bmap.map
+            f"tree contour 2*{m2} exceeds perimeter {len(walk)}")
+    return _glue_prefix(bmap.map, walk, tree)
+
+
+def _glue_prefix(pmap: PlanarMap, walk: list[int],
+                 tree: PlanarMap) -> TreeDecoratedMap:
+    """Sew the first 2m darts of the boundary walk ``walk`` of ``pmap``
+    shut along the contour of the m-edge ``tree``.  The result is rooted at
+    the former boundary dart 2m when the walk is longer, and on the tree
+    when the tree takes the whole boundary."""
+    consumed = walk[: 2 * tree.edge_count]
     sigma, alpha, index = _sew(pmap, consumed, _contour_matching(tree))
-    glued = _sewn_map(pmap, sigma, alpha, index, walk[2 * m2])
+    root = (walk[len(consumed)] if len(consumed) < len(walk)
+            else pmap.alpha_of(walk[0]))
+    glued = _sewn_map(pmap, sigma, alpha, index, root)
     tree_edges = frozenset(
         glued.edge_of(index[pmap.alpha_of(b)]) for b in consumed)
     return TreeDecoratedMap(glued, tree_edges)
@@ -257,25 +280,22 @@ def glue_forest(mmap: MultiBoundaryMap, forest) -> ForestDecoratedMap:
         raise SizeMismatch("a forest needs at least one tree")
     if len(forest) != len(mmap.roots):
         raise SizeMismatch("one tree per boundary required")
-    for root in mmap.roots:
-        if not 1 <= root <= pmap.dart_count:
-            raise FormatError(f"boundary root {root} out of range")
+    # rerooting refuses a root outside 1..2E before any face is walked
+    boundaries = [mmap.boundary(i) for i in range(len(forest))]
     walks = []
     seen_vertices: set[int] = set()
-    for i, root in enumerate(mmap.roots):
-        b = BoundaryMap(pmap.rerooted(root))
-        if not b.is_simple():
-            raise BoundaryNotSimple(f"boundary {i + 1} is not simple")
-        if b.perimeter != 2 * forest[i].edge_count:
+    for i, b in enumerate(boundaries):
+        walk, verts = _simple_walk(b, f"boundary {i + 1} is not simple")
+        if len(walk) != 2 * forest[i].edge_count:
             raise SizeMismatch(
-                f"boundary {i + 1}: perimeter {b.perimeter} != "
+                f"boundary {i + 1}: perimeter {len(walk)} != "
                 f"2*{forest[i].edge_count}")
-        verts = set(b.boundary_vertices())
+        verts = set(verts)
         if verts & seen_vertices:
             raise BoundariesNotDisjoint(
                 f"boundary {i + 1} shares a vertex with an earlier boundary")
         seen_vertices |= verts
-        walks.append(list(b.boundary_walk()))
+        walks.append(walk)
     consumed: list[int] = []
     matching: list[int] = []
     for walk, tree in zip(walks, forest):

@@ -76,11 +76,25 @@ def _union(parent: dict, x, y) -> bool:
     return True
 
 
+def _vertex_ids(sigma: Perm) -> list[int]:
+    """Vertex id of every dart as :meth:`PlanarMap.vertex_of` names it
+    (index 0 unused): the cycles are met in increasing order of their
+    smallest dart, which is the first one the scan reaches."""
+    vid = [0] * (len(sigma) + 1)
+    for start in range(1, len(sigma) + 1):
+        d = start
+        while not vid[d]:
+            vid[d] = start
+            d = sigma[d - 1]
+    return vid
+
+
 def _edge_ends(pmap: "PlanarMap", edges) -> list[tuple[int, int]]:
     """The (tail, head) vertex ids of each edge of ``edges`` (given by a
     dart), as :meth:`PlanarMap.vertex_of` names them."""
-    return [(pmap.vertex_of(e), pmap.vertex_of(pmap.alpha_of(e)))
-            for e in edges]
+    vid = _vertex_ids(pmap.sigma)
+    alpha = pmap.alpha
+    return [(vid[e], vid[alpha[e - 1]]) for e in edges]
 
 
 def _is_tree(pairs) -> set | None:
@@ -131,7 +145,8 @@ class PlanarMap:
 
     def edge_of(self, d: int) -> int:
         """Canonical edge id: the smaller dart of the pair."""
-        return min(d, self.alpha_of(d))
+        a = self.alpha[d - 1]
+        return d if d < a else a
 
     def edges(self) -> list[int]:
         return [d for d in self.darts() if d < self.alpha_of(d)]
@@ -147,21 +162,23 @@ class PlanarMap:
 
     def vertex_of(self, d: int) -> int:
         """Canonical vertex id: the smallest dart around the vertex of ``d``."""
+        sigma = self.sigma
         m = d
-        e = self.sigma_of(d)
+        e = sigma[d - 1]
         while e != d:
             if e < m:
                 m = e
-            e = self.sigma_of(e)
+            e = sigma[e - 1]
         return m
 
     def face_of(self, d: int) -> int:
+        sigma, alpha = self.sigma, self.alpha
         m = d
-        e = self.phi_of(d)
+        e = sigma[alpha[d - 1] - 1]
         while e != d:
             if e < m:
                 m = e
-            e = self.phi_of(e)
+            e = sigma[alpha[e - 1] - 1]
         return m
 
     @property
@@ -173,11 +190,12 @@ class PlanarMap:
         return _orbit_count([self.sigma[a - 1] for a in self.alpha])
 
     def face_cycle(self, d: int) -> tuple[int, ...]:
+        sigma, alpha = self.sigma, self.alpha
         cyc = [d]
-        e = self.phi_of(d)
+        e = sigma[alpha[d - 1] - 1]
         while e != d:
             cyc.append(e)
-            e = self.phi_of(e)
+            e = sigma[alpha[e - 1] - 1]
         return tuple(cyc)
 
     def root_face(self) -> tuple[int, ...]:
@@ -219,6 +237,10 @@ class PlanarMap:
                                          (self.root,)))
 
     def rerooted(self, root: int) -> "PlanarMap":
+        """The same map rooted at dart ``root``, which must be one of its
+        darts (FormatError otherwise)."""
+        if not 1 <= root <= len(self.sigma):
+            raise FormatError(f"root dart {root} out of range")
         return PlanarMap(self.sigma, self.alpha, root, self.labels)
 
 
@@ -337,6 +359,31 @@ def _code_upto(sigma, alpha, seeds, bound):
                  + [image[alpha[d - 1]] for d in order])
 
 
+def _connected_vertex_count(sigma: Perm, alpha: Perm) -> int | None:
+    """Number of vertices of the rotation system, or None when
+    ``<sigma, alpha>`` is not transitive.
+
+    One search from dart 1 takes whole vertex cycles: it marks every dart
+    of a cycle and stacks the alpha-partners not yet marked.
+    """
+    seen = [False] * (len(sigma) + 1)
+    stack = [1]
+    vertices = reached = 0
+    while stack:
+        d = stack.pop()
+        if seen[d]:
+            continue
+        vertices += 1
+        while not seen[d]:
+            seen[d] = True
+            reached += 1
+            a = alpha[d - 1]
+            if not seen[a]:
+                stack.append(a)
+            d = sigma[d - 1]
+    return vertices if reached == len(sigma) else None
+
+
 @dataclass(frozen=True, order=True)
 class CanonicalCode:
     """Relabelling-invariant identity of a rooted map."""
@@ -370,10 +417,10 @@ def build_map(sigma, alpha, root: int, labels=()) -> PlanarMap:
         if darts[0] < 1 or darts[-1] > n or len(set(darts)) != len(darts):
             raise FormatError("labels must sit on distinct darts of the map")
     m = PlanarMap(sigma, alpha, root, labels)
-    # transitivity of <sigma, alpha>
-    if len(_canonical_bfs(sigma, alpha, (1,))[1]) != n:
+    vertices = _connected_vertex_count(sigma, alpha)
+    if vertices is None:
         raise Disconnected("the darts do not form a connected map")
-    euler = m.vertex_count - m.edge_count + m.face_count
+    euler = vertices - m.edge_count + m.face_count
     if euler != 2:
         raise NonPlanar(f"V - E + F = {euler}, not 2")
     return m
@@ -419,7 +466,44 @@ class BoundaryMap:
 
     def is_simple(self) -> bool:
         """Simple as a curve: no repeated vertex and no repeated edge."""
-        return self.is_vertex_simple() and self.is_bridgeless()
+        return self.simple_walk() is not None
+
+    def simple_walk(self) -> tuple[list[int], list[int]] | None:
+        """:meth:`boundary_walk` and :meth:`boundary_vertices` from one
+        walk of the external face, or None when the boundary is not
+        simple.
+
+        The face is marked first; then the vertex cycle of each boundary
+        dart is walked, and it fails as soon as it meets another marked
+        dart (a repeated vertex), as does a dart whose partner is marked
+        (a repeated edge).  On a simple boundary every vertex cycle is
+        walked once, so the cost is the face plus the degrees of its
+        vertices.
+        """
+        sigma, alpha = self.map.sigma, self.map.alpha
+        root = self.map.root
+        on = [False] * (len(sigma) + 1)
+        cyc = []
+        d = root
+        while not on[d]:
+            on[d] = True
+            cyc.append(d)
+            d = sigma[alpha[d - 1] - 1]
+        walk = cyc[:1] + cyc[:0:-1]
+        verts = []
+        for d in walk:
+            if on[alpha[d - 1]]:
+                return None
+            m = d
+            e = sigma[d - 1]
+            while e != d:
+                if on[e]:
+                    return None
+                if e < m:
+                    m = e
+                e = sigma[e - 1]
+            verts.append(m)
+        return walk, verts
 
 
 def is_q_angulation(pmap: PlanarMap, q: int, skip_external: bool = False) -> bool:

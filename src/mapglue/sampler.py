@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from itertools import accumulate
 from random import Random
 
-from .bijection import (TreeDecoratedMap, check_tree_decoration,
-                        extract_tree, glue)
+from .bijection import (TreeDecoratedMap, _tree_contour,
+                        check_tree_decoration, glue)
 from .counting import count_tree_decorated
 from .enumeration import get_catalog
 from .errors import DecorationNotATree, FormatError, UnknownFormat
 from .maps import BoundaryMap, PlanarMap, _ints, _record, build_map
-from .trees import contour_to_tree, sample_dyck_uniform, tree_to_contour
+from .trees import contour_to_tree, sample_dyck_uniform
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def tree_marginal_test(spec: SampleSpec, draws: int | None = None,
     counts: dict[str, int] = {}
     for i in range(draws):
         tdm = draw_tree_decorated(spec, i, pool)
-        tree, _ = extract_tree(tdm.map, tdm.tree_edges)
-        word = tree_to_contour(tree).to_word()
+        word = _tree_contour(tdm.map, tdm.tree_edges)[1].to_word()
         counts[word] = 1 + counts.get(word, 0)
     if words is None:
         words = tuple(sorted(counts))

@@ -1,13 +1,15 @@
+import sys
 from itertools import combinations
 from random import Random
 
 import pytest
 
 from mapglue.bijection import (ForestDecoratedMap, MultiBoundaryMap,
-                               TreeDecoratedMap, check_tree_decoration,
-                               decorated_from_line, decorated_to_line,
-                               extract_tree, forest_from_line, forest_to_line,
-                               glue, glue_forest, glue_partial, unglue)
+                               TreeDecoratedMap, _tree_contour,
+                               check_tree_decoration, decorated_from_line,
+                               decorated_to_line, forest_from_line,
+                               forest_to_line, glue, glue_forest,
+                               glue_partial, unglue)
 from mapglue.bubbles import glue_bridgeless, unglue_bubble
 from mapglue.enumeration import (enumerate_boundary_maps, enumerate_maps,
                                  tree_submaps)
@@ -158,13 +160,37 @@ def test_tree_kernel_matches_dfs_on_every_edge_subset():
                     assert tree_submaps(pmap, m) == trees
 
 
-def test_extract_tree_preserves_rotation():
-    for pmap in enumerate_maps(3).maps():
-        for tdm in _decorations(pmap):
-            tree, to_ambient = extract_tree(pmap, tdm.tree_edges)
-            assert tree.face_count == 1
-            assert tree.edge_count == len(tdm.tree_edges)
-            assert to_ambient[tree.root] == pmap.root
+def _restricted_tree(pmap, tree_edges):
+    """Reference: the plane tree whose rotation is the rotation of ``pmap``
+    restricted to the tree darts, rooted at the map root, and the map from
+    its darts (numbered in increasing ambient order) back to ``pmap``."""
+    darts = sorted(d for d in pmap.darts() if pmap.edge_of(d) in tree_edges)
+    index = {d: i + 1 for i, d in enumerate(darts)}
+    sigma = [0] * len(darts)
+    alpha = [0] * len(darts)
+    for d in darts:
+        e = pmap.sigma_of(d)
+        while pmap.edge_of(e) not in tree_edges:
+            e = pmap.sigma_of(e)
+        sigma[index[d] - 1] = index[e]
+        alpha[index[d] - 1] = index[pmap.alpha_of(d)]
+    return build_map(sigma, alpha, index[pmap.root]), darts
+
+
+def test_tree_contour_matches_rotation_restriction():
+    """The contour read in place equals the contour of the restricted
+    rotation, dart for dart, on every decoration with at most 5 edges;
+    unglue returns the tree of that contour."""
+    for e in range(1, 6):
+        for pmap in enumerate_maps(e).maps():
+            for tdm in _decorations(pmap):
+                ref, to_ambient = _restricted_tree(pmap, tdm.tree_edges)
+                assert ref.face_count == 1
+                darts, path = _tree_contour(pmap, tdm.tree_edges)
+                assert darts == [to_ambient[d - 1] for d in ref.root_face()]
+                assert path == tree_to_contour(ref)
+                tree, _ = unglue(tdm)
+                assert tree == contour_to_tree(path)
 
 
 def test_glue_partial_properties():
@@ -236,6 +262,73 @@ def test_glue_forest_refuses_bad_input_before_walking():
     for roots in ((0,), (11,), (1, 0), (1, -3)):
         with pytest.raises(FormatError):
             glue_forest(MultiBoundaryMap(host, roots), [tree] * len(roots))
+
+
+def test_bad_boundary_roots_are_refused():
+    """A boundary root outside 1..2E is refused when the boundary is
+    taken, instead of walking its face forever (0) or failing on an
+    index (2E + 1)."""
+    host = build_map([3, 4, 1, 5, 2, 9, 6, 10, 7, 8],
+                     [2, 1, 4, 3, 6, 5, 8, 7, 10, 9], 1)
+    for root in (0, -1, 11):
+        with pytest.raises(FormatError):
+            MultiBoundaryMap(host, (root,)).boundary(0)
+        with pytest.raises(FormatError):
+            BoundaryMap(host.rerooted(root))
+    assert MultiBoundaryMap(host, (7,)).boundary(0).perimeter == 2
+
+
+def _count_builds(monkeypatch) -> list:
+    """Count every build_map call made through a mapglue module."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_map(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mapglue") and hasattr(module, "build_map"):
+            monkeypatch.setattr(module, "build_map", counting)
+    return calls
+
+
+def test_unglue_and_glue_build_one_map_each(monkeypatch):
+    """Once the tree memo is warm, unglue builds only the cut map and glue
+    only the sewn map, on every decoration with at most 4 edges."""
+    cases = [tdm for e in range(1, 5) for pmap in enumerate_maps(e).maps()
+             for tdm in _decorations(pmap)]
+    calls = _count_builds(monkeypatch)
+    for tdm in cases:
+        unglue(tdm)  # builds the tree of its contour at most once
+        del calls[:]
+        tree, bmap = unglue(tdm)
+        assert len(calls) == 1
+        del calls[:]
+        glue(bmap, tree)
+        assert len(calls) == 1
+
+
+def test_non_simple_boundary_is_reported_before_its_size():
+    """A boundary that is not simple raises BoundaryNotSimple whatever the
+    tree's size, in glue, glue_partial and glue_forest."""
+    figure_eight = next(  # bridgeless, but passes a vertex twice
+        pm for pm in enumerate_maps(2).maps()
+        if BoundaryMap(pm).is_bridgeless()
+        and not BoundaryMap(pm).is_vertex_simple())
+    trees = [contour_to_tree(DyckPath.from_word(w))
+             for w in ("UD", "UUDD", "UUUDDD")]
+
+    class EdgelessTree:
+        edge_count = 0
+
+    for pmap in (EDGE, figure_eight):
+        for tree in trees + [EdgelessTree()]:
+            with pytest.raises(BoundaryNotSimple):
+                glue(BoundaryMap(pmap), tree)
+            with pytest.raises(BoundaryNotSimple):
+                glue_partial(BoundaryMap(pmap), tree)
+            with pytest.raises(BoundaryNotSimple):
+                glue_forest(MultiBoundaryMap(pmap, (pmap.root,)), [tree])
 
 
 def test_unglue_root_not_on_tree():

@@ -2,8 +2,10 @@ import pytest
 
 from mapglue.errors import (Disconnected, FormatError, NonPlanar,
                             NotInvolution)
-from mapglue.maps import (BoundaryMap, PlanarMap, build_map,
-                          is_q_angulation, map_from_line, map_to_line)
+from mapglue.enumeration import enumerate_maps
+from mapglue.maps import (BoundaryMap, PlanarMap, _connected_vertex_count,
+                          build_map, is_q_angulation, map_from_line,
+                          map_to_line)
 
 EDGE = build_map([1, 2], [2, 1], 1)
 LOOP = build_map([2, 1], [2, 1], 1)
@@ -48,6 +50,93 @@ def test_build_map_rejects_disconnected():
 def test_build_map_rejects_torus():
     with pytest.raises(NonPlanar):
         build_map([2, 3, 4, 1], [3, 4, 1, 2], 1)
+
+
+# one vertex, two edges, one face: V - E + F = 0
+TORUS = ([2, 3, 4, 1], [3, 4, 1, 2])
+
+
+def _disjoint(*pieces):
+    """The rotation arrays of the disjoint union of ``pieces``."""
+    sigma, alpha = [], []
+    for s, a in pieces:
+        n = len(sigma)
+        sigma += [n + x for x in s]
+        alpha += [n + x for x in a]
+    return sigma, alpha
+
+
+_BAD_MAPS = [
+    # (sigma, alpha, root, labels): every later fault is shadowed
+    (([], [], 1, ()), NotInvolution, "equal even number"),
+    (([1], [1], 1, ()), NotInvolution, "equal even number"),
+    (([1, 2, 3], [2, 1, 3], 7, ()), NotInvolution, "equal even number"),
+    (([1, 2], [2, 1, 4, 3], 1, ()), NotInvolution, "equal even number"),
+    (([1, 1], [2, 1], 9, ()), NotInvolution, "not a permutation"),
+    (([1, 3], [1, 1], 1, ()), NotInvolution, "not a permutation"),
+    (([1, 2], [1, 2], 1, ()), NotInvolution, "involution"),
+    (([1, 2, 3, 4], [2, 1, 4, 4], 1, ()), NotInvolution, "involution"),
+    (([1, 2], [2, 3], 1, ()), NotInvolution, "involution"),
+    (([1, 2, 3, 4], [2, 3, 4, 1], 0, ()), NotInvolution, "involution"),
+    (([1, 2], [2, 1], 0, ()), FormatError, "root"),
+    (([1, 2], [2, 1], 3, ((9, "x"),)), FormatError, "root"),
+    (([1, 2, 3, 4], [2, 1, 4, 3], 5, ()), FormatError, "root"),
+    (([1, 2], [2, 1], 1, ((3, "a"),)), FormatError, "labels"),
+    (([1, 2], [2, 1], 1, ((0, "a"),)), FormatError, "labels"),
+    (([1, 2], [2, 1], 1, ((1, "a"), (1, "b"))), FormatError, "labels"),
+    (([1, 2, 3, 4], [2, 1, 4, 3], 1, ((5, "a"),)), FormatError, "labels"),
+    (([1, 2, 3, 4], [2, 1, 4, 3], 1, ()), Disconnected, "connected"),
+    ((*_disjoint(TORUS, TORUS), 1, ()), Disconnected, "connected"),
+    ((*_disjoint(([1, 2], [2, 1]), TORUS), 1, ()), Disconnected,
+     "connected"),
+    ((*_disjoint(TORUS, ([1, 2], [2, 1])), 5, ()), Disconnected,
+     "connected"),
+    ((*TORUS, 1, ()), NonPlanar, "V - E [+] F = 0, not 2"),
+]
+
+
+@pytest.mark.parametrize("args, error, message", _BAD_MAPS)
+def test_build_map_checks_in_order(args, error, message):
+    """Each kind of bad input raises its class, and the first failing
+    check wins: dart counts, sigma, alpha, root, labels, connectivity,
+    Euler."""
+    with pytest.raises(error, match=message):
+        build_map(*args)
+
+
+def test_build_map_vertex_search_counts_every_vertex():
+    for e in range(1, 6):
+        for pmap in enumerate_maps(e).maps():
+            assert (_connected_vertex_count(pmap.sigma, pmap.alpha)
+                    == len(pmap.vertices()) == pmap.vertex_count)
+    assert _connected_vertex_count(*_disjoint(TORUS, TORUS)) is None
+    assert _connected_vertex_count(*TORUS) == 1
+
+
+def test_rerooted_refuses_darts_outside_the_map():
+    for root in (0, -1, 7):
+        with pytest.raises(FormatError):
+            TRIANGLE.rerooted(root)
+    assert TRIANGLE.rerooted(6).root_face()[0] == 6
+
+
+def test_simple_walk_matches_the_boundary_reads():
+    """One walk gives what boundary_walk, boundary_vertices,
+    is_vertex_simple and is_bridgeless give, from every root of every map
+    with at most 4 edges."""
+    simple = 0
+    for e in range(1, 5):
+        for pmap in enumerate_maps(e).maps():
+            for d in pmap.darts():
+                b = BoundaryMap(pmap.rerooted(d))
+                found = b.simple_walk()
+                assert b.is_simple() == (found is not None) == (
+                    b.is_vertex_simple() and b.is_bridgeless())
+                if found is not None:
+                    simple += 1
+                    assert found == (list(b.boundary_walk()),
+                                     b.boundary_vertices())
+    assert simple > 500
 
 
 def test_canonical_code_is_relabelling_invariant():
