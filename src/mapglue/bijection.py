@@ -35,6 +35,7 @@ from .errors import (
     DecorationNotATree,
     EmptyTree,
     FormatError,
+    NotDyck,
     RootNotOnTree,
     SizeMismatch,
     TreeTooLarge,
@@ -122,10 +123,17 @@ def _tree_contour(pmap: PlanarMap, tree_edges) -> tuple[list[int],
 
 
 def _contour_matching(tree: PlanarMap) -> list[int]:
-    """match[i] = j when contour steps i and j traverse the same edge."""
+    """match[i] = j when contour steps i and j traverse the same edge.
+    Raises NotDyck unless ``tree`` is a plane tree: its root face must
+    take every dart."""
     walk = tree.root_face()
-    pos = {d: i for i, d in enumerate(walk)}
-    return [pos[tree.alpha_of(d)] for d in walk]
+    if len(walk) != tree.dart_count:
+        raise NotDyck("map is not a plane tree (more than one face)")
+    pos = [0] * (len(walk) + 1)
+    for i, d in enumerate(walk):
+        pos[d] = i
+    alpha = tree.alpha
+    return [pos[alpha[d - 1]] for d in walk]
 
 
 def _cut(phi: list[int], alpha: list[int], walk):

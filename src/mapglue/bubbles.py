@@ -16,14 +16,18 @@ affect the contour values).  Ungluing then doubles every circuit edge so
 that the new darts form a fresh external face, re-thickening the pinch
 vertices in the process.
 
-The wicked and non-crossing checks each run in one pass.  Wicked
-identifications come from one grouping of the boundary positions by
-(vertex, contour class).  The non-crossing test walks the vertex cycles
-once to give every dart its rotation position, then runs a stack check of
-the corner chords at each vertex.  At a pinch vertex the positions list
-the pinched copies in sphere order; the verdicts depend on that order,
-which reports a crossing on some exact round trips through a pinch vertex
-(``bench/README.md``, known defect 2).
+Gluing walks the boundary face once and reads the tree's contour once:
+that walk decides the bridge and size checks and gives the darts to sew,
+and the contour matching gives the Dyck path.  Wicked identifications come
+from one grouping of the boundary positions by (vertex, contour class).
+The circuit kernels (validation, the non-crossing test, the contour scan
+and the pinch check of ungluing) index the bubble-map's global dart tables
+directly, after one range check of the circuit.  The non-crossing test
+walks each sphere's vertex cycles once to give every dart its rotation
+position, then runs a stack check of the corner chords at each vertex.  At
+a pinch vertex the positions list the pinched copies in sphere order; the
+verdicts depend on that order, which reports a crossing on some exact
+round trips through a pinch vertex (``bench/README.md``, known defect 2).
 
 The canonical key numbers the darts with one breadth-first search over the
 global dart table: from the root through the root sphere, then from the
@@ -31,8 +35,9 @@ first circuit dart that enters each sphere not yet reached, in circuit
 order.  The circuit fixes where every sphere is entered, so no rooting of
 a sphere is searched over; the key up to rotation of the circuit is the
 smallest key over its rotations.  Rotations that enter every sphere at the
-same darts share one labelling, and the labellings are compared by their
-codes with searches that stop as soon as they fall behind; only those
+same darts share one labelling.  Every labelling numbers the root sphere
+alike, so the labellings are compared by the codes of the other spheres
+alone, with searches that stop as soon as they fall behind; only those
 that tie the smallest code are labelled in full.
 
 Boundaries with bridges are refused: two bridges identified by the tree
@@ -45,6 +50,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     BoundaryHasBridge,
@@ -56,11 +62,10 @@ from .errors import (
     NotDyck,
     SizeMismatch,
 )
-from .maps import (BoundaryMap, PlanarMap, _canonical, _cycles, _find,
-                   _ints, _min_code, _record, _union, build_map,
+from .maps import (BoundaryMap, PlanarMap, _canonical, _find, _ints,
+                   _min_code, _record, _union, _vertex_ids, build_map,
                    map_from_line, map_to_line)
-from .trees import (DyckPath, _walk_contour, class_starts, contour_to_tree,
-                    tree_to_contour)
+from .trees import DyckPath, _walk_contour, class_starts, contour_to_tree
 from .bijection import _contour_matching, _cut, _sew
 
 
@@ -146,7 +151,8 @@ class BubbleMap:
     @cached_property
     def _corners(self) -> tuple[list, list[int]]:
         """Pinch-collapsed vertex and rotation position of every global
-        dart (index 0 unused), from one walk over the vertex cycles.
+        dart (index 0 unused), from one walk over each sphere's vertex
+        cycles.
 
         The positions of a vertex list the sigma cycles of its pinched
         copies one after another: by sphere index, then in
@@ -159,13 +165,21 @@ class BubbleMap:
         rep: list = [None] * (self.dart_count + 1)
         rank = [0] * (self.dart_count + 1)
         size: dict = {}
-        for cyc in _cycles(self._table[0]):
-            v = _find(parent, self.to_local(cyc[0]))
-            base = size.get(v, 0)
-            for i, g in enumerate(cyc, base):
-                rep[g] = v
-                rank[g] = i
-            size[v] = base + len(cyc)
+        for k, (off, s) in enumerate(zip(self._offsets, self.spheres)):
+            sigma = s.sigma
+            for start in range(1, len(sigma) + 1):
+                if rep[off + start] is not None:
+                    continue
+                # a cycle is first met at its smallest dart
+                v = _find(parent, (k, start))
+                i = size.get(v, 0)
+                d = start
+                while rep[off + d] is None:
+                    rep[off + d] = v
+                    rank[off + d] = i
+                    i += 1
+                    d = sigma[d - 1]
+                size[v] = i
         return rep, rank
 
     def vertex_of(self, g: int) -> tuple[int, int]:
@@ -179,6 +193,16 @@ class BubbleMap:
         return range(1, self.dart_count + 1)
 
 
+def _stray_dart(bubble: BubbleMap, darts) -> int | None:
+    """The first of ``darts`` outside 1..2E, or None.  The kernels that
+    index the global tables check this first: a dart of 0 or below would
+    wrap around a list without any error."""
+    n = bubble.dart_count
+    if darts and (min(darts) < 1 or max(darts) > n):
+        return next(g for g in darts if not 1 <= g <= n)
+    return None
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A closed walk of darts (globally addressed) in a bubble-map."""
@@ -189,20 +213,23 @@ class Circuit:
     def validate(self) -> None:
         """Raise MalformedCircuit unless heads chain onto tails and every
         support edge is traversed exactly twice."""
-        bub = self.bubble
-        if not self.darts or len(self.darts) % 2:
+        darts = self.darts
+        if not darts or len(darts) % 2:
             raise MalformedCircuit("circuit length must be a positive "
                                    "even number")
-        for g in self.darts:
-            if not 1 <= g <= bub.dart_count:
-                raise MalformedCircuit(f"dart {g} out of range")
-        for g, h in zip(self.darts, self.darts[1:] + self.darts[:1]):
-            if bub.vertex_of(bub.alpha_of(g)) != bub.vertex_of(h):
+        stray = _stray_dart(self.bubble, darts)
+        if stray is not None:
+            raise MalformedCircuit(f"dart {stray} out of range")
+        rep = self.bubble._corners[0]
+        alpha = self.bubble._table[1]
+        for g, h in zip(darts, darts[1:] + darts[:1]):
+            if rep[alpha[g - 1]] != rep[h]:
                 raise MalformedCircuit(
                     f"head of dart {g} is not the tail of dart {h}")
         edges: dict[int, int] = {}
-        for g in self.darts:
-            e = bub.edge_of(g)
+        for g in darts:
+            a = alpha[g - 1]
+            e = g if g < a else a
             edges[e] = edges.get(e, 0) + 1
         if any(c != 2 for c in edges.values()):
             raise MalformedCircuit("every support edge must be traversed "
@@ -221,12 +248,16 @@ class Circuit:
         order decides some verdicts: it gives False on some exact round
         trips (``bench/README.md``, known defect 2).
         """
-        bub = self.bubble
-        rep, rank = bub._corners
+        darts = self.darts
+        stray = _stray_dart(self.bubble, darts)
+        if stray is not None:
+            raise FormatError(f"dart {stray} out of range")
+        rep, rank = self.bubble._corners
+        alpha = self.bubble._table[1]
         chords: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for prev, g in zip(self.darts[-1:] + self.darts[:-1], self.darts):
-            v = bub.vertex_of(g)
-            a = bub.alpha_of(prev)
+        for prev, g in zip(darts[-1:] + darts[:-1], darts):
+            v = rep[g]
+            a = alpha[prev - 1]
             if rep[a] != v:
                 raise MalformedCircuit(
                     f"head of dart {prev} is not the tail of dart {g}")
@@ -267,8 +298,10 @@ def circuit_to_contour(circuit: Circuit) -> DyckPath:
 
 def _scan_contour(circuit: Circuit) -> DyckPath:
     """:func:`circuit_to_contour` of a circuit already validated."""
+    alpha = circuit.bubble._table[1]
     try:
-        return _walk_contour(map(circuit.bubble.edge_of, circuit.darts))
+        return _walk_contour([g if g < alpha[g - 1] else alpha[g - 1]
+                              for g in circuit.darts])
     except NotDyck as exc:
         raise MalformedCircuit(
             f"scan does not close into a contour: {exc}") from exc
@@ -282,43 +315,56 @@ def detect_wicked(bmap: BoundaryMap, tree: PlanarMap):
     of the tree.  Empty exactly when :func:`glue_bridgeless` yields a
     single sphere.
     """
-    if not bmap.is_bridgeless():
-        raise BoundaryHasBridge("boundary uses an edge twice")
+    walk = _bridgeless_walk(bmap)
     m = tree.edge_count
-    if bmap.perimeter != 2 * m:
-        raise SizeMismatch(f"perimeter {bmap.perimeter} != 2*{m} tree edges")
-    out = []
-    for v, classes in _boundary_groups(bmap, tree):
-        hits = sorted(p for ps in classes if len(ps) >= 2 for p in ps)
-        if hits:
-            out.append((v, tuple(hits)))
-    return out
+    if len(walk) != 2 * m:
+        raise SizeMismatch(f"perimeter {len(walk)} != 2*{m} tree edges")
+    hits: dict[int, list[int]] = {}
+    for v, ps in _boundary_groups(bmap.map, walk, _contour_matching(tree)):
+        hits.setdefault(v, []).extend(ps)
+    return [(v, tuple(sorted(ps))) for v, ps in hits.items()]
 
 
-def _boundary_groups(bmap: BoundaryMap, tree: PlanarMap):
-    """Boundary positions grouped by (vertex, contour class) in one pass.
+def _bridgeless_walk(bmap: BoundaryMap) -> tuple[int, ...]:
+    """The boundary walk of ``bmap``; raises BoundaryHasBridge when it
+    takes an edge twice."""
+    walk = bmap.boundary_walk()
+    alpha = bmap.map.alpha
+    edges = {d if d < alpha[d - 1] else alpha[d - 1] for d in walk}
+    if len(edges) != len(walk):
+        raise BoundaryHasBridge("boundary uses an edge twice")
+    return walk
 
-    Returns ``(vertex, classes)`` pairs by ascending vertex; ``classes``
-    holds the ascending positions of each contour class the vertex occurs
-    in, ordered by their first position.  Boundary darts run against the
+
+def _boundary_groups(pmap: PlanarMap, walk, match: list[int]):
+    """Boundary positions grouped by (vertex, contour class) in one pass
+    over the boundary walk ``walk`` of ``pmap``, glued along the contour
+    matching ``match`` (step i goes up exactly when ``match[i] > i``).
+
+    Returns a ``(vertex, positions)`` pair for each group of two or more
+    positions (a wicked identification), by ascending vertex and then by
+    first position; the positions ascend.  Boundary darts run against the
     contour, so the vertex sitting at contour position p is the head of
     the dart at label p.
     """
-    pmap = bmap.map
-    vertex = {d: cyc[0] for cyc in pmap.vertices() for d in cyc}
-    cls_of = class_starts(tree_to_contour(tree))
-    groups: dict[int, dict[int, list[int]]] = {}
-    for p, d in enumerate(bmap.boundary_walk()):
-        v = vertex[pmap.alpha_of(d)]
-        groups.setdefault(v, {}).setdefault(cls_of[p], []).append(p)
-    return [(v, list(groups[v].values())) for v in sorted(groups)]
+    vertex = _vertex_ids(pmap.sigma)
+    alpha = pmap.alpha
+    cls_of = class_starts(DyckPath(tuple(1 if j > i else -1
+                                         for i, j in enumerate(match))))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for p, d in enumerate(walk):
+        groups.setdefault((vertex[alpha[d - 1]], cls_of[p]), []).append(p)
+    # a stable sort keeps each vertex's groups in first-position order
+    return sorted(((v, ps) for (v, _), ps in groups.items() if len(ps) > 1),
+                  key=itemgetter(0))
 
 
-def _wicked_cuts(bmap: BoundaryMap, tree: PlanarMap):
+def _wicked_cuts(pmap: PlanarMap, walk, match: list[int]):
     """Laminar intervals [a, b) of boundary positions pinched off by wicked
-    identifications, as (a, b, vertex) triples."""
-    cuts = [(a, b, v) for v, classes in _boundary_groups(bmap, tree)
-            for ps in classes for a, b in zip(ps, ps[1:])]
+    identifications, as (a, b, vertex) triples (arguments as for
+    :func:`_boundary_groups`)."""
+    cuts = [(a, b, v) for v, ps in _boundary_groups(pmap, walk, match)
+            for a, b in zip(ps, ps[1:])]
     if not _nested((a, b) for a, b, _ in cuts):
         raise InternalMismatch("wicked cuts cross")
     return cuts
@@ -331,23 +377,23 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     single sphere and agrees with :func:`~mapglue.bijection.glue`; each
     wicked identification splits one more sphere off at a pinch vertex.
     """
-    if not bmap.is_bridgeless():
-        raise BoundaryHasBridge("boundary uses an edge twice")
+    walk = _bridgeless_walk(bmap)
     m = tree.edge_count
     if m == 0:
         raise EmptyTree("cannot glue a tree without edges")
-    if bmap.perimeter != 2 * m:
-        raise SizeMismatch(f"perimeter {bmap.perimeter} != 2*{m} tree edges")
+    if len(walk) != 2 * m:
+        raise SizeMismatch(f"perimeter {len(walk)} != 2*{m} tree edges")
     pmap = bmap.map
-    walk = list(bmap.boundary_walk())
-    sigma, alpha, index = _sew(pmap, walk, _contour_matching(tree))
+    match = _contour_matching(tree)
+    sigma, alpha, index = _sew(pmap, walk, match)
     n = len(sigma)
-    root_new = index[pmap.alpha_of(walk[0])]
     # circuit step p is the image of contour step p: the survivor partner
     # of the boundary dart at label p (so the circuit starts at the root)
-    circuit_raw = [index[pmap.alpha_of(b)] for b in walk]
+    old_alpha = pmap.alpha
+    circuit_raw = [index[old_alpha[b - 1]] for b in walk]
+    root_new = circuit_raw[0]
 
-    cuts = _wicked_cuts(bmap, tree)
+    cuts = _wicked_cuts(pmap, walk, match)
     if not cuts:
         glued = build_map(sigma, alpha, root_new)
         bubble = BubbleMap((glued,))
@@ -356,46 +402,49 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     # rebuilding sigma from the internal faces separates the rotation at
     # every pinch vertex on its own (the two sides of a wicked
     # identification share no internal face), so the spheres are exactly
-    # the connected components of the sewn structure
-    parent: dict[int, int] = {}
-    for d in range(1, n + 1):
-        _union(parent, d, alpha[d - 1])
-        _union(parent, d, sigma[d - 1])
-    members: dict[int, list[int]] = {}
-    for d in range(1, n + 1):
-        members.setdefault(_find(parent, d), []).append(d)
-    comps = sorted(members, key=lambda c: (c != _find(parent, root_new), c))
+    # the connected components of the sewn structure: the root's first,
+    # then by smallest dart, each with its darts in increasing order
+    sphere = [-1] * (n + 1)
+    comps: list[list[int]] = []
+    for start in (root_new, *range(1, n + 1)):
+        if sphere[start] >= 0:
+            continue
+        sphere[start] = k = len(comps)
+        comps.append(ds := [start])
+        for d in ds:  # also visits the darts appended while it runs
+            for e in (sigma[d - 1], alpha[d - 1]):
+                if sphere[e] < 0:
+                    sphere[e] = k
+                    ds.append(e)
+        ds.sort()
     if len(comps) != len(cuts) + 1:
         raise InternalMismatch("component count does not match the wicked "
                                "identifications")
+    local = [0] * (n + 1)  # the label of each dart within its sphere
     spheres = []
-    local: dict[int, tuple[int, int]] = {}
-    for k, c in enumerate(comps):
-        ds = members[c]
-        li = {d: i + 1 for i, d in enumerate(ds)}
-        for d in ds:
-            local[d] = (k, li[d])
-        ls = [li[sigma[d - 1]] for d in ds]
-        la = [li[alpha[d - 1]] for d in ds]
-        root_loc = li[root_new] if k == 0 else 1
-        spheres.append(build_map(ls, la, root_loc))
+    for k, ds in enumerate(comps):
+        for i, d in enumerate(ds, 1):
+            local[d] = i
+        spheres.append(build_map([local[sigma[d - 1]] for d in ds],
+                                 [local[alpha[d - 1]] for d in ds],
+                                 local[root_new] if k == 0 else 1))
 
     pinches = []
     for a, b, v in cuts:
         # the cut pinches the component carrying boundary edge a onto the
         # one carrying boundary edge b; both circuit darts start at the
         # pinch vertex
-        ka, da = local[circuit_raw[a]]
-        kb, db = local[circuit_raw[b]]
+        da, db = circuit_raw[a], circuit_raw[b]
+        ka, kb = sphere[da], sphere[db]
         if ka == kb:
             raise InternalMismatch("wicked identification did not "
                                    "disconnect the spheres")
-        pinches.append((ka, spheres[ka].vertex_of(da),
-                        kb, spheres[kb].vertex_of(db)))
+        pinches.append((ka, spheres[ka].vertex_of(local[da]),
+                        kb, spheres[kb].vertex_of(local[db])))
 
     bubble = BubbleMap(tuple(spheres), tuple(sorted(pinches)))
-    offs = bubble.offsets()
-    circuit = tuple(offs[local[d][0]] + local[d][1] for d in circuit_raw)
+    offs = bubble._offsets
+    circuit = tuple(offs[sphere[d]] + local[d] for d in circuit_raw)
     return bubble, Circuit(bubble, circuit)
 
 
@@ -408,18 +457,21 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
     duplicated darts all join that face.
     """
     circuit.validate()
-    on_circuit = {bubble.vertex_of(g) for g in circuit.darts}
+    darts = circuit.darts
+    rep = bubble._corners[0]
+    offs = bubble._offsets
+    on_circuit = {rep[g] for g in darts}
     for a, va, b, vb in bubble.pinches:
-        if bubble.vertex_of(bubble.to_global(a, va)) not in on_circuit:
+        if rep[offs[a] + va] not in on_circuit:
             raise CircuitMissesPinch(
                 f"circuit avoids the pinch at sphere {a} vertex {va}")
+    sigma, alpha = bubble._table
     root = bubble.root
-    if root not in circuit.darts and bubble.alpha_of(root) not in circuit.darts:
+    if root not in darts and alpha[root - 1] not in darts:
         raise MalformedCircuit("circuit does not contain the root edge")
 
-    sigma, alpha = bubble._table
     phi = [sigma[a - 1] for a in alpha]
-    bmap = BoundaryMap(build_map(*_cut(phi, alpha, circuit.darts)))
+    bmap = BoundaryMap(build_map(*_cut(phi, alpha, darts)))
     tree = contour_to_tree(_scan_contour(circuit))
     return tree, bmap
 
@@ -464,7 +516,7 @@ def bubble_canonical_key(bubble: BubbleMap, circuit: Circuit,
     are labelled.
     """
     darts = circuit.darts
-    if not darts or not all(0 < g <= bubble.dart_count for g in darts):
+    if not darts or _stray_dart(bubble, darts) is not None:
         raise MalformedCircuit("circuit darts missing or out of range")
     sphere_of = [k for k, s in enumerate(bubble.spheres) for _ in s.darts()]
     # a rotation's labelling depends only on the first circuit dart that
@@ -483,11 +535,16 @@ def bubble_canonical_key(bubble: BubbleMap, circuit: Circuit,
         k = sphere_of[g - 1]
         order = [(k, g)] + [x for x in order if x[0] != k]
         groups.setdefault(_entries(order), []).append(i)
+    # every group labels the root sphere (darts 1..r, which share no dart
+    # with the other spheres) the same way, so only the other spheres are
+    # compared: their tables shifted down by r, searched from the entries
     sigma, alpha = bubble._table
-    _, tied = _min_code(sigma, alpha,
-                        [(bubble.root,) + seeds for seeds in groups])
-    return min(_labelled_key(bubble, darts, seeds[1:], groups[seeds[1:]])
-               for seeds in tied)
+    r = bubble.spheres[0].dart_count
+    shifted = {tuple(g - r for g in seeds): seeds for seeds in groups}
+    _, tied = _min_code([x - r for x in sigma[r:]],
+                        [x - r for x in alpha[r:]], list(shifted))
+    return min(_labelled_key(bubble, darts, shifted[s], groups[shifted[s]])
+               for s in tied)
 
 
 def _entries(met) -> tuple[int, ...]:

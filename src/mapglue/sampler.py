@@ -78,20 +78,24 @@ class ChiSquareReport:
 
 
 def tree_marginal_test(spec: SampleSpec, draws: int | None = None,
-                       words: tuple[str, ...] | None = None) -> ChiSquareReport:
+                       words: tuple[str, ...] | None = None,
+                       drawn: list[TreeDecoratedMap] | None = None,
+                       ) -> ChiSquareReport:
     """Chi-square test of the tree marginal over the catalan(m) cells.
 
-    With ``words`` the test restricts to draws whose tree falls in that
-    subset, which must stay uniform within the subset.
+    The test takes draws 0..``draws``-1 of ``spec`` (all ``spec.count``
+    by default), or the decorated maps ``drawn`` when the caller already
+    has them.  With ``words`` the test restricts to draws whose tree falls
+    in that subset, which must stay uniform within the subset.
     """
     from scipy.stats import chisquare
 
-    if draws is None:
-        draws = spec.count
-    pool = _catalog_maps(spec)
+    if drawn is None:
+        pool = _catalog_maps(spec)
+        drawn = (draw_tree_decorated(spec, i, pool)
+                 for i in range(spec.count if draws is None else draws))
     counts: dict[str, int] = {}
-    for i in range(draws):
-        tdm = draw_tree_decorated(spec, i, pool)
+    for tdm in drawn:
         word = _tree_contour(tdm.map, tdm.tree_edges)[1].to_word()
         counts[word] = 1 + counts.get(word, 0)
     if words is None:

@@ -148,7 +148,7 @@ def test_criterion_10_sampler():
             from scipy.stats import chisquare
             _, pvalue = chisquare(list(support.values()))
             ok &= pvalue > 0.001
-        report = tree_marginal_test(spec, draws=min(spec.count, 20000))
+        report = tree_marginal_test(spec, drawn=draws[:20000])
         ok &= report.passed
     spec = SampleSpec(4, 2, 2, seed=7, count=200)
     text_a = "".join(export_decorated(t) for t in sample_tree_decorated(spec))

@@ -10,12 +10,13 @@ from mapglue.bijection import (ForestDecoratedMap, MultiBoundaryMap,
                                decorated_to_line, forest_from_line,
                                forest_to_line, glue, glue_forest,
                                glue_partial, unglue)
-from mapglue.bubbles import glue_bridgeless, unglue_bubble
+from mapglue.bubbles import detect_wicked, glue_bridgeless, unglue_bubble
 from mapglue.enumeration import (enumerate_boundary_maps, enumerate_maps,
                                  tree_submaps)
 from mapglue.errors import (BoundariesNotDisjoint, BoundaryNotSimple,
                             DecorationNotATree, EmptyTree, FormatError,
-                            RootNotOnTree, SizeMismatch, TreeTooLarge)
+                            NotDyck, RootNotOnTree, SizeMismatch,
+                            TreeTooLarge)
 from mapglue.maps import BoundaryMap, _edge_ends, _is_tree, build_map
 from mapglue.trees import (DyckPath, catalan, contour_to_tree,
                            enumerate_trees, sample_dyck_uniform,
@@ -329,6 +330,23 @@ def test_non_simple_boundary_is_reported_before_its_size():
                 glue_partial(BoundaryMap(pmap), tree)
             with pytest.raises(BoundaryNotSimple):
                 glue_forest(MultiBoundaryMap(pmap, (pmap.root,)), [tree])
+
+
+def test_gluing_refuses_a_tree_that_is_no_plane_tree():
+    """Every gluing entry point refuses a 2-edge map with two faces as the
+    tree (NotDyck, from the contour matching) instead of failing on a
+    lookup of a dart its root face misses."""
+    not_trees = [pm for pm in enumerate_maps(2).maps() if pm.face_count == 2]
+    assert len(not_trees) == 5
+    square = enumerate_boundary_maps(q=4, f=1, perimeter=4,
+                                     simple=True).maps()[0]
+    bmap = BoundaryMap(square)
+    for pm in not_trees:
+        for entry in (glue, glue_partial, glue_bridgeless, detect_wicked):
+            with pytest.raises(NotDyck):
+                entry(bmap, pm)
+        with pytest.raises(NotDyck):
+            glue_forest(MultiBoundaryMap(square, (square.root,)), [pm])
 
 
 def test_unglue_root_not_on_tree():

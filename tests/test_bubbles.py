@@ -4,18 +4,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mapglue.bijection import glue
-from mapglue.bubbles import (BubbleMap, Circuit, _nested, _wicked_cuts,
-                             bubble_canonical_key, bubble_from_text,
-                             bubble_rerooted, bubble_to_text,
-                             circuit_to_contour, detect_wicked,
-                             glue_bridgeless, unglue_bubble)
+from mapglue.bijection import _contour_matching, glue
+from mapglue.bubbles import (BubbleMap, Circuit, _entries, _labelled_key,
+                             _nested, _wicked_cuts, bubble_canonical_key,
+                             bubble_from_text, bubble_rerooted,
+                             bubble_to_text, circuit_to_contour,
+                             detect_wicked, glue_bridgeless, unglue_bubble)
 from mapglue.counting import count_bubble
 from mapglue.enumeration import enumerate_maps
 from mapglue.errors import (BoundaryHasBridge, CircuitMissesPinch,
-                            Disconnected, FormatError, InternalMismatch,
-                            MalformedCircuit)
-from mapglue.maps import BoundaryMap, build_map, map_from_line
+                            Disconnected, EmptyTree, FormatError,
+                            InternalMismatch, MalformedCircuit, SizeMismatch)
+from mapglue.maps import (BoundaryMap, _cycles, _find, _min_code, _union,
+                          build_map, map_from_line)
 from mapglue.trees import (DyckPath, contour_classes, contour_to_tree,
                            enumerate_trees, sample_dyck_uniform,
                            tree_to_contour)
@@ -269,6 +270,59 @@ def test_bridged_boundary_refused():
         detect_wicked(bridge, tree)
 
 
+class EdgelessTree:
+    # a tree with no edges has no map encoding; a stub is enough to reach
+    # the emptiness check
+    edge_count = 0
+
+
+def test_gluing_checks_in_order():
+    """A bridge is reported first, then (in glue_bridgeless only) an empty
+    tree, then a size mismatch."""
+    bridge = BoundaryMap(build_map([1, 2], [2, 1], 1))
+    eight = BoundaryMap(FIGURE_EIGHT)
+    too_big = contour_to_tree(DyckPath.from_word("UUDD"))
+    for tree in (too_big, EdgelessTree()):
+        with pytest.raises(BoundaryHasBridge):
+            glue_bridgeless(bridge, tree)
+        with pytest.raises(BoundaryHasBridge):
+            detect_wicked(bridge, tree)
+        with pytest.raises(SizeMismatch):
+            detect_wicked(eight, tree)
+    with pytest.raises(EmptyTree):
+        glue_bridgeless(eight, EdgelessTree())
+    with pytest.raises(SizeMismatch):
+        glue_bridgeless(eight, too_big)
+
+
+def _three_spheres():
+    """The gluing of test_two_wicked_vertices_in_vertex_order."""
+    bm = BoundaryMap(map_from_line(
+        "map E=6 root=1 sigma=2,1,5,3,6,4,9,7,10,8,12,11 "
+        "alpha=3,4,1,2,7,8,5,6,11,12,9,10"))
+    return glue_bridgeless(bm, contour_to_tree(DyckPath.from_word("UDUUDD")))
+
+
+def test_stray_darts_are_refused_before_any_table_lookup():
+    """Darts 0, -1 and 2E + 1 would index the flat tables (0 and -1 wrap
+    around a list); every circuit kernel refuses them first."""
+    for bubble, circuit in (glue_bridgeless(
+            BoundaryMap(FIGURE_EIGHT),
+            contour_to_tree(DyckPath.from_word("UD"))), _three_spheres()):
+        darts = circuit.darts
+        for stray in (0, -1, bubble.dart_count + 1):
+            for bad in ((stray,) + darts[1:], darts[:-1] + (stray,)):
+                bad = Circuit(bubble, bad)
+                with pytest.raises(MalformedCircuit, match="out of range"):
+                    bad.validate()
+                with pytest.raises(MalformedCircuit, match="out of range"):
+                    circuit_to_contour(bad)
+                with pytest.raises(MalformedCircuit, match="out of range"):
+                    unglue_bubble(bubble, bad)
+                with pytest.raises(FormatError, match="out of range"):
+                    bad.is_non_crossing()
+
+
 def test_malformed_circuits():
     bubble, circuit = glue_bridgeless(
         BoundaryMap(FIGURE_EIGHT), contour_to_tree(DyckPath.from_word("UD")))
@@ -449,11 +503,17 @@ def _scanned_cuts(bmap, tree):
     return cuts
 
 
+def _cuts(bmap, tree):
+    """The wicked cuts that glue_bridgeless takes of one gluing."""
+    return _wicked_cuts(bmap.map, bmap.boundary_walk(),
+                        _contour_matching(tree))
+
+
 def _check_against_references(bm, tree):
     """Compare the one-pass kernels with the references on one gluing and
     return the gluing, or None when it raises Disconnected."""
     assert detect_wicked(bm, tree) == _scanned_wicked(bm, tree)
-    assert _wicked_cuts(bm, tree) == _scanned_cuts(bm, tree)
+    assert _cuts(bm, tree) == _scanned_cuts(bm, tree)
     try:
         bubble, circuit = glue_bridgeless(bm, tree)
     except Disconnected:
@@ -504,7 +564,7 @@ def test_two_wicked_vertices_in_vertex_order():
     tree = contour_to_tree(DyckPath.from_word("UDUUDD"))
     bubble, _ = _check_against_references(bm, tree)
     assert detect_wicked(bm, tree) == [(3, (0, 2)), (7, (3, 5))]
-    assert [v for _, _, v in _wicked_cuts(bm, tree)] == [3, 7]
+    assert [v for _, _, v in _cuts(bm, tree)] == [3, 7]
     assert len(bubble.spheres) == 3
 
 
@@ -593,3 +653,64 @@ def test_malformed_circuit_in_non_crossing():
     two = BubbleMap((path2, loop), ((0, path2.vertex_of(1), 1, 1),))
     with pytest.raises(MalformedCircuit):
         Circuit(two, (1, 3)).is_non_crossing()
+
+
+def _global_cycle_corners(bubble):
+    """Reference BubbleMap._corners: walk the cycles of the global sigma
+    and find each one's sphere by bisection."""
+    parent = {}
+    for a, va, b, vb in bubble.pinches:
+        _union(parent, (a, va), (b, vb))
+    rep = [None] * (bubble.dart_count + 1)
+    rank = [0] * (bubble.dart_count + 1)
+    size = {}
+    for cyc in _cycles(bubble._table[0]):
+        v = _find(parent, bubble.to_local(cyc[0]))
+        base = size.get(v, 0)
+        for i, g in enumerate(cyc, base):
+            rep[g] = v
+            rank[g] = i
+        size[v] = base + len(cyc)
+    return rep, rank
+
+
+def _root_search_cyclic_key(bubble, circuit):
+    """Reference cyclic bubble_canonical_key: every group's code search
+    starts at the bubble root and relabels the root sphere again."""
+    darts = circuit.darts
+    sphere_of = [k for k, s in enumerate(bubble.spheres) for _ in s.darts()]
+    order = []
+    for g in darts:
+        if sphere_of[g - 1] not in [k for k, _ in order]:
+            order.append((sphere_of[g - 1], g))
+    groups = {}
+    for i in reversed(range(len(darts))):
+        g = darts[i]
+        k = sphere_of[g - 1]
+        order = [(k, g)] + [x for x in order if x[0] != k]
+        groups.setdefault(_entries(order), []).append(i)
+    sigma, alpha = bubble._table
+    _, tied = _min_code(sigma, alpha,
+                        [(bubble.root,) + seeds for seeds in groups])
+    return min(_labelled_key(bubble, darts, seeds[1:], groups[seeds[1:]])
+               for seeds in tied)
+
+
+def _gluings_and_joined_discs():
+    for pm, bm, path in _bridgeless_inputs(5):
+        yield glue_bridgeless(bm, contour_to_tree(path))
+    for k, seeds in ((2, range(6)), (3, range(6)), (4, range(6)),
+                     (16, (0,))):
+        for seed in seeds:
+            bm, path = _joined_disc(k, seed)
+            yield glue_bridgeless(bm, contour_to_tree(path))
+
+
+def test_corners_and_cyclic_keys_match_references():
+    multi = 0
+    for bubble, circuit in _gluings_and_joined_discs():
+        assert bubble._corners == _global_cycle_corners(bubble)
+        assert (bubble_canonical_key(bubble, circuit, cyclic=True)
+                == _root_search_cyclic_key(bubble, circuit))
+        multi += len(bubble.spheres) > 1
+    assert multi > 19

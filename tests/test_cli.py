@@ -1,9 +1,12 @@
 import io
 import contextlib
+import os
+import subprocess
 import sys
 
 import pytest
 
+import mapglue
 from mapglue import verify
 from mapglue.cli import main
 from mapglue.counting import count_tree_decorated
@@ -244,3 +247,14 @@ def test_usage_exit_codes():
                          "--tree-edges", "1", "--seed", "1", "--count", "-1")
     assert code == 2 and out == "" and "--count" in err
     assert run("--help")[0] == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    # the checkout's src directory, as PYTHONPATH=src gives it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mapglue.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "mapglue", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0
+    assert "verify" in done.stdout

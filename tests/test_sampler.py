@@ -67,6 +67,16 @@ def test_tree_marginal_two_cells():
     assert report.passed
 
 
+def test_tree_marginal_takes_the_draws_given():
+    spec = SampleSpec(q=4, f=2, m=2, seed=8, count=2000)
+    drawn = sample_tree_decorated(spec)
+    assert (tree_marginal_test(spec, drawn=drawn[:1000])
+            == tree_marginal_test(spec, draws=1000))
+    report = tree_marginal_test(spec, drawn=drawn)
+    assert report == tree_marginal_test(spec)
+    assert report.draws == 2000 and report.passed
+
+
 def test_tree_marginal_restricted_subset():
     report = tree_marginal_test(SampleSpec(q=4, f=3, m=3, seed=5,
                                            count=3000),
