@@ -326,12 +326,10 @@ def detect_wicked(bmap: BoundaryMap, tree: PlanarMap):
 
 
 def _bridgeless_walk(bmap: BoundaryMap) -> tuple[int, ...]:
-    """The boundary walk of ``bmap``; raises BoundaryHasBridge when it
-    takes an edge twice."""
-    walk = bmap.boundary_walk()
-    alpha = bmap.map.alpha
-    edges = {d if d < alpha[d - 1] else alpha[d - 1] for d in walk}
-    if len(edges) != len(walk):
+    """:meth:`~mapglue.maps.BoundaryMap.bridgeless_walk` of ``bmap``;
+    raises BoundaryHasBridge when it takes an edge twice."""
+    walk = bmap.bridgeless_walk()
+    if walk is None:
         raise BoundaryHasBridge("boundary uses an edge twice")
     return walk
 
@@ -564,9 +562,8 @@ def _labelled_key(bubble: BubbleMap, darts, seeds, starts):
     ``darts`` that starts at one of ``starts``.
     """
     sigma, alpha = bubble._table
-    new_sigma, new_alpha, image = _canonical(sigma, alpha,
-                                             (bubble.root,) + seeds)
-    if len(new_sigma) != len(sigma):
+    code, image = _canonical(sigma, alpha, (bubble.root,) + seeds)
+    if len(code) != 2 * len(sigma):
         raise MalformedCircuit("the circuit does not enter every sphere")
 
     def vertex_label(k: int, v: int) -> int:
@@ -580,7 +577,7 @@ def _labelled_key(bubble: BubbleMap, darts, seeds, starts):
         tuple(sorted((vertex_label(a, va), vertex_label(b, vb))))
         for a, va, b, vb in bubble.pinches))
     circ = [image[g] for g in darts]
-    return (tuple(new_sigma + new_alpha), pinches,
+    return (code, pinches,
             min(tuple(circ[i:] + circ[:i]) for i in starts))
 
 

@@ -50,13 +50,12 @@ def _need(args, *names):
 
 
 def _parse_sizes(text: str) -> list[int]:
+    """The tree sizes of a comma-separated ``--sizes`` value; an empty
+    item (``,``, ``1,,2`` or ``2,``) is refused like any other non-integer."""
     try:
-        sizes = [int(x) for x in text.split(",") if x]
+        return [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad --sizes value {text!r}") from exc
-    if not sizes:
-        raise UsageError("--sizes must list at least one tree size")
-    return sizes
 
 
 # -- count ---------------------------------------------------------------------

@@ -64,9 +64,9 @@ except ImportError:
     from hashlib import sha256
 
 from .errors import CapExceeded, Disconnected, FormatError, Infeasible
-from .maps import (BoundaryMap, CanonicalCode, PlanarMap, _array_code,
-                   _canonical, _edge_ends, _ints, _is_tree, _min_code,
-                   _record, build_map)
+from .maps import (BoundaryMap, CanonicalCode, PlanarMap, _canonical,
+                   _edge_ends, _ints, _is_tree, _min_code, _record,
+                   build_map)
 from .trees import contour_to_tree, enumerate_trees
 
 EDGE_CAP = 6        # general enumeration, by edge count
@@ -152,11 +152,11 @@ def _with_edge_inserted(pmap: PlanarMap):
         # pendant edge hanging into the face at this corner
         s = list(sigma) + [c1, y]
         s[p1 - 1] = x
-        yield _array_code(s, alpha, root)
+        yield _canonical(s, alpha, root)[0]
         # trivial loop inside the corner
         s = list(sigma) + [y, c1]
         s[p1 - 1] = x
-        yield _array_code(s, alpha, root)
+        yield _canonical(s, alpha, root)[0]
         for c2 in range(c1 + 1, n + 1):
             if face[c1 - 1] != face[c2 - 1]:
                 continue  # joining distinct faces would raise the genus
@@ -164,7 +164,7 @@ def _with_edge_inserted(pmap: PlanarMap):
             s = list(sigma) + [c1, c2]
             s[p1 - 1] = x
             s[p2 - 1] = y
-            yield _array_code(s, alpha, root)
+            yield _canonical(s, alpha, root)[0]
 
 
 _LEVELS: dict[int, Catalog] = {}
@@ -281,11 +281,11 @@ def _qangulation_boundary_maps(q: int, f: int, perimeter: int) -> tuple[PlanarMa
         level = nxt
     rooted: dict[tuple[int, ...], PlanarMap] = {}
     for sigma, alpha, walk in level.values():
+        n = len(sigma)
         for d in walk:
-            new_sigma, new_alpha, _ = _canonical(sigma, alpha, (d,))
-            rooted.setdefault(tuple(new_sigma + new_alpha),
-                              PlanarMap(tuple(new_sigma), tuple(new_alpha),
-                                        1))
+            code = _canonical(sigma, alpha, (d,))[0]
+            if code not in rooted:
+                rooted[code] = PlanarMap(code[:n], code[n:], 1)
     result = tuple(rooted[c] for c in sorted(rooted))
     _QANG_LEVELS[memo_key] = result
     return result

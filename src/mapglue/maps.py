@@ -136,10 +136,6 @@ class PlanarMap:
     def alpha_of(self, d: int) -> int:
         return self.alpha[d - 1]
 
-    def phi_of(self, d: int) -> int:
-        """Next dart along the face to the left of ``d``."""
-        return self.sigma[self.alpha[d - 1] - 1]
-
     def darts(self) -> range:
         return range(1, self.dart_count + 1)
 
@@ -202,15 +198,6 @@ class PlanarMap:
         """Face cycle of the root dart, starting at the root."""
         return self.face_cycle(self.root)
 
-    def degree(self, d: int) -> int:
-        """Degree of the vertex at the tail of ``d``."""
-        n = 1
-        e = self.sigma_of(d)
-        while e != d:
-            n += 1
-            e = self.sigma_of(e)
-        return n
-
     # -- identity ---------------------------------------------------------
 
     def relabel(self, image: dict[int, int] | list[int]) -> "PlanarMap":
@@ -230,11 +217,11 @@ class PlanarMap:
         """First-visit order of the breadth-first exploration from the root,
         alternating sigma then alpha, as an image array: dart ``d`` becomes
         ``image[d]`` (index 0 is unused)."""
-        return _canonical_bfs(self.sigma, self.alpha, (self.root,))[0]
+        return _canonical(self.sigma, self.alpha, (self.root,))[1]
 
     def canonical_code(self) -> "CanonicalCode":
-        return CanonicalCode(_array_code(self.sigma, self.alpha,
-                                         (self.root,)))
+        return CanonicalCode(_canonical(self.sigma, self.alpha,
+                                        (self.root,))[0])
 
     def rerooted(self, root: int) -> "PlanarMap":
         """The same map rooted at dart ``root``, which must be one of its
@@ -244,84 +231,21 @@ class PlanarMap:
         return PlanarMap(self.sigma, self.alpha, root, self.labels)
 
 
-def _canonical_bfs(sigma: Perm, alpha: Perm,
-                   seeds) -> tuple[list[int], list[int]]:
-    """Breadth-first exploration from the first seed, sigma before alpha;
-    when the queue runs dry it continues from the next seed that has no
-    label yet.
+def _canonical(sigma: Perm, alpha: Perm, seeds,
+               bound=None) -> tuple[tuple[int, ...], list[int]] | None:
+    """The one breadth-first labelling behind every canonical code, key and
+    export: from the first seed, sigma before alpha; when the queue runs
+    dry it continues from the next seed that has no label yet.
 
-    Returns ``(image, order)``: ``image[d]`` is the new label of dart ``d``
-    (index 0 unused, 0 for a dart no seed reaches) and ``order[k]`` is the
-    dart labelled ``k + 1``.
-    """
-    image = [0] * (len(sigma) + 1)
-    order: list[int] = []
-    n = 0
-    for seed in seeds:
-        if image[seed]:
-            continue
-        n += 1
-        image[seed] = n
-        queue = [seed]
-        for d in queue:  # also visits the darts appended while it runs
-            e = sigma[d - 1]
-            if not image[e]:
-                n += 1
-                image[e] = n
-                queue.append(e)
-            e = alpha[d - 1]
-            if not image[e]:
-                n += 1
-                image[e] = n
-                queue.append(e)
-        order += queue
-    return image, order
+    Returns ``(code, image)``: ``code`` is the relabelled sigma then alpha
+    as one tuple (darts that no seed reaches are left out, so it is
+    shorter than the arrays), and ``image[d]`` is the new label of dart
+    ``d`` (index 0 unused, 0 for a dart no seed reaches).
 
-
-def _canonical(sigma: Perm, alpha: Perm,
-               seeds) -> tuple[list[int], list[int], list[int]]:
-    """sigma and alpha relabelled by :func:`_canonical_bfs` (darts that no
-    seed reaches are left out), and the image array."""
-    image, order = _canonical_bfs(sigma, alpha, seeds)
-    return ([image[sigma[d - 1]] for d in order],
-            [image[alpha[d - 1]] for d in order], image)
-
-
-def _array_code(sigma, alpha, seeds) -> tuple[int, ...]:
-    """Relabelled sigma then alpha of :func:`_canonical` as one tuple: the
-    canonical code of raw rotation arrays, shorter than the arrays when the
-    seeds do not reach every dart."""
-    new_sigma, new_alpha, _ = _canonical(sigma, alpha, seeds)
-    return tuple(new_sigma + new_alpha)
-
-
-def _min_code(sigma, alpha, roots) -> tuple[tuple[int, ...], list]:
-    """The smallest :func:`_array_code` over the seed tuples ``roots`` (a
-    plain root is a 1-tuple), and the seed tuples that give it, in order.
-
-    Each seed tuple's search stops as soon as the relabelled sigma it has
-    emitted is larger than the best code so far (see :func:`_code_upto`).
-    """
-    best = None
-    tied: list = []
-    for seeds in roots:
-        code = _code_upto(sigma, alpha, seeds, best)
-        if code is None or (best is not None and code > best):
-            continue
-        if code == best:
-            tied.append(seeds)
-        else:
-            best, tied = code, [seeds]
-    return best, tied
-
-
-def _code_upto(sigma, alpha, seeds, bound):
-    """``_array_code(sigma, alpha, seeds)``, or None once it is known to be
-    larger than ``bound`` (None: no bound).
-
-    The search of :func:`_canonical_bfs` fixes one entry of the relabelled
-    sigma per dart it dequeues; each is compared with ``bound`` as soon as
-    it is fixed, until the prefix differs from it.
+    With a ``bound`` (a code) it returns None as soon as the relabelled
+    sigma is known to be larger than ``bound``: the search fixes one entry
+    of it per dart it dequeues, and each is compared with ``bound`` as
+    soon as it is fixed, until the prefix differs from it.
     """
     image = [0] * (len(sigma) + 1)
     order: list[int] = []
@@ -355,8 +279,30 @@ def _code_upto(sigma, alpha, seeds, bound):
                 image[e] = n
                 queue.append(e)
         order += queue
-    return tuple([image[sigma[d - 1]] for d in order]
-                 + [image[alpha[d - 1]] for d in order])
+    return (tuple([image[sigma[d - 1]] for d in order]
+                  + [image[alpha[d - 1]] for d in order]), image)
+
+
+def _min_code(sigma, alpha, roots) -> tuple[tuple[int, ...], list]:
+    """The smallest code of :func:`_canonical` over the seed tuples
+    ``roots`` (a plain root is a 1-tuple), and the seed tuples that give
+    it, in order.
+
+    Each seed tuple's search is bounded by the best code so far, so it
+    stops as soon as the relabelled sigma it has emitted is larger.
+    """
+    best = None
+    tied: list = []
+    for seeds in roots:
+        found = _canonical(sigma, alpha, seeds, best)
+        code = found and found[0]  # None when the search fell behind
+        if code is None or (best is not None and code > best):
+            continue
+        if code == best:
+            tied.append(seeds)
+        else:
+            best, tied = code, [seeds]
+    return best, tied
 
 
 def _connected_vertex_count(sigma: Perm, alpha: Perm) -> int | None:
@@ -455,9 +401,14 @@ class BoundaryMap:
         return [self.map.vertex_of(d) for d in self.boundary_walk()]
 
     def is_bridgeless(self) -> bool:
+        return self.bridgeless_walk() is not None
+
+    def bridgeless_walk(self) -> tuple[int, ...] | None:
+        """:meth:`boundary_walk`, or None when it takes an edge twice."""
         walk = self.boundary_walk()
-        edges = [self.map.edge_of(d) for d in walk]
-        return len(set(edges)) == len(edges)
+        alpha = self.map.alpha
+        edges = {d if d < alpha[d - 1] else alpha[d - 1] for d in walk}
+        return walk if len(edges) == len(walk) else None
 
     def is_vertex_simple(self) -> bool:
         """Boundary walk visits no vertex twice (allows the bare-edge case)."""

@@ -23,7 +23,8 @@ from .bijection import (TreeDecoratedMap, _tree_contour,
 from .counting import count_tree_decorated
 from .enumeration import get_catalog
 from .errors import DecorationNotATree, FormatError, UnknownFormat
-from .maps import BoundaryMap, PlanarMap, _ints, _record, build_map
+from .maps import (BoundaryMap, PlanarMap, _canonical, _cycles, _ints,
+                   _record, build_map)
 from .trees import contour_to_tree, sample_dyck_uniform
 
 
@@ -115,21 +116,24 @@ def tree_marginal_test(spec: SampleSpec, draws: int | None = None,
 def export_decorated(tdm: TreeDecoratedMap, format: str = "plain") -> str:
     """Deterministic adjacency-with-rotation text for a decorated map.
 
-    The map is canonically relabelled first; each vertex line lists its
-    darts in rotation order as ``dart/partner`` pairs.
+    The map is canonically relabelled first (so the root is dart 1); each
+    vertex line lists its darts in rotation order as ``dart/partner``
+    pairs, starting at its smallest dart, and the lines come in
+    increasing order of that dart.
     """
     if format != "plain":
         raise UnknownFormat(f"unknown export format {format!r}")
-    image = tdm.map.canonical_relabelling()
-    pmap = tdm.map.relabel(image)
-    tree = sorted(min(image[e], image[tdm.map.alpha_of(e)])
+    pmap = tdm.map
+    code, image = _canonical(pmap.sigma, pmap.alpha, (pmap.root,))
+    n = pmap.dart_count
+    alpha = code[n:]
+    # each cycle starts at its smallest dart, in increasing order
+    vertices = _cycles(code[:n])
+    tree = sorted(min(image[e], image[pmap.alpha[e - 1]])
                   for e in tdm.tree_edges)
-    lines = [f"decorated vertices={pmap.vertex_count} "
-             f"edges={pmap.edge_count} root={pmap.root}"]
-    for cyc in sorted(pmap.vertices()):
-        start = cyc.index(min(cyc))
-        cyc = cyc[start:] + cyc[:start]
-        pairs = " ".join(f"{d}/{pmap.alpha_of(d)}" for d in cyc)
+    lines = [f"decorated vertices={len(vertices)} edges={n // 2} root=1"]
+    for cyc in vertices:
+        pairs = " ".join(f"{d}/{alpha[d - 1]}" for d in cyc)
         lines.append(f"vertex {cyc[0]}: {pairs}")
     lines.append("tree: " + ",".join(str(e) for e in tree))
     return "\n".join(lines) + "\n"

@@ -243,6 +243,11 @@ def test_usage_exit_codes():
                  ("--which", "B", "--max-x", "0", "--max-y", "-1")):
         code, out, err = run("series", *argv)
         assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+    for sizes in (",", "1,,2", "2,", "", "1,x"):
+        code, out, err = run("count", "--family", "forest", "--q", "4",
+                             "--faces", "2", "--sizes", sizes)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, sizes
+        assert "--sizes" in err
     code, out, err = run("sample", "--q", "4", "--faces", "1",
                          "--tree-edges", "1", "--seed", "1", "--count", "-1")
     assert code == 2 and out == "" and "--count" in err

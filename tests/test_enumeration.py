@@ -66,7 +66,7 @@ def _with_loose_loop(pmap):
 def test_invalid_insertion_candidate_raises(monkeypatch, bad_candidate,
                                             error):
     from mapglue import enumeration
-    from mapglue.maps import _array_code
+    from mapglue.maps import _canonical
     monkeypatch.setattr(enumeration, "_LEVELS", {})
     real = enumeration._with_edge_inserted
 
@@ -74,7 +74,7 @@ def test_invalid_insertion_candidate_raises(monkeypatch, bad_candidate,
         yield from real(pmap)
         if pmap.face_count > 1:
             sigma, alpha = bad_candidate(pmap)
-            yield _array_code(sigma, alpha, (pmap.root,))
+            yield _canonical(sigma, alpha, (pmap.root,))[0]
 
     monkeypatch.setattr(enumeration, "_with_edge_inserted", generator)
     with pytest.raises(error):
@@ -99,7 +99,7 @@ def _recording(results, real):
 
 def test_qangulation_growth_validates_each_distinct_map_once(monkeypatch):
     from mapglue import enumeration, trees
-    from mapglue.maps import _array_code
+    from mapglue.maps import _canonical
     before = enumerate_boundary_maps(q=4, f=3, perimeter=4)
     monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
     trees._memo_tree.cache_clear()
@@ -114,7 +114,7 @@ def test_qangulation_growth_validates_each_distinct_map_once(monkeypatch):
     # each (map, external face) pair once, by its smallest code over the
     # external rootings; the steps have different dart counts, so one set
     # holds them all
-    distinct = {min(_array_code(sigma, alpha, (d,)) for d in walk)
+    distinct = {min(_canonical(sigma, alpha, (d,))[0] for d in walk)
                 for sigma, alpha, walk in cands}
     assert len(cands) > len(distinct) > 0
     seed_trees = 42  # the plane trees with 5 edges

@@ -3,9 +3,8 @@ import pytest
 from mapglue.errors import (Disconnected, FormatError, NonPlanar,
                             NotInvolution)
 from mapglue.enumeration import enumerate_maps
-from mapglue.maps import (BoundaryMap, PlanarMap, _connected_vertex_count,
-                          build_map, is_q_angulation, map_from_line,
-                          map_to_line)
+from mapglue.maps import (BoundaryMap, _connected_vertex_count, build_map,
+                          is_q_angulation, map_from_line, map_to_line)
 
 EDGE = build_map([1, 2], [2, 1], 1)
 LOOP = build_map([2, 1], [2, 1], 1)
@@ -23,7 +22,7 @@ def test_euler_counts():
 def test_phi_is_face_permutation():
     for pmap in (EDGE, LOOP, TRIANGLE):
         darts = set(pmap.darts())
-        assert {pmap.phi_of(d) for d in darts} == darts
+        assert {pmap.sigma_of(pmap.alpha_of(d)) for d in darts} == darts
         assert sum(len(f) for f in pmap.faces()) == pmap.dart_count
 
 
@@ -31,7 +30,7 @@ def test_accessors():
     assert TRIANGLE.alpha_of(1) == 4
     assert TRIANGLE.edge_of(1) == TRIANGLE.edge_of(4)
     assert TRIANGLE.vertex_of(1) == TRIANGLE.vertex_of(2)
-    assert TRIANGLE.degree(TRIANGLE.vertex_of(1)) == 2
+    assert [len(v) for v in TRIANGLE.vertices()] == [2, 2, 2]
     assert len(TRIANGLE.root_face()) in (3,)
 
 
@@ -245,8 +244,8 @@ def test_canonical_kernel_matches_reference_relabelling():
 
 
 def _check_min_code(sigma, alpha, roots):
-    from mapglue.maps import _array_code, _min_code
-    codes = [_array_code(sigma, alpha, seeds) for seeds in roots]
+    from mapglue.maps import _canonical, _min_code
+    codes = [_canonical(sigma, alpha, seeds)[0] for seeds in roots]
     best = min(codes)
     assert _min_code(sigma, alpha, roots) == (
         best, [seeds for seeds, c in zip(roots, codes) if c == best])
@@ -281,3 +280,27 @@ def test_min_code_is_smallest_array_code():
         _check_min_code(sigma, alpha,
                         [(d, g) for d in pm.root_face()
                          for g in range(n + 1, len(sigma) + 1)])
+
+
+def test_bounded_search_stops_only_past_its_bound():
+    """From every dart d of every map with e <= 4, bounded by the code from
+    every dart d': None exactly when the unbounded code's relabelled sigma
+    is larger than the bound's, and otherwise the unbounded result."""
+    from mapglue.maps import _canonical
+    stopped = 0
+    for e in range(1, 5):
+        for pm in enumerate_maps(e).maps():
+            sigma, alpha = pm.sigma, pm.alpha
+            n = len(sigma)
+            found = {d: _canonical(sigma, alpha, (d,)) for d in pm.darts()}
+            for d, want in found.items():
+                for other in found.values():
+                    bound = other[0]
+                    got = _canonical(sigma, alpha, (d,), bound)
+                    assert (got is None) == (want[0][:n] > bound[:n])
+                    if got is None:
+                        stopped += 1
+                        assert want[0] > bound
+                    else:
+                        assert got == want
+    assert stopped > 1000

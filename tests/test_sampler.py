@@ -93,6 +93,34 @@ def test_export_parse_round_trip():
         assert export_decorated(again) == text
 
 
+def _reference_export(tdm):
+    """export_decorated as a relabelled map: the canonical relabelling
+    applied, its vertex cycles sorted and each rotated to its smallest
+    dart."""
+    image = tdm.map.canonical_relabelling()
+    pmap = tdm.map.relabel(image)
+    tree = sorted(min(image[e], image[tdm.map.alpha_of(e)])
+                  for e in tdm.tree_edges)
+    lines = [f"decorated vertices={pmap.vertex_count} "
+             f"edges={pmap.edge_count} root={pmap.root}"]
+    for cyc in sorted(pmap.vertices()):
+        start = cyc.index(min(cyc))
+        cyc = cyc[start:] + cyc[:start]
+        pairs = " ".join(f"{d}/{pmap.alpha_of(d)}" for d in cyc)
+        lines.append(f"vertex {cyc[0]}: {pairs}")
+    lines.append("tree: " + ",".join(str(e) for e in tree))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("spec", [SampleSpec(4, 1, 1, 1, 40),
+                                  SampleSpec(3, 2, 1, 2, 60),
+                                  SampleSpec(4, 2, 2, 42, 60),
+                                  SampleSpec(4, 3, 2, 7, 60)])
+def test_export_matches_relabelled_map(spec):
+    for tdm in sample_tree_decorated(spec):
+        assert export_decorated(tdm) == _reference_export(tdm)
+
+
 def test_export_golden():
     tdm = draw_tree_decorated(SampleSpec(q=4, f=1, m=1, seed=7, count=1), 0)
     text = export_decorated(tdm)
