@@ -23,6 +23,12 @@ surviving dart along its old face, skipping deleted ones, so whatever is
 left of a partly consumed boundary stays one face.  Both rebuild the
 rotation system as ``sigma = phi o alpha``, and the round trip is exact on
 dart ids (up to the final canonical relabelling of the glued map).
+
+The maps that ungluing and gluing return are built directly, without
+:func:`~mapglue.maps.build_map`'s checks: cutting a planar map open along a
+tree, or sewing simple, vertex-disjoint boundaries shut along tree
+contours, gives a planar map again, and the inputs were checked where they
+entered the library.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .errors import (
     TreeTooLarge,
 )
 from .maps import (BoundaryMap, PlanarMap, _edge_ends, _ints, _is_tree,
-                   _map_record, build_map, map_to_line)
+                   _map_record, map_to_line)
 from .trees import DyckPath, contour_to_tree
 
 
@@ -178,8 +184,8 @@ def unglue(tdm: TreeDecoratedMap):
     sigma, alpha = pmap.sigma, pmap.alpha
     phi = [sigma[a - 1] for a in alpha]
     sigma, alpha, root = _cut(phi, list(alpha), contour)
-    return (contour_to_tree(path),
-            BoundaryMap(build_map(sigma, alpha, root, pmap.labels)))
+    return (contour_to_tree(path), BoundaryMap(
+        PlanarMap(tuple(sigma), tuple(alpha), root, pmap.labels)))
 
 
 def _sew(pmap: PlanarMap, consumed: list[int], matching: list[int]):
@@ -215,9 +221,10 @@ def _sew(pmap: PlanarMap, consumed: list[int], matching: list[int]):
 
 def _sewn_map(pmap: PlanarMap, sigma, alpha, index, root: int):
     """The map :func:`_sew` produced, rooted at the image of ``root`` and
-    keeping the labels of surviving darts."""
-    labels = [(index[d], v) for d, v in pmap.labels if index[d]]
-    return build_map(sigma, alpha, index[root], labels)
+    keeping the labels of surviving darts (survivors keep their order, so
+    the labels stay sorted)."""
+    labels = tuple((index[d], v) for d, v in pmap.labels if index[d])
+    return PlanarMap(tuple(sigma), tuple(alpha), index[root], labels)
 
 
 def _simple_walk(bmap: BoundaryMap, what: str) -> tuple[list[int],

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 from .errors import (
@@ -94,26 +93,21 @@ class BubbleMap:
         for a, _, b, _ in self.pinches:
             if not (0 <= a < k and 0 <= b < k and _union(parent, a, b)):
                 raise InternalMismatch("pinches do not connect the spheres")
-
-    # -- global dart addressing -------------------------------------------
-
-    @cached_property
-    def _offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for s in self.spheres:
-            out.append(out[-1] + s.dart_count)
-        return tuple(out)
-
-    @cached_property
-    def _table(self) -> tuple[list[int], list[int]]:
-        """Global ``sigma`` and ``alpha`` as flat image lists (dart g at
-        index g - 1)."""
+        # the global tables, built once here: the map is immutable
+        offsets = [0]
         sigma: list[int] = []
         alpha: list[int] = []
-        for off, s in zip(self._offsets, self.spheres):
+        for s in self.spheres:
+            off = offsets[-1]
             sigma += [off + x for x in s.sigma]
             alpha += [off + a for a in s.alpha]
-        return sigma, alpha
+            offsets.append(off + len(s.sigma))
+        object.__setattr__(self, "_offsets", tuple(offsets))
+        # global sigma and alpha as flat image lists (dart g at index g - 1)
+        object.__setattr__(self, "_table", (sigma, alpha))
+        object.__setattr__(self, "_corners", self._corner_table())
+
+    # -- global dart addressing -------------------------------------------
 
     def offsets(self) -> list[int]:
         return list(self._offsets)
@@ -148,11 +142,10 @@ class BubbleMap:
     def edge_of(self, g: int) -> int:
         return min(g, self.alpha_of(g))
 
-    @cached_property
-    def _corners(self) -> tuple[list, list[int]]:
-        """Pinch-collapsed vertex and rotation position of every global
-        dart (index 0 unused), from one walk over each sphere's vertex
-        cycles.
+    def _corner_table(self) -> tuple[list, list[int]]:
+        """``_corners``: the pinch-collapsed vertex and rotation position
+        of every global dart (index 0 unused), from one walk over each
+        sphere's vertex cycles.
 
         The positions of a vertex list the sigma cycles of its pinched
         copies one after another: by sphere index, then in
@@ -243,7 +236,8 @@ class Circuit:
         when these corner chords never interleave in the rotation order.
         One scan buckets the chords by pinch-collapsed vertex, with the
         positions of ``BubbleMap._corners``, and :func:`_nested` decides
-        each bucket.  At a pinch vertex the positions run through the
+        each bucket of two or more chords (one chord cannot cross; most
+        buckets hold one).  At a pinch vertex the positions run through the
         copies in sphere order.  Chords can straddle two copies, so that
         order decides some verdicts: it gives False on some exact round
         trips (``bench/README.md``, known defect 2).
@@ -262,7 +256,7 @@ class Circuit:
                 raise MalformedCircuit(
                     f"head of dart {prev} is not the tail of dart {g}")
             chords.setdefault(v, []).append((rank[a], rank[g]))
-        return all(_nested(c) for c in chords.values())
+        return all(len(c) == 1 or _nested(c) for c in chords.values())
 
 
 def _nested(chords) -> bool:

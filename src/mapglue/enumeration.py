@@ -365,7 +365,7 @@ def sphere_qangulations(q: int, f: int, cap: int | None = None) -> list[PlanarMa
     if q * f % 2:
         raise Infeasible(f"q={q}, f={f}: odd total degree")
     e = q * f // 2
-    _check_cap(e, cap, EDGE_CAP)
+    _check_cap(e, cap, QANG_EDGE_CAP)
     if e < 1:
         raise Infeasible("edge count must be at least 1")
     return list(_qangulation_boundary_maps(q, f - 1, q))

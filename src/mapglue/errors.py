@@ -29,10 +29,6 @@ class NotDyck(MapGlueError):
     """Step sequence is not a Dyck path."""
 
 
-class LevelOutOfRange(MapGlueError):
-    """Requested level is not between 1 and the height at the position."""
-
-
 # -- gluing / ungluing --------------------------------------------------------
 
 class RootNotOnTree(MapGlueError):

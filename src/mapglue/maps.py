@@ -113,7 +113,18 @@ def _is_tree(pairs) -> set | None:
 
 @dataclass(frozen=True)
 class PlanarMap:
-    """Immutable rooted planar map.  Use :func:`build_map` to validate input."""
+    """Immutable rooted planar map.
+
+    Maps are validated once, at the trust boundary: :func:`build_map` runs
+    on every map read from outside (map, decorated and forest records,
+    sampler exports, catalog codes), on each distinct candidate of the
+    enumeration growth, and on every sphere the bubble kernels build.  The
+    sphere kernels (``unglue``, ``glue``, ``glue_partial``, ``glue_forest``
+    and ``contour_to_tree``) construct their maps directly from inputs
+    already checked, with tuple fields and sorted labels; the tests run
+    their outputs through :func:`build_map` again.  Use :func:`build_map`
+    for any other raw data.
+    """
 
     sigma: Perm
     alpha: Perm

@@ -241,15 +241,6 @@ def series_B1(nx: int) -> TruncatedSeries2:
     return TruncatedSeries2(nx, 0, coeffs)
 
 
-def series_B1_radical(nx: int) -> TruncatedSeries2:
-    """B(x, 1) from the closed form -(1 - 18x - (1-12x)^{3/2}) / (54 x^2)."""
-    pad = nx + 2
-    x = TruncatedSeries2.variable("x", pad, 0)
-    base = 1 - 12 * x
-    num = -(1 - 18 * x - base * base.sqrt())
-    return (num / 54).shift_x(-2).truncate(nx, 0)
-
-
 def _series_S_substitution(nx: int, nz: int) -> TruncatedSeries2:
     """:func:`series_S` built independently, as a reference for tests."""
     # Invert z = y B(x, y): iterate Y <- z / B(x, Y), gaining one z-order

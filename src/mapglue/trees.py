@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
-from .errors import EmptyTree, LevelOutOfRange, NotDyck
-from .maps import PlanarMap, build_map
+from .errors import EmptyTree, NotDyck
+from .maps import PlanarMap
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,8 @@ def _tree(path: DyckPath) -> PlanarMap:
         positions = [p for p in cls if p < n]
         for a, b in zip(positions, positions[1:] + positions[:1]):
             sigma[a] = b + 1
-    return build_map(sigma, alpha, 1)
+    # a Dyck path encodes a plane tree, so no map check is needed
+    return PlanarMap(tuple(sigma), tuple(alpha), 1)
 
 
 _MEMO_EDGES = 6
@@ -201,20 +202,3 @@ def sample_dyck_uniform(m: int, rng: Random) -> DyckPath:
     rotated = word[cut:] + word[:cut]
     return DyckPath(tuple(rotated[:-1]))
 
-
-def subtree_window(path: DyckPath, x: int, level: int) -> tuple[int, int]:
-    """Maximal window [lo, hi] around position ``x`` on which C - level is a
-    Dyck path, with C(lo) = C(hi) = level."""
-    heights = path.heights()
-    if not 0 <= x < len(path.steps):
-        raise LevelOutOfRange(f"position {x} out of range")
-    if not 1 <= level <= heights[x]:
-        raise LevelOutOfRange(f"level {level} not in 1..C({x})={heights[x]}")
-    # C(0) = C(2m) = 0 < level, so both loops stop strictly inside the path
-    lo = x
-    while heights[lo - 1] >= level:
-        lo -= 1
-    hi = x
-    while heights[hi + 1] >= level:
-        hi += 1
-    return lo, hi

@@ -3,6 +3,8 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapglue.bijection import (ForestDecoratedMap, MultiBoundaryMap,
                                TreeDecoratedMap, _tree_contour,
@@ -18,7 +20,7 @@ from mapglue.errors import (BoundariesNotDisjoint, BoundaryNotSimple,
                             NotDyck, RootNotOnTree, SizeMismatch,
                             TreeTooLarge)
 from mapglue.maps import BoundaryMap, _edge_ends, _is_tree, build_map
-from mapglue.trees import (DyckPath, catalan, contour_to_tree,
+from mapglue.trees import (DyckPath, _memo_tree, catalan, contour_to_tree,
                            enumerate_trees, sample_dyck_uniform,
                            tree_to_contour)
 
@@ -31,6 +33,14 @@ def _decorations(pmap):
         for sub in tree_submaps(pmap, m):
             if root_edge in sub:
                 yield TreeDecoratedMap(pmap, sub)
+
+
+def _assert_valid(pmap):
+    """Run ``pmap`` through build_map's full checks: a map that a kernel
+    builds directly must pass them and come back equal, labels included
+    (equality compares the sigma and alpha tuples, not lists)."""
+    again = build_map(pmap.sigma, pmap.alpha, pmap.root, pmap.labels)
+    assert again == pmap and again.labels == pmap.labels
 
 
 def test_unglue_edge_map():
@@ -234,6 +244,7 @@ def test_glue_forest_two_boundaries():
     tree = contour_to_tree(DyckPath.from_word("UD"))
     fdm = glue_forest(mmap, (tree, tree))
     assert isinstance(fdm, ForestDecoratedMap)
+    _assert_valid(fdm.map)
     assert len(fdm.trees) == 2
     for edges in fdm.trees:
         check_tree_decoration(fdm.map, edges)
@@ -293,20 +304,29 @@ def _count_builds(monkeypatch) -> list:
     return calls
 
 
-def test_unglue_and_glue_build_one_map_each(monkeypatch):
-    """Once the tree memo is warm, unglue builds only the cut map and glue
-    only the sewn map, on every decoration with at most 4 edges."""
-    cases = [tdm for e in range(1, 5) for pmap in enumerate_maps(e).maps()
-             for tdm in _decorations(pmap)]
+def test_unglue_and_glue_build_no_map(monkeypatch):
+    """unglue, glue and glue_partial build every map they return directly,
+    with no build_map call, on every decoration with at most 4 edges, each
+    dart of the map labelled; each map passes build_map's checks
+    unchanged.  glue_partial glues every tree smaller than the cut
+    boundary's."""
+    cases = [tdm for e in range(1, 5) for pm in enumerate_maps(e).maps()
+             for tdm in _decorations(build_map(
+                 pm.sigma, pm.alpha, pm.root,
+                 [(d, f"d{d}") for d in pm.darts()]))]
+    smaller = [contour_to_tree(path) for k in range(1, 4)
+               for path in enumerate_trees(k)]
+    _memo_tree.cache_clear()  # so unglue also builds trees cold
     calls = _count_builds(monkeypatch)
     for tdm in cases:
-        unglue(tdm)  # builds the tree of its contour at most once
-        del calls[:]
         tree, bmap = unglue(tdm)
-        assert len(calls) == 1
-        del calls[:]
-        glue(bmap, tree)
-        assert len(calls) == 1
+        back = glue(bmap, tree)
+        parts = [glue_partial(bmap, small) for small in smaller
+                 if small.edge_count < tree.edge_count]
+        assert calls == []
+        for pmap in (tree, bmap.map, back.map, *(p.map for p in parts)):
+            _assert_valid(pmap)
+        assert back.map == tdm.map and back.map.labels == tdm.map.labels
 
 
 def test_non_simple_boundary_is_reported_before_its_size():
@@ -401,12 +421,16 @@ def test_round_trips_beyond_exhaustive_caps(size):
     assert back.tree_edges == tdm.tree_edges
 
     path = sample_dyck_uniform(m, rng)
-    tree2, bmap2 = unglue(glue(bmap, contour_to_tree(path)))
+    glued = glue(bmap, contour_to_tree(path))
+    tree2, bmap2 = unglue(glued)
     assert tree_to_contour(tree2) == path
     assert bmap2.map.canonical_code() == bmap.map.canonical_code()
 
     small = contour_to_tree(sample_dyck_uniform(m // 3, rng))
     part = glue_partial(bmap, small)
+    for pmap in (host, tree, bmap.map, back.map, glued.map, tree2,
+                 bmap2.map, small, part.map):
+        _assert_valid(pmap)
     check_tree_decoration(part.map, part.tree_edges)
     assert len(part.tree_edges) == m // 3
     assert len(part.map.root_face()) == 2 * (m - m // 3)
@@ -416,3 +440,37 @@ def test_round_trips_beyond_exhaustive_caps(size):
     tree3, bmap3 = unglue_bubble(bubble, circuit)
     assert tree_to_contour(tree3) == path
     assert bmap3.map.canonical_code() == bmap.map.canonical_code()
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(size=st.integers(50, 2000), seed=st.integers(0, 2 ** 32),
+       data=st.data())
+def test_round_trips_at_size(size, seed, data):
+    """glue after unglue, unglue after glue and glue_partial on random
+    decorated maps of 50 to 2000 edges: a random plane tree decorated by
+    the edges that a prefix of its contour meets, a subtree on the root
+    edge.  Every map the kernels return passes build_map's checks."""
+    rng = Random(seed)
+    host = contour_to_tree(sample_dyck_uniform(size, rng))
+    prefix = host.root_face()[:data.draw(st.integers(1, 2 * size))]
+    tdm = TreeDecoratedMap(host, frozenset(host.edge_of(d) for d in prefix))
+    tree, bmap = unglue(tdm)
+    m = tree.edge_count
+    back = glue(bmap, tree)
+    assert back.map == tdm.map and back.tree_edges == tdm.tree_edges
+
+    path = sample_dyck_uniform(m, rng)
+    glued = glue(bmap, contour_to_tree(path))
+    tree2, bmap2 = unglue(glued)
+    assert tree_to_contour(tree2) == path
+    assert bmap2.map.canonical_code() == bmap.map.canonical_code()
+
+    k = data.draw(st.integers(1, m))
+    part = glue_partial(bmap, contour_to_tree(sample_dyck_uniform(k, rng)))
+    check_tree_decoration(part.map, part.tree_edges)
+    assert len(part.tree_edges) == k
+    if k < m:  # a full-size tree is glued as glue glues it
+        assert len(part.map.root_face()) == 2 * (m - k)
+    for pmap in (tree, bmap.map, back.map, glued.map, tree2, bmap2.map,
+                 part.map):
+        _assert_valid(pmap)

@@ -37,7 +37,9 @@ def test_tree_decorated_anchors():
 
 
 def test_tree_decorated_matches_oracle():
-    for q, f, m in ((3, 2, 1), (3, 2, 2), (4, 1, 1), (4, 2, 1), (4, 2, 2)):
+    for q, f, m in ((3, 2, 1), (3, 2, 2), (4, 1, 1), (4, 2, 1), (4, 2, 2),
+                    # sphere pools of 8 and 9 edges, inside QANG_EDGE_CAP
+                    (4, 4, 2), (4, 4, 5), (3, 6, 2), (3, 6, 4)):
         for mode in ("anywhere", "on-tree"):
             assert count_tree_decorated(q, f, m, mode) == \
                 brute_count_decorated(q, f=f, tree_sizes=[m], root_mode=mode)

@@ -106,7 +106,6 @@ def test_qangulation_growth_validates_each_distinct_map_once(monkeypatch):
     calls, cands = [], []
     monkeypatch.setattr(enumeration, "build_map",
                         _counting(calls, enumeration.build_map))
-    monkeypatch.setattr(trees, "build_map", _counting(calls, trees.build_map))
     monkeypatch.setattr(enumeration, "_add_qgon",
                         _recording(cands, enumeration._add_qgon))
     again = enumerate_boundary_maps(q=4, f=3, perimeter=4)
@@ -117,8 +116,8 @@ def test_qangulation_growth_validates_each_distinct_map_once(monkeypatch):
     distinct = {min(_canonical(sigma, alpha, (d,))[0] for d in walk)
                 for sigma, alpha, walk in cands}
     assert len(cands) > len(distinct) > 0
-    seed_trees = 42  # the plane trees with 5 edges
-    assert len(calls) == seed_trees + len(distinct)
+    # the seed trees come from their Dyck paths and are not validated
+    assert len(calls) == len(distinct)
 
 
 def test_qangulation_growth_memoised(monkeypatch):
@@ -166,6 +165,10 @@ def test_cap_exceeded():
         enumerate_maps(99)
     with pytest.raises(CapExceeded):
         enumerate_boundary_maps(q=4, f=40, perimeter=2)
+    # sphere pools are grown, so QANG_EDGE_CAP (10 edges) bounds them
+    assert len(sphere_qangulations(4, 5)) > 0
+    with pytest.raises(CapExceeded):
+        sphere_qangulations(4, 6)
 
 
 def test_boundary_map_anchors():

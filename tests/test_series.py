@@ -6,8 +6,7 @@ from mapglue.enumeration import enumerate_maps
 from mapglue.errors import NonIntegral
 from mapglue.maps import BoundaryMap
 from mapglue.series import (TruncatedSeries2, _series_S_substitution,
-                            format_series, series_B, series_B1,
-                            series_B1_radical, series_S)
+                            format_series, series_B, series_B1, series_S)
 
 
 def test_arithmetic_basics():
@@ -46,6 +45,16 @@ def test_series_B_anchors():
     assert b.coeff(0, 0) == 1
     for e, want in ((1, 2), (2, 9), (3, 54)):
         assert sum(b.coeff(e, j) for j in range(9)) == want
+
+
+def series_B1_radical(nx: int) -> TruncatedSeries2:
+    """Reference B(x, 1) from the closed form
+    -(1 - 18x - (1-12x)^{3/2}) / (54 x^2)."""
+    pad = nx + 2
+    x = TruncatedSeries2.variable("x", pad, 0)
+    base = 1 - 12 * x
+    num = -(1 - 18 * x - base * base.sqrt())
+    return (num / 54).shift_x(-2).truncate(nx, 0)
 
 
 def test_series_B1_forms_agree():

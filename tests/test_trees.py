@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from mapglue.errors import LevelOutOfRange, NotDyck
+from mapglue.errors import NotDyck
 from mapglue.trees import (DyckPath, catalan, class_starts, contour_classes,
                            contour_to_tree, enumerate_trees, is_plane_tree,
-                           sample_dyck_uniform, subtree_window,
-                           tree_to_contour)
+                           sample_dyck_uniform, tree_to_contour)
 
 
 def test_dyck_validation():
@@ -95,18 +94,6 @@ def test_sampling_covers_support():
     rng = random.Random(7)
     seen = {sample_dyck_uniform(3, rng).to_word() for _ in range(500)}
     assert len(seen) == catalan(3)
-
-
-def test_subtree_window():
-    path = DyckPath.from_word("UUDUDD")
-    # C - 1 stays a Dyck path on positions 1..5; C - 2 only at position 2
-    assert subtree_window(path, 2, 1) == (1, 5)
-    assert subtree_window(path, 2, 2) == (2, 2)
-    assert subtree_window(path, 4, 2) == (4, 4)
-    with pytest.raises(LevelOutOfRange):
-        subtree_window(path, 0, 1)
-    with pytest.raises(LevelOutOfRange):
-        subtree_window(path, 99, 1)
 
 
 def test_small_trees_are_shared():
