@@ -448,6 +448,8 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
     reverse circuit order, and pinch vertices regain thickness because the
     duplicated darts all join that face.
     """
+    if circuit.bubble is not bubble and circuit.bubble != bubble:
+        raise MalformedCircuit("the circuit belongs to another bubble-map")
     circuit.validate()
     darts = circuit.darts
     rep = bubble._corners[0]
@@ -507,6 +509,8 @@ def bubble_canonical_key(bubble: BubbleMap, circuit: Circuit,
     code ties the smallest one (found by :func:`~mapglue.maps._min_code`)
     are labelled.
     """
+    if circuit.bubble is not bubble and circuit.bubble != bubble:
+        raise MalformedCircuit("the circuit belongs to another bubble-map")
     darts = circuit.darts
     if not darts or _stray_dart(bubble, darts) is not None:
         raise MalformedCircuit("circuit darts missing or out of range")

@@ -55,8 +55,10 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import factorial, prod
 
 try:  # the builtin module, as random.py does: hashlib also loads OpenSSL
     from _sha256 import sha256
@@ -336,20 +338,37 @@ def enumerate_boundary_maps(q: int = 0, f: int = 0, e: int = 0,
 
 # -- decorated brute-force counts -----------------------------------------------
 
-def _subtrees(pmap: PlanarMap, m: int):
+def _subtrees(pmap: PlanarMap, m: int, through: int | None = None):
     """``(edges, vertices)`` of every m-edge tree submap, the edges as a
-    frozenset of edge ids."""
+    frozenset of edge ids; only the trees holding the edge ``through``
+    when it is given."""
     edges = pmap.edges()
-    ends = dict(zip(edges, _edge_ends(pmap, edges)))
-    for combo in combinations(edges, m):
+    return _trees_among(dict(zip(edges, _edge_ends(pmap, edges))), m, through)
+
+
+def _trees_among(ends: dict[int, tuple[int, int]], m: int,
+                 through: int | None):
+    """:func:`_subtrees` over the edges ``ends``, an edge -> (tail, head)
+    table; ``through`` is joined to each (m-1)-subset of the others."""
+    if through is None:
+        combos = combinations(ends, m)
+    elif m < 1:
+        return
+    else:
+        rest = list(ends)
+        rest.remove(through)
+        combos = map((through,).__add__, combinations(rest, m - 1))
+    for combo in combos:
         verts = _is_tree([ends[e] for e in combo])
         if verts is not None:
             yield frozenset(combo), verts
 
 
-def tree_submaps(pmap: PlanarMap, m: int) -> list[frozenset[int]]:
-    """All m-edge tree submaps, as frozensets of edge ids."""
-    return [edges for edges, _ in _subtrees(pmap, m)]
+def tree_submaps(pmap: PlanarMap, m: int,
+                 through: int | None = None) -> list[frozenset[int]]:
+    """All m-edge tree submaps, as frozensets of edge ids; only those
+    holding the edge id ``through`` when it is given."""
+    return [edges for edges, _ in _subtrees(pmap, m, through)]
 
 
 def sphere_qangulations(q: int, f: int, cap: int | None = None) -> list[PlanarMap]:
@@ -359,8 +378,8 @@ def sphere_qangulations(q: int, f: int, cap: int | None = None) -> list[PlanarMa
     Such a map is exactly a map whose root face is a q-gon and whose other
     f - 1 faces are q-gons, so the pool is the boundary growth of
     :func:`_qangulation_boundary_maps` with perimeter q, memoised there.
-    The e-edge general level filtered with ``is_q_angulation`` gives the
-    same maps in the same order; the tests keep it as the reference.
+    The e-edge general level filtered by face degree gives the same maps
+    in the same order; the tests keep that filter as the reference.
     """
     if q * f % 2:
         raise Infeasible(f"q={q}, f={f}: odd total degree")
@@ -371,10 +390,54 @@ def sphere_qangulations(q: int, f: int, cap: int | None = None) -> list[PlanarMa
     return list(_qangulation_boundary_maps(q, f - 1, q))
 
 
+def _forests(pool, sizes: list[int], rooted_labeled: bool) -> int:
+    """Forest decorations of the maps of ``pool``, counted through the
+    ordered tuples of vertex-disjoint tree submaps whose tree i has
+    ``sizes[i]`` edges.
+
+    Rooted-labeled: tree 1 holds the root edge, and every other tree has
+    2 m_i root darts; the others miss tree 1, so they are drawn from the
+    map without its root edge.  Unlabeled: vertex-disjoint trees are
+    distinct, so a forest is one tuple per order of its equal-size trees.
+    """
+
+    def tuples(choices, used=frozenset()) -> int:
+        # one vertex set from each list, pairwise disjoint and from used
+        if len(choices) == 1:
+            return sum(map(used.isdisjoint, choices[0]))
+        rest = choices[1:]
+        return sum(tuples(rest, used | verts) for verts in choices[0]
+                   if used.isdisjoint(verts))
+
+    rooted = rooted_labeled and bool(sizes)
+    others = sizes[1:] if rooted else sizes
+    total = 0
+    for pm in pool:
+        edges = pm.edges()
+        ends = dict(zip(edges, _edge_ends(pm, edges)))
+        choices = []
+        if rooted:
+            root_edge = pm.edge_of(pm.root)
+            choices.append([v for _, v in _trees_among(ends, sizes[0],
+                                                       root_edge)])
+            del ends[root_edge]
+        lists = {}
+        for m in others:
+            if m not in lists:
+                lists[m] = [v for _, v in _trees_among(ends, m, None)]
+            choices.append(lists[m])
+        total += tuples(choices) if choices else 1
+    if rooted_labeled:
+        return total * prod(2 * m for m in sizes[1:])
+    return total // prod(factorial(c) for c in Counter(sizes).values())
+
+
 def brute_count_decorated(q: int, f: int | None = None, e: int | None = None,
                           tree_sizes=(1,), root_mode: str = "on-tree",
                           cap: int | None = None) -> int:
-    """Count (rooted map, decoration) pairs by exhaustive search.
+    """Count (rooted map, decoration) pairs by exhaustive search: the
+    one-tree case of :func:`brute_count_forest`, rooted on the tree or
+    anywhere.
 
     The family is sphere q-angulations with f faces when q is 3 or 4, and
     general maps with e edges when q is 0.  Since the catalogs contain each
@@ -386,7 +449,6 @@ def brute_count_decorated(q: int, f: int | None = None, e: int | None = None,
     sizes = list(tree_sizes)
     if len(sizes) != 1:
         raise Infeasible("single-tree decorations only; see brute_count_forest")
-    m = sizes[0]
     if q == 0:
         if e is None:
             raise Infeasible("general family needs an edge count")
@@ -395,15 +457,7 @@ def brute_count_decorated(q: int, f: int | None = None, e: int | None = None,
         if f is None:
             raise Infeasible("q-angulation family needs a face count")
         pool = sphere_qangulations(q, f, cap=cap)
-    total = 0
-    for pm in pool:
-        subs = tree_submaps(pm, m)
-        if root_mode == "on-tree":
-            root_edge = pm.edge_of(pm.root)
-            total += sum(1 for s in subs if root_edge in s)
-        else:
-            total += len(subs)
-    return total
+    return _forests(pool, sizes, root_mode == "on-tree")
 
 
 def brute_count_forest(q: int, f: int, sizes, rooted_labeled: bool,
@@ -416,46 +470,8 @@ def brute_count_forest(q: int, f: int, sizes, rooted_labeled: bool,
     on tree 1 and serves as its root, and every other tree carries its own
     root dart (2 m_i choices).
     """
-    sizes = list(sizes)
-    pool = sphere_qangulations(q, f, cap=cap)
-    total = 0
-    for pm in pool:
-        by_size = {k: list(_subtrees(pm, k)) for k in set(sizes)}
-        if rooted_labeled:
-            root_edge = pm.edge_of(pm.root)
-
-            def rec(i: int, used: frozenset[int]) -> int:
-                if i == len(sizes):
-                    return 1
-                n = 0
-                for s, verts in by_size[sizes[i]]:
-                    if verts & used:
-                        continue
-                    if i == 0:
-                        if root_edge not in s:
-                            continue
-                        weight = 1
-                    else:
-                        weight = 2 * sizes[i]
-                    n += weight * rec(i + 1, used | verts)
-                return n
-
-            total += rec(0, frozenset())
-        else:
-            found: set[frozenset[frozenset[int]]] = set()
-
-            def rec_sets(i: int, used: frozenset[int], chosen):
-                if i == len(sizes):
-                    found.add(frozenset(chosen))
-                    return
-                for s, verts in by_size[sizes[i]]:
-                    if verts & used or s in chosen:
-                        continue
-                    rec_sets(i + 1, used | verts, chosen + [s])
-
-            rec_sets(0, frozenset(), [])
-            total += len(found)
-    return total
+    return _forests(sphere_qangulations(q, f, cap=cap), list(sizes),
+                    rooted_labeled)
 
 
 # -- catalog persistence --------------------------------------------------------

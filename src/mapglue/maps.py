@@ -156,7 +156,7 @@ class PlanarMap:
         return d if d < a else a
 
     def edges(self) -> list[int]:
-        return [d for d in self.darts() if d < self.alpha_of(d)]
+        return [d for d, a in enumerate(self.alpha, 1) if d < a]
 
     # -- cells ----------------------------------------------------------
 
@@ -176,16 +176,6 @@ class PlanarMap:
             if e < m:
                 m = e
             e = sigma[e - 1]
-        return m
-
-    def face_of(self, d: int) -> int:
-        sigma, alpha = self.sigma, self.alpha
-        m = d
-        e = sigma[alpha[d - 1] - 1]
-        while e != d:
-            if e < m:
-                m = e
-            e = sigma[alpha[e - 1] - 1]
         return m
 
     @property
@@ -466,18 +456,6 @@ class BoundaryMap:
                 e = sigma[e - 1]
             verts.append(m)
         return walk, verts
-
-
-def is_q_angulation(pmap: PlanarMap, q: int, skip_external: bool = False) -> bool:
-    """True when every face (every internal face if ``skip_external``) has
-    degree ``q``."""
-    ext = pmap.face_of(pmap.root) if skip_external else None
-    for f in pmap.faces():
-        if skip_external and pmap.face_of(f[0]) == ext:
-            continue
-        if len(f) != q:
-            return False
-    return True
 
 
 # -- text serialization -------------------------------------------------------

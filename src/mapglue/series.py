@@ -9,9 +9,9 @@ solves the functional equation
 and ``S`` is tied to ``B`` through the substitution ``S(x, yB(x,y)) =
 B(x,y)``: hanging a general map with a boundary from the tail of each
 boundary edge of a simple-boundary map recovers all maps with a boundary.
-``S`` is computed here from the closed radical form;
-``_series_S_substitution`` inverts the substitution instead and is kept as
-the independent reference the tests compare it with.
+``S`` is computed here from the closed radical form; the tests keep an
+inversion of the substitution as the independent reference it is compared
+with.
 
 All arithmetic is exact over the rationals and never reads beyond the
 declared truncation orders.
@@ -239,19 +239,6 @@ def series_B1(nx: int) -> TruncatedSeries2:
                                (e + 1) * (e + 2))
               for e in range(nx + 1)}
     return TruncatedSeries2(nx, 0, coeffs)
-
-
-def _series_S_substitution(nx: int, nz: int) -> TruncatedSeries2:
-    """:func:`series_S` built independently, as a reference for tests."""
-    # Invert z = y B(x, y): iterate Y <- z / B(x, Y), gaining one z-order
-    # per pass since Y = z (1 + higher order).
-    b = series_B(nx, nz)
-    x = TruncatedSeries2.variable("x", nx, nz)
-    z = TruncatedSeries2.variable("y", nx, nz)
-    yser = z
-    for _ in range(nz + 1):
-        yser = z * b.substitute(x, yser).reciprocal()
-    return b.substitute(x, yser)
 
 
 def series_S(nx: int, nz: int) -> TruncatedSeries2:

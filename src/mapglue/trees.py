@@ -87,15 +87,6 @@ def class_starts(path: DyckPath) -> list[int]:
     return starts
 
 
-def contour_classes(path: DyckPath) -> list[tuple[int, ...]]:
-    """Partition of {0..2m} into vertices by :func:`class_starts`.
-    Returns m+1 ascending classes sorted by first element."""
-    classes: dict[int, list[int]] = {}
-    for i, start in enumerate(class_starts(path)):
-        classes.setdefault(start, []).append(i)
-    return [tuple(c) for c in classes.values()]
-
-
 def contour_to_tree(path: DyckPath) -> PlanarMap:
     """Plane tree whose contour is ``path``.
 
@@ -122,11 +113,15 @@ def _tree(path: DyckPath) -> PlanarMap:
             j = stack.pop()
             alpha[i] = j + 1
             alpha[j] = i + 1
+    # the rotation at a vertex runs through its class's positions below n:
+    # each position points to the next one of its class, and the last one
+    # wraps round to the first, which names the class
     sigma = [0] * n
-    for cls in contour_classes(path):
-        positions = [p for p in cls if p < n]
-        for a, b in zip(positions, positions[1:] + positions[:1]):
-            sigma[a] = b + 1
+    last = list(range(n))  # the last position seen of each class
+    for p, c in zip(range(n), class_starts(path)):
+        sigma[last[c]] = p + 1
+        last[c] = p
+        sigma[p] = c + 1
     # a Dyck path encodes a plane tree, so no map check is needed
     return PlanarMap(tuple(sigma), tuple(alpha), 1)
 

@@ -50,9 +50,7 @@ def roundtrip(cap: int):
         for pmap in enumerate_maps(e).maps():
             root_edge = pmap.edge_of(pmap.root)
             for m in range(1, pmap.vertex_count):
-                for sub in tree_submaps(pmap, m):
-                    if root_edge not in sub:
-                        continue
+                for sub in tree_submaps(pmap, m, root_edge):
                     tdm = TreeDecoratedMap(pmap, sub)
                     tree, bmap = unglue(tdm)
                     back = glue(bmap, tree)

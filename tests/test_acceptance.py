@@ -14,8 +14,7 @@ from mapglue.bubbles import (Circuit, bubble_canonical_key, bubble_rerooted,
 from mapglue.cli import main
 from mapglue.counting import count_bubble, count_tree_decorated
 from mapglue.enumeration import (brute_count_decorated,
-                                 enumerate_boundary_maps, enumerate_maps,
-                                 tree_submaps)
+                                 enumerate_boundary_maps, enumerate_maps)
 from mapglue.maps import BoundaryMap
 from mapglue.sampler import (SampleSpec, export_decorated,
                              sample_tree_decorated, tree_marginal_test)
@@ -97,11 +96,8 @@ def test_criterion_6_general_decorated_counts():
         for m in range(1, ge + 1):
             if ge + m > 5:
                 continue
-            brute = 0
-            for pm in enumerate_maps(ge).maps():
-                root_edge = pm.edge_of(pm.root)
-                brute += sum(1 for sub in tree_submaps(pm, m)
-                             if root_edge in sub)
+            brute = brute_count_decorated(0, e=ge, tree_sizes=[m],
+                                          root_mode="on-tree")
             ok &= brute == catalan(m) * int(s.coeff(ge + m, 2 * m))
     _report(6, "catalan(m) x s_(e+m,2m) identity", ok)
 

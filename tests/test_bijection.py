@@ -30,9 +30,8 @@ EDGE = build_map([1, 2], [2, 1], 1)
 def _decorations(pmap):
     root_edge = pmap.edge_of(pmap.root)
     for m in range(1, pmap.vertex_count):
-        for sub in tree_submaps(pmap, m):
-            if root_edge in sub:
-                yield TreeDecoratedMap(pmap, sub)
+        for sub in tree_submaps(pmap, m, root_edge):
+            yield TreeDecoratedMap(pmap, sub)
 
 
 def _assert_valid(pmap):

@@ -17,7 +17,7 @@ from mapglue.errors import (BoundaryHasBridge, CircuitMissesPinch,
                             InternalMismatch, MalformedCircuit, SizeMismatch)
 from mapglue.maps import (BoundaryMap, _cycles, _find, _min_code, _union,
                           build_map, map_from_line)
-from mapglue.trees import (DyckPath, contour_classes, contour_to_tree,
+from mapglue.trees import (DyckPath, class_starts, contour_to_tree,
                            enumerate_trees, sample_dyck_uniform,
                            tree_to_contour)
 
@@ -356,6 +356,33 @@ def test_circuit_misses_pinch():
         bubble_canonical_key(bubble, circuit)
 
 
+def test_circuits_of_another_bubble_map_are_refused():
+    """A circuit is cut and keyed on the tables of its own bubble-map: one
+    of another bubble-map, larger or of the same size, is refused before
+    any table lookup, while an equal bubble-map built anew is accepted."""
+    eight, eight_circuit = glue_bridgeless(
+        BoundaryMap(FIGURE_EIGHT), contour_to_tree(DyckPath.from_word("UD")))
+    glued = [glue_bridgeless(bm, contour_to_tree(path))
+             for _, bm, path in _bridgeless_inputs(4)]
+    larger = next(c for b, c in glued if b.dart_count > eight.dart_count)
+    bubble, circuit = glued[-1]
+    same_size = next(c for b, c in glued if b != bubble
+                     and b.dart_count == bubble.dart_count)
+    for host, foreign in ((eight, larger), (eight, circuit),
+                          (bubble, same_size), (bubble, eight_circuit)):
+        with pytest.raises(MalformedCircuit, match="another bubble-map"):
+            unglue_bubble(host, foreign)
+        with pytest.raises(MalformedCircuit, match="another bubble-map"):
+            bubble_canonical_key(host, foreign)
+    twin = BubbleMap(bubble.spheres, bubble.pinches)
+    assert twin is not bubble
+    tree, bmap = unglue_bubble(bubble, circuit)
+    tree2, bmap2 = unglue_bubble(twin, circuit)
+    assert tree2 == tree and bmap2.map == bmap.map
+    assert bubble_canonical_key(twin, circuit) == \
+        bubble_canonical_key(bubble, circuit)
+
+
 def test_root_edge_must_be_on_circuit():
     path2 = build_map([1, 3, 2, 4], [2, 1, 4, 3], 1)
     loop = build_map([2, 1], [2, 1], 1)
@@ -470,11 +497,7 @@ def _scanned_groups(bmap, tree):
     one scan of all positions per distinct vertex."""
     walk = bmap.boundary_walk()
     bv = [bmap.map.vertex_of(bmap.map.alpha_of(d)) for d in walk]
-    cls_of = [0] * len(walk)
-    for c, cls in enumerate(contour_classes(tree_to_contour(tree))):
-        for p in cls:
-            if p < len(cls_of):
-                cls_of[p] = c
+    cls_of = class_starts(tree_to_contour(tree))  # classes by first position
     out = []
     for v in sorted(set(bv)):
         byclass = {}

@@ -106,8 +106,10 @@ def test_boundary_decorated_tri_published_form_diverges():
 
 
 def test_forest_counts_match_oracle():
+    # unlabeled, equal sizes divide the ordered count: by 2! and by 3!
     for q, f, sizes in ((4, 2, [1, 1]), (4, 3, [1, 1]), (4, 3, [1, 2]),
-                        (3, 4, [1, 1])):
+                        (3, 4, [1, 1]), (4, 4, [2, 2]), (4, 4, [1, 1, 1]),
+                        (4, 4, [1, 2]), (4, 4, [3, 1]), (3, 6, [1, 2])):
         for labeled in (False, True):
             assert count_forest(q, f, sizes, rooted_labeled=labeled) == \
                 brute_count_forest(q, f, sizes, rooted_labeled=labeled), \

@@ -2,7 +2,8 @@ from math import comb
 
 import pytest
 
-from mapglue.enumeration import (Catalog, CatalogFilter, brute_count_decorated,
+from mapglue.enumeration import (Catalog, CatalogFilter, _subtrees,
+                                 brute_count_decorated,
                                  brute_count_forest, catalog_from_text,
                                  catalog_to_text, enumerate_boundary_maps,
                                  enumerate_maps, get_catalog, load_catalog,
@@ -10,7 +11,16 @@ from mapglue.enumeration import (Catalog, CatalogFilter, brute_count_decorated,
                                  tree_submaps)
 from mapglue.errors import (CapExceeded, Disconnected, FormatError,
                             NonPlanar)
-from mapglue.maps import BoundaryMap, build_map, is_q_angulation
+from mapglue.maps import BoundaryMap, build_map
+
+TRIANGLE = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1)
+
+
+def is_q_angulation(pmap, q, skip_external=False):
+    """Reference filter: every face has degree q; with ``skip_external``,
+    every face but the external one, the face that holds the root."""
+    return all(len(f) == q for f in pmap.faces()
+               if not (skip_external and pmap.root in f))
 
 
 def test_enumerate_maps_counts():
@@ -213,11 +223,33 @@ def test_sphere_pools_match_filtered_level():
         assert sphere_qangulations(q, f) == direct, (q, f)
 
 
+def test_is_q_angulation():
+    assert is_q_angulation(TRIANGLE, 3)
+    assert not is_q_angulation(TRIANGLE, 4)
+    assert is_q_angulation(TRIANGLE, 3, skip_external=True)
+
+
 def test_tree_submaps():
-    tri = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1)
-    assert len(tree_submaps(tri, 1)) == 3
-    assert len(tree_submaps(tri, 2)) == 3  # any two edges of the 3-cycle
-    assert tree_submaps(tri, 3) == []  # the full cycle is not a tree
+    assert len(tree_submaps(TRIANGLE, 1)) == 3
+    assert len(tree_submaps(TRIANGLE, 2)) == 3  # any two edges of the cycle
+    assert tree_submaps(TRIANGLE, 3) == []  # the full cycle is not a tree
+
+
+def test_subtrees_through_an_edge_are_the_filtered_subtrees():
+    """On every map with at most 4 edges, for every size m (0 included)
+    and every edge: the trees grown through the edge are exactly the
+    m-edge trees that hold it, with the same vertex sets."""
+    for e in range(1, 5):
+        for pmap in enumerate_maps(e).maps():
+            for m in range(e + 1):
+                trees = list(_subtrees(pmap, m))
+                for edge in pmap.edges():
+                    through = list(_subtrees(pmap, m, edge))
+                    assert len({s for s, _ in through}) == len(through)
+                    assert {(s, frozenset(v)) for s, v in through} == \
+                        {(s, frozenset(v)) for s, v in trees if edge in s}
+                    assert tree_submaps(pmap, m, edge) == \
+                        [s for s, _ in through]
 
 
 def test_brute_counts_anchor():

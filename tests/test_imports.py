@@ -1,5 +1,6 @@
 """Every module of the package (but ``__init__.py``, which re-exports)
-and every test module uses each name it imports."""
+and every test module uses each name it imports, and every public
+definition of the package has a user outside the tests."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import mapglue
 
 PACKAGE = Path(mapglue.__file__).parent
+BENCH = Path(__file__).parent.parent / "bench"
 MODULES = sorted([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
                  + list(Path(__file__).parent.glob("test_*.py")))
 
@@ -54,3 +56,48 @@ def test_no_unused_import(path):
     unused = sorted((line, name) for name, line in _imported(tree).items()
                     if name not in _used(tree))
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+# Public definitions that only the tests reach, each kept for a reason.
+TEST_ONLY = {
+    "brute_count_forest": "the count_forest oracle; the counts suite is "
+                          "to call it (ROADMAP item 10)",
+    "bubble_rerooted": "criterion 7's rooted-anywhere oracle (ROADMAP "
+                       "item 1)",
+    "bubble_canonical_key": "criterion 7's rooted-anywhere oracle "
+                            "(ROADMAP item 1)",
+    "forest_to_line": "the forest record, whose fate ROADMAP item 9 "
+                      "decides",
+    "forest_from_line": "the forest record, whose fate ROADMAP item 9 "
+                        "decides",
+}
+
+
+def _reached(node: ast.AST) -> set[str]:
+    """The names that ``node`` reads, takes as attributes or imports."""
+    out = _used(node)
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def test_every_public_definition_has_a_user():
+    """Each public top-level function and class of the package is used
+    outside its own definition, in the package (``__init__.py`` counts, so
+    an export is a use) or in the bench, unless TEST_ONLY names it."""
+    assert BENCH.is_dir()
+    defined, reached = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            name = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                name = stmt.name
+                if path.parent == PACKAGE and not name.startswith("_"):
+                    defined.add(name)
+            reached |= _reached(stmt) - {name}
+    assert not sorted(defined - reached - set(TEST_ONLY)), "no user"
+    assert sorted(set(TEST_ONLY) - (defined - reached)) == [], \
+        "TEST_ONLY names a definition that is gone or has a user"

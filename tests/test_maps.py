@@ -4,7 +4,7 @@ from mapglue.errors import (Disconnected, FormatError, NonPlanar,
                             NotInvolution)
 from mapglue.enumeration import enumerate_maps
 from mapglue.maps import (BoundaryMap, _connected_vertex_count, build_map,
-                          is_q_angulation, map_from_line, map_to_line)
+                          map_from_line, map_to_line)
 
 EDGE = build_map([1, 2], [2, 1], 1)
 LOOP = build_map([2, 1], [2, 1], 1)
@@ -197,12 +197,6 @@ def test_boundary_walk_starts_at_root():
     walk = BoundaryMap(TRIANGLE).boundary_walk()
     assert walk[0] == TRIANGLE.root
     assert len(walk) == 3
-
-
-def test_is_q_angulation():
-    assert is_q_angulation(TRIANGLE, 3)
-    assert not is_q_angulation(TRIANGLE, 4)
-    assert is_q_angulation(TRIANGLE, 3, skip_external=True)
 
 
 def test_labels_do_not_affect_equality():

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from mapglue.errors import NotDyck
-from mapglue.trees import (DyckPath, catalan, class_starts, contour_classes,
-                           contour_to_tree, enumerate_trees, is_plane_tree,
+from mapglue.trees import (DyckPath, catalan, class_starts, contour_to_tree,
+                           enumerate_trees, is_plane_tree,
                            sample_dyck_uniform, tree_to_contour)
 
 
@@ -51,22 +51,25 @@ def test_contour_round_trip():
 
 def test_contour_classes_partition():
     path = DyckPath.from_word("UUDD")
-    classes = contour_classes(path)
-    flat = sorted(p for c in classes for p in c)
-    assert flat == list(range(2 * path.m + 1))
+    starts = class_starts(path)
+    # every position lies in one class, named by its first position
+    assert len(starts) == 2 * path.m + 1
+    assert all(starts[s] == s <= p for p, s in enumerate(starts))
     # vertices of the tree = classes of the contour
-    assert len(classes) == contour_to_tree(path).vertex_count
+    assert len(set(starts)) == contour_to_tree(path).vertex_count
 
 
 def test_contour_classes_identifications():
     # UDUD: positions 0, 2, 4 all sit at height 0 on the same vertex
-    classes = contour_classes(DyckPath.from_word("UDUD"))
-    assert (0, 2, 4) in classes
+    starts = class_starts(DyckPath.from_word("UDUD"))
+    assert [p for p, s in enumerate(starts) if s == 0] == [0, 2, 4]
 
 
 def test_contour_classes_match_the_definition():
     """On every Dyck path with m <= 7: i <= j are one class exactly when
-    C(i) = C(j) = min C on [i, j]."""
+    C(i) = C(j) = min C on [i, j], and the tree's rotation takes each
+    position below 2m to the next one of its class, the last one back to
+    the first."""
     for m in range(1, 8):
         for path in enumerate_trees(m):
             c = path.heights()
@@ -74,10 +77,12 @@ def test_contour_classes_match_the_definition():
                           if c[i] == c[j] == min(c[i:j + 1]))
                       for j in range(2 * m + 1)]
             assert class_starts(path) == starts
-            classes = sorted({tuple(j for j in range(2 * m + 1)
-                                    if starts[j] == s) for s in starts})
-            assert contour_classes(path) == classes
-            assert len(classes) == m + 1
+            assert len(set(starts)) == m + 1
+            tree = contour_to_tree(path)
+            for p in range(2 * m):
+                later = [j for j in range(p + 1, 2 * m)
+                         if starts[j] == starts[p]]
+                assert tree.sigma_of(p + 1) == (later or starts[p:p + 1])[0] + 1
 
 
 def test_sampling_is_valid_and_deterministic():
