@@ -33,7 +33,9 @@ entered the library.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BoundariesNotDisjoint,
@@ -48,7 +50,7 @@ from .errors import (
 )
 from .maps import (BoundaryMap, PlanarMap, _edge_ends, _ints, _is_tree,
                    _map_record, map_to_line)
-from .trees import DyckPath, contour_to_tree
+from .trees import _MEMO_EDGES, DyckPath, contour_to_tree
 
 
 @dataclass(frozen=True)
@@ -128,10 +130,17 @@ def _tree_contour(pmap: PlanarMap, tree_edges) -> tuple[list[int],
             return darts, DyckPath(tuple(steps))
 
 
-def _contour_matching(tree: PlanarMap) -> list[int]:
+def _contour_matching(tree: PlanarMap) -> tuple[int, ...]:
     """match[i] = j when contour steps i and j traverse the same edge.
     Raises NotDyck unless ``tree`` is a plane tree: its root face must
-    take every dart."""
+    take every dart.  The matching of a tree with at most ``_MEMO_EDGES``
+    edges is computed once and shared; a larger tree is never kept."""
+    if tree.dart_count <= 2 * _MEMO_EDGES:
+        return _memo_matching(tree)
+    return _matching(tree)
+
+
+def _matching(tree: PlanarMap) -> tuple[int, ...]:
     walk = tree.root_face()
     if len(walk) != tree.dart_count:
         raise NotDyck("map is not a plane tree (more than one face)")
@@ -139,7 +148,11 @@ def _contour_matching(tree: PlanarMap) -> list[int]:
     for i, d in enumerate(walk):
         pos[d] = i
     alpha = tree.alpha
-    return [pos[alpha[d - 1]] for d in walk]
+    return tuple([pos[alpha[d - 1]] for d in walk])
+
+
+# the same room as trees._memo_tree; a raise is never cached
+_memo_matching = lru_cache(maxsize=256)(_matching)
 
 
 def _cut(phi: list[int], alpha: list[int], walk):
@@ -188,7 +201,7 @@ def unglue(tdm: TreeDecoratedMap):
         PlanarMap(tuple(sigma), tuple(alpha), root, pmap.labels)))
 
 
-def _sew(pmap: PlanarMap, consumed: list[int], matching: list[int]):
+def _sew(pmap: PlanarMap, consumed: list[int], matching: Sequence[int]):
     """Delete the ``consumed`` darts and pair the alpha-partners of
     ``consumed[i]`` and ``consumed[matching[i]]``.
 

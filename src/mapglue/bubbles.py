@@ -328,7 +328,7 @@ def _bridgeless_walk(bmap: BoundaryMap) -> tuple[int, ...]:
     return walk
 
 
-def _boundary_groups(pmap: PlanarMap, walk, match: list[int]):
+def _boundary_groups(pmap: PlanarMap, walk, match: tuple[int, ...]):
     """Boundary positions grouped by (vertex, contour class) in one pass
     over the boundary walk ``walk`` of ``pmap``, glued along the contour
     matching ``match`` (step i goes up exactly when ``match[i] > i``).
@@ -351,7 +351,7 @@ def _boundary_groups(pmap: PlanarMap, walk, match: list[int]):
                   key=itemgetter(0))
 
 
-def _wicked_cuts(pmap: PlanarMap, walk, match: list[int]):
+def _wicked_cuts(pmap: PlanarMap, walk, match: tuple[int, ...]):
     """Laminar intervals [a, b) of boundary positions pinched off by wicked
     identifications, as (a, b, vertex) triples (arguments as for
     :func:`_boundary_groups`)."""

@@ -1,19 +1,19 @@
 """Exhaustive generation of rooted planar maps and filtered catalogs.
 
-General rooted maps are generated by edge insertion.  Every rooted map with
-e >= 2 edges contains a removable edge (a non-bridge, or a pendant edge)
-that does not carry the root dart, so inserting one edge in every possible
-way into the maps with e-1 edges and deduplicating by canonical code yields
-each rooted map with e edges exactly once.
+General rooted maps are generated by Tutte's root-edge decomposition ("A
+census of planar maps", 1963).  The root edge of a rooted map with e edges
+is either a bridge joining two smaller maps whose edge counts sum to e-1,
+or a chord of a map with e-1 edges, running from its root corner to one
+of the k+1 corners of its root face of degree k.  Deleting the root edge
+inverts both constructions, so each rooted map is built exactly once, and
+no deduplication is needed.  Each is canonicalised once, from its raw
+rotation arrays, for its code.  Three checks guard the level: a short
+code (a disconnected construction) raises :class:`Disconnected`, two equal
+codes raise :class:`InternalMismatch`, and every level map is validated
+once, when its code is decoded through :func:`~mapglue.maps.build_map`
+before the level is memoised.
 
-Insertion candidates are never built as maps: each candidate's raw rotation
-arrays are canonicalised directly, and only the distinct codes are kept.
-Each distinct level map is then validated once, when its code is decoded
-through :func:`~mapglue.maps.build_map` before the level is memoised.  No
-check is lost: a disconnected candidate has a short code, and any other
-invalid candidate is a relabelling of its code, which fails at decode.
-
-Boundary catalogs of q-angulations need more edges than the general growth
+Boundary catalogs of q-angulations need more edges than the general levels
 can afford, so they are grown separately: starting from a plane tree (whose
 single face is the external face), each level splits the external face with
 a chord that closes off one new internal q-gon.  The reverse move (deleting
@@ -65,7 +65,8 @@ try:  # the builtin module, as random.py does: hashlib also loads OpenSSL
 except ImportError:
     from hashlib import sha256
 
-from .errors import CapExceeded, Disconnected, FormatError, Infeasible
+from .errors import (CapExceeded, Disconnected, FormatError, Infeasible,
+                     InternalMismatch)
 from .maps import (BoundaryMap, CanonicalCode, PlanarMap, _canonical,
                    _edge_ends, _ints, _is_tree, _min_code, _record,
                    build_map)
@@ -126,47 +127,82 @@ def _check_cap(edges: int, cap: int | None, default: int) -> None:
 
 # -- general rooted maps, by edge count ----------------------------------------
 
-def _with_edge_inserted(pmap: PlanarMap):
-    """Canonical codes of all maps obtained by inserting one edge, keeping
-    the root dart.
+def _root_chords(pmap: PlanarMap | None):
+    """Raw ``(sigma, alpha)`` of the maps whose root edge is a chord of
+    ``pmap`` (None is the vertex map), rooted at dart ``len(sigma) - 1``.
 
-    A corner is named by the dart it precedes in the rotation; the corner of
-    dart d lies on the face of d, so an edge may join two corners exactly
-    when their darts share a face.  The two new darts are interchangeable,
-    hence unordered corner pairs suffice up to isomorphism.  Each candidate
-    is canonicalised from its raw rotation arrays; :func:`_level` validates
-    the distinct codes.
+    The new root r = n+1 goes into the root corner, just before the root
+    f0; its partner r' = n+2 goes into one of the k+1 corners of the root
+    face (f0, ..., f_{k-1}): before f0 after r (j = 0), before r (j = k),
+    or before f_j (0 < j < k), which follows alpha(f_{j-1}).
     """
-    n = pmap.dart_count
-    x, y = n + 1, n + 2
-    sigma = pmap.sigma
-    alpha = pmap.alpha + (y, x)
-    root = (pmap.root,)
-    pred = [0] * n
-    for d in range(1, n + 1):
-        pred[sigma[d - 1] - 1] = d
-    face = [0] * n
-    for f, cyc in enumerate(pmap.faces()):
-        for d in cyc:
-            face[d - 1] = f
-    for c1 in range(1, n + 1):
-        p1 = pred[c1 - 1]
-        # pendant edge hanging into the face at this corner
-        s = list(sigma) + [c1, y]
-        s[p1 - 1] = x
-        yield _canonical(s, alpha, root)[0]
-        # trivial loop inside the corner
-        s = list(sigma) + [y, c1]
-        s[p1 - 1] = x
-        yield _canonical(s, alpha, root)[0]
-        for c2 in range(c1 + 1, n + 1):
-            if face[c1 - 1] != face[c2 - 1]:
-                continue  # joining distinct faces would raise the genus
-            p2 = pred[c2 - 1]
-            s = list(sigma) + [c1, c2]
-            s[p1 - 1] = x
-            s[p2 - 1] = y
-            yield _canonical(s, alpha, root)[0]
+    if pmap is None:
+        yield [2, 1], (2, 1)  # the loop
+        return
+    n = len(pmap.sigma)
+    r, r2 = n + 1, n + 2
+    alpha = pmap.alpha + (r2, r)
+    face = pmap.root_face()
+    k = len(face)
+    f0 = face[0]
+    last = alpha[face[-1] - 1]  # sigma(last) = f0
+    for j in range(k + 1):
+        sigma = list(pmap.sigma)
+        if j == 0:
+            sigma[last - 1] = r
+            sigma += [r2, f0]
+        elif j == k:
+            sigma[last - 1] = r2
+            sigma += [f0, r]
+        else:
+            sigma[last - 1] = r
+            sigma[alpha[face[j - 1] - 1] - 1] = r2
+            sigma += [f0, face[j]]
+        yield sigma, alpha
+
+
+def _bridge(m1: PlanarMap | None, m2: PlanarMap | None):
+    """Raw ``(sigma, alpha)`` of the map whose root edge is a bridge from
+    ``m1`` to ``m2`` (None is the vertex map), rooted at dart
+    ``len(sigma) - 1``.
+
+    ``m2``'s darts follow ``m1``'s; the new root r sits just before
+    ``m1``'s root in its rotation and its partner r + 1 just before
+    ``m2``'s root, and either is a fixed point of sigma on a vertex map.
+    """
+    sigma, alpha, roots = [], (), []
+    for m in (m1, m2):
+        if m is None:
+            roots.append(None)
+            continue
+        n = len(sigma)
+        sigma += [d + n for d in m.sigma]
+        alpha += tuple([d + n for d in m.alpha])
+        roots.append(m.root + n)
+    r = len(sigma) + 1
+    sigma += [r, r + 1]
+    for new, root in zip((r, r + 1), roots):
+        if root is not None:
+            sigma[sigma.index(root)] = new
+            sigma[new - 1] = root
+    return sigma, alpha + (r + 1, r)
+
+
+def _smaller(e: int) -> list[PlanarMap | None]:
+    """The maps with e edges; [None], the vertex map, when e is 0."""
+    return [None] if e == 0 else _level(e).maps()
+
+
+def _root_edge_maps(e: int):
+    """Raw ``(sigma, alpha)`` of every rooted map with e edges, each
+    rooted at dart ``len(sigma) - 1`` and built exactly once."""
+    for m in _smaller(e - 1):
+        yield from _root_chords(m)
+    for e1 in range(e):
+        right = _smaller(e - 1 - e1)
+        for m1 in _smaller(e1):
+            for m2 in right:
+                yield _bridge(m1, m2)
 
 
 _LEVELS: dict[int, Catalog] = {}
@@ -175,23 +211,22 @@ _LEVELS: dict[int, Catalog] = {}
 def _level(e: int) -> Catalog:
     """All rooted planar maps with e edges, sorted by code.
 
-    Only the distinct codes of the candidates are kept, and each is
-    decoded through :func:`~mapglue.maps.build_map` once before the level
-    is memoised.  A candidate that ``build_map`` would reject fails here
-    too: its code is short (it is disconnected), or the code is a
-    relabelling of it, which fails at decode.
+    Each map is built once by the root-edge decomposition (a chord of a
+    map with e-1 edges, or a bridge between two maps with e-1 edges in
+    all) and canonicalised once.  A short code raises
+    :class:`Disconnected`, two equal codes raise
+    :class:`InternalMismatch`, and each code is decoded through
+    :func:`~mapglue.maps.build_map` once before the level is memoised.
     """
     if e not in _LEVELS:
-        if e == 1:
-            codes = {(1, 2, 2, 1), (2, 1, 2, 1)}  # the edge and the loop
-        else:
-            codes = set()
-            for pm in _level(e - 1).maps():
-                codes.update(_with_edge_inserted(pm))
+        codes = sorted([_canonical(sigma, alpha, (len(sigma) - 1,))[0]
+                        for sigma, alpha in _root_edge_maps(e)])
         if min(map(len, codes)) != 4 * e:
             raise Disconnected("the darts do not form a connected map")
+        if any(a == b for a, b in zip(codes, codes[1:])):
+            raise InternalMismatch(f"a map with {e} edges was built twice")
         cat = Catalog(CatalogFilter(e=e),
-                      tuple([CanonicalCode(c) for c in sorted(codes)]))
+                      tuple([CanonicalCode(c) for c in codes]))
         del codes
         cat.maps()  # decode and validate every map of the level
         _LEVELS[e] = cat

@@ -368,6 +368,25 @@ def test_gluing_refuses_a_tree_that_is_no_plane_tree():
             glue_forest(MultiBoundaryMap(square, (square.root,)), [pm])
 
 
+def test_contour_matching_shared_for_small_trees_only():
+    from mapglue import bijection
+    bijection._memo_matching.cache_clear()
+    small = contour_to_tree(DyckPath((1, 1, -1, 1, -1, -1)))
+    match = bijection._contour_matching(small)
+    assert match == (5, 2, 1, 4, 3, 0)
+    assert bijection._contour_matching(small) is match
+    # a 7-edge tree is matched afresh and never kept
+    large = contour_to_tree(DyckPath((1, -1) * 7))
+    assert bijection._contour_matching(large) == tuple(
+        i + 1 if i % 2 == 0 else i - 1 for i in range(14))
+    # a small map that is no tree raises on every call
+    loop = build_map([2, 1], [2, 1], 1)
+    for _ in range(2):
+        with pytest.raises(NotDyck):
+            bijection._contour_matching(loop)
+    assert bijection._memo_matching.cache_info().currsize == 1
+
+
 def test_unglue_root_not_on_tree():
     triangle = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1)
     with pytest.raises(RootNotOnTree):

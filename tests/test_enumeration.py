@@ -10,8 +10,8 @@ from mapglue.enumeration import (Catalog, CatalogFilter, _subtrees,
                                  save_catalog, sphere_qangulations,
                                  tree_submaps)
 from mapglue.errors import (CapExceeded, Disconnected, FormatError,
-                            NonPlanar)
-from mapglue.maps import BoundaryMap, build_map
+                            InternalMismatch, NonPlanar)
+from mapglue.maps import BoundaryMap, _canonical, build_map
 
 TRIANGLE = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1)
 
@@ -35,20 +35,91 @@ def test_level_build_validates_each_distinct_map_once(monkeypatch):
     from mapglue import enumeration
     before = enumerate_maps(5)
     monkeypatch.setattr(enumeration, "_LEVELS", {})
-    calls = []
-    real = enumeration.build_map
-
-    def counting_build_map(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(enumeration, "build_map", counting_build_map)
+    canonical, built = [], []
+    monkeypatch.setattr(enumeration, "_canonical",
+                        _counting(canonical, enumeration._canonical))
+    monkeypatch.setattr(enumeration, "build_map",
+                        _counting(built, enumeration.build_map))
     sizes = [len(enumerate_maps(e)) for e in range(1, 6)]
-    # one decode per distinct code of each level, and no other validation
-    assert len(calls) == sum(sizes)
+    # each level map is built and canonicalised once, and decoded once;
+    # there is no other validation
+    assert len(canonical) == len(built) == sum(sizes) == 3359
     again = enumerate_maps(5)
     assert again is not before and again == before
     assert again.maps() == before.maps()
+
+
+def _with_edge_inserted(pmap):
+    """Canonical codes of all maps obtained by inserting one edge, keeping
+    the root dart.
+
+    A corner is named by the dart it precedes in the rotation; the corner of
+    dart d lies on the face of d, so an edge may join two corners exactly
+    when their darts share a face.  The two new darts are interchangeable,
+    hence unordered corner pairs suffice up to isomorphism.
+    """
+    n = pmap.dart_count
+    x, y = n + 1, n + 2
+    sigma = pmap.sigma
+    alpha = pmap.alpha + (y, x)
+    root = (pmap.root,)
+    pred = [0] * n
+    for d in range(1, n + 1):
+        pred[sigma[d - 1] - 1] = d
+    face = [0] * n
+    for f, cyc in enumerate(pmap.faces()):
+        for d in cyc:
+            face[d - 1] = f
+    for c1 in range(1, n + 1):
+        p1 = pred[c1 - 1]
+        # pendant edge hanging into the face at this corner
+        s = list(sigma) + [c1, y]
+        s[p1 - 1] = x
+        yield _canonical(s, alpha, root)[0]
+        # trivial loop inside the corner
+        s = list(sigma) + [y, c1]
+        s[p1 - 1] = x
+        yield _canonical(s, alpha, root)[0]
+        for c2 in range(c1 + 1, n + 1):
+            if face[c1 - 1] != face[c2 - 1]:
+                continue  # joining distinct faces would raise the genus
+            p2 = pred[c2 - 1]
+            s = list(sigma) + [c1, c2]
+            s[p1 - 1] = x
+            s[p2 - 1] = y
+            yield _canonical(s, alpha, root)[0]
+
+
+def test_root_edge_levels_match_edge_insertion():
+    # the reference: every rooted map with e >= 2 edges has a removable
+    # edge off the root dart (a non-bridge, or a pendant edge), so
+    # inserting one edge in every way into the maps with e - 1 edges and
+    # deduplicating by code gives each map with e edges once
+    codes = {(1, 2, 2, 1), (2, 1, 2, 1)}  # the edge and the loop
+    for e in range(1, 7):
+        if e > 1:
+            half = 2 * (e - 1)
+            grown = set()
+            for c in codes:
+                grown.update(_with_edge_inserted(
+                    build_map(c[:half], c[half:], 1)))
+            codes = grown
+        assert sorted(codes) == [c.code for c in enumerate_maps(e).entries]
+
+
+def test_map_built_twice_raises(monkeypatch):
+    from mapglue import enumeration
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    real = enumeration._root_chords
+
+    def chords(pmap):
+        built = list(real(pmap))
+        yield from built
+        yield built[-1]
+
+    monkeypatch.setattr(enumeration, "_root_chords", chords)
+    with pytest.raises(InternalMismatch):
+        enumerate_maps(1)
 
 
 def _joining_two_faces(pmap):
@@ -75,18 +146,18 @@ def _with_loose_loop(pmap):
 ])
 def test_invalid_insertion_candidate_raises(monkeypatch, bad_candidate,
                                             error):
+    # the bad candidate rides along with the root chords of the loop; it
+    # is rooted at its first new dart, as every root chord is
     from mapglue import enumeration
-    from mapglue.maps import _canonical
     monkeypatch.setattr(enumeration, "_LEVELS", {})
-    real = enumeration._with_edge_inserted
+    real = enumeration._root_chords
 
-    def generator(pmap):
+    def chords(pmap):
         yield from real(pmap)
-        if pmap.face_count > 1:
-            sigma, alpha = bad_candidate(pmap)
-            yield _canonical(sigma, alpha, (pmap.root,))[0]
+        if pmap is not None and pmap.face_count > 1:
+            yield bad_candidate(pmap)
 
-    monkeypatch.setattr(enumeration, "_with_edge_inserted", generator)
+    monkeypatch.setattr(enumeration, "_root_chords", chords)
     with pytest.raises(error):
         enumerate_maps(2)
 
@@ -109,7 +180,6 @@ def _recording(results, real):
 
 def test_qangulation_growth_validates_each_distinct_map_once(monkeypatch):
     from mapglue import enumeration, trees
-    from mapglue.maps import _canonical
     before = enumerate_boundary_maps(q=4, f=3, perimeter=4)
     monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
     trees._memo_tree.cache_clear()
