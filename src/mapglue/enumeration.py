@@ -7,11 +7,9 @@ or a chord of a map with e-1 edges, running from its root corner to one
 of the k+1 corners of its root face of degree k.  Deleting the root edge
 inverts both constructions, so each rooted map is built exactly once, and
 no deduplication is needed.  Each is canonicalised once, from its raw
-rotation arrays, for its code.  Three checks guard the level: a short
-code (a disconnected construction) raises :class:`Disconnected`, two equal
-codes raise :class:`InternalMismatch`, and every level map is validated
-once, when its code is decoded through :func:`~mapglue.maps.build_map`
-before the level is memoised.
+rotation arrays, for its code, and its map is cut from that code.  Two
+checks guard the level: a short code (a disconnected construction) raises
+:class:`Disconnected`, and two equal codes raise :class:`InternalMismatch`.
 
 Boundary catalogs of q-angulations need more edges than the general levels
 can afford, so they are grown separately: starting from a plane tree (whose
@@ -24,7 +22,13 @@ root; the growth then starts from its one child, the one-loop map.  This
 growth works on raw arrays too: each chord candidate is keyed by its
 smallest code over the rootings at its external face, found by
 :func:`~mapglue.maps._min_code`, whose searches stop as soon as they fall
-behind, and each distinct candidate of a step is validated once.
+behind, and a short key (a disconnected candidate) raises
+:class:`Disconnected`.
+
+Maps are validated where they enter: :func:`catalog_from_text`, the only
+code here that decodes a code, runs each map it reads through
+:func:`~mapglue.maps.build_map`.  Catalogs built in process keep the maps
+their enumeration built; the tests run those through it instead.
 
 The pools of sphere q-angulations that the brute-force counts sum over are
 grown the same way, as the maps whose root face is a q-gon and whose other
@@ -32,10 +36,9 @@ faces are q-gons; the general level is never scanned for them.  The
 filter of the e-edge general level by face degree is kept in the tests as
 the reference these pools must equal.
 
-Everything is computed at most once per process: each general level (its
-catalog, and that catalog's decoded maps), each q-angulation boundary level
-(which holds the sphere pools too), and each catalog fetched through
-:func:`get_catalog`.  The size cap is checked before every one of these
+Everything is computed at most once per process: each general level, each
+q-angulation boundary level (which holds the sphere pools too), and each
+catalog fetched through :func:`get_catalog`.  The size cap is checked before every one of these
 memos is consulted, so a warm call refuses exactly what a cold call refuses.
 
 Catalogs can be persisted as text files; the directory is taken from the
@@ -92,31 +95,20 @@ class CatalogFilter:
 
 @dataclass(frozen=True)
 class Catalog:
+    """Rooted maps sorted by code: their ``entries`` and, one per entry,
+    their maps, each in canonical form (rooted at dart 1)."""
+
     filter: CatalogFilter
     entries: tuple[CanonicalCode, ...]
-    _maps: list[PlanarMap] | None = field(default=None, init=False,
-                                          repr=False, compare=False)
+    _maps: tuple[PlanarMap, ...] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def maps(self) -> list[PlanarMap]:
-        """The entries as maps.  The first call decodes and validates every
-        entry; later calls return a new list of the same maps."""
-        if self._maps is None:
-            object.__setattr__(self, "_maps",
-                               [decode_code(c) for c in self.entries])
+        """The maps, as a new list: built by the enumeration, or validated
+        by :func:`catalog_from_text` when read from text."""
         return list(self._maps)
-
-
-def decode_code(code: CanonicalCode) -> PlanarMap:
-    half = len(code.code) // 2
-    return build_map(code.code[:half], code.code[half:], 1)
-
-
-def _code_of(canonical: PlanarMap) -> CanonicalCode:
-    """Code of a map that is already in canonical form."""
-    return CanonicalCode(canonical.sigma + canonical.alpha)
 
 
 def _check_cap(edges: int, cap: int | None, default: int) -> None:
@@ -213,10 +205,9 @@ def _level(e: int) -> Catalog:
 
     Each map is built once by the root-edge decomposition (a chord of a
     map with e-1 edges, or a bridge between two maps with e-1 edges in
-    all) and canonicalised once.  A short code raises
-    :class:`Disconnected`, two equal codes raise
-    :class:`InternalMismatch`, and each code is decoded through
-    :func:`~mapglue.maps.build_map` once before the level is memoised.
+    all), canonicalised once, and cut from its code.  A short code raises
+    :class:`Disconnected` and two equal codes raise
+    :class:`InternalMismatch`.
     """
     if e not in _LEVELS:
         codes = sorted([_canonical(sigma, alpha, (len(sigma) - 1,))[0]
@@ -225,11 +216,11 @@ def _level(e: int) -> Catalog:
             raise Disconnected("the darts do not form a connected map")
         if any(a == b for a, b in zip(codes, codes[1:])):
             raise InternalMismatch(f"a map with {e} edges was built twice")
-        cat = Catalog(CatalogFilter(e=e),
-                      tuple([CanonicalCode(c) for c in codes]))
-        del codes
-        cat.maps()  # decode and validate every map of the level
-        _LEVELS[e] = cat
+        n = 2 * e
+        _LEVELS[e] = Catalog(CatalogFilter(e=e),
+                             tuple([CanonicalCode(c) for c in codes]),
+                             tuple([PlanarMap(c[:n], c[n:], 1)
+                                    for c in codes]))
     return _LEVELS[e]
 
 
@@ -272,30 +263,26 @@ def _external_canonical(sigma, alpha, walk) -> tuple[int, ...]:
     return _min_code(sigma, alpha, [(d,) for d in walk])[0]
 
 
-_QANG_LEVELS: dict[tuple[int, int, int], tuple[PlanarMap, ...]] = {}
+_QANG_LEVELS: dict[tuple[int, int, int], Catalog] = {}
 
 
-def _qangulation_boundary_maps(q: int, f: int, perimeter: int) -> tuple[PlanarMap, ...]:
+def _qangulation_boundary_maps(q: int, f: int, perimeter: int) -> Catalog:
     """Rooted maps with f internal q-gon faces and external (root) face of
     the given degree, each rooted-map exactly once, sorted by code.
 
     Each growth step keys its candidates' raw arrays by
     :func:`_external_canonical`, an early-stopping minimum over the
-    external rootings, and validates each distinct candidate once, through
-    :func:`~mapglue.maps.build_map`, the first time its key is met.  No
-    check is lost: a disconnected candidate has a short key and no valid
-    candidate of the step does, and any other invalid candidate is a
-    relabelling of its key, so the key cannot be a valid candidate's.
+    external rootings; a short key (a disconnected candidate) raises
+    :class:`Disconnected`.
     """
     memo_key = (q, f, perimeter)
     if memo_key in _QANG_LEVELS:
         return _QANG_LEVELS[memo_key]
     p0 = perimeter + f * (q - 2)  # perimeter of the seed tree
     if f < 0 or p0 % 2 or p0 < 0:
-        _QANG_LEVELS[memo_key] = ()
-        return ()
-    if p0 == 0:  # q = 1, seeded by the vertex map's one child
-        seeds, steps = [build_map((2, 1), (2, 1), 1)], f - 1
+        seeds, steps = [], 0
+    elif p0 == 0:  # q = 1, seeded by the vertex map's one child
+        seeds, steps = [PlanarMap((2, 1), (2, 1), 1)], f - 1
     else:
         seeds = (contour_to_tree(path) for path in enumerate_trees(p0 // 2))
         steps = f
@@ -312,9 +299,9 @@ def _qangulation_boundary_maps(q: int, f: int, perimeter: int) -> tuple[PlanarMa
             for i in range(len(walk)):
                 cand = _add_qgon(sigma, alpha, walk, i, q)
                 code = _external_canonical(*cand)
-                if code not in nxt:
-                    build_map(cand[0], cand[1], cand[2][0])  # validate once
-                    nxt[code] = cand
+                if len(code) < 2 * len(cand[0]):
+                    raise Disconnected("the darts do not form a connected map")
+                nxt.setdefault(code, cand)
         level = nxt
     rooted: dict[tuple[int, ...], PlanarMap] = {}
     for sigma, alpha, walk in level.values():
@@ -323,9 +310,11 @@ def _qangulation_boundary_maps(q: int, f: int, perimeter: int) -> tuple[PlanarMa
             code = _canonical(sigma, alpha, (d,))[0]
             if code not in rooted:
                 rooted[code] = PlanarMap(code[:n], code[n:], 1)
-    result = tuple(rooted[c] for c in sorted(rooted))
-    _QANG_LEVELS[memo_key] = result
-    return result
+    codes = sorted(rooted)
+    _QANG_LEVELS[memo_key] = Catalog(CatalogFilter(q, f, perimeter=perimeter),
+                                     tuple([CanonicalCode(c) for c in codes]),
+                                     tuple([rooted[c] for c in codes]))
+    return _QANG_LEVELS[memo_key]
 
 
 def _check_boundary_family(q: int, f: int, e: int, perimeter: int,
@@ -355,20 +344,17 @@ def enumerate_boundary_maps(q: int = 0, f: int = 0, e: int = 0,
     _check_boundary_family(q, f, e, perimeter, cap)
     filt = CatalogFilter(q, f, e, perimeter, simple, bridgeless)
     if q == 0:
-        pool = [pm for pm in enumerate_maps(e, cap=cap).maps()
-                if (not perimeter or len(pm.root_face()) == perimeter)
-                and (not f or pm.face_count - 1 == f)]
+        level = enumerate_maps(e, cap=cap)
     else:  # grown with exactly the q, f and perimeter asked for
-        pool = _qangulation_boundary_maps(q, f, perimeter)
-    entries = []
-    for pm in pool:
-        b = BoundaryMap(pm)
-        if simple and not b.is_simple():
-            continue
-        if bridgeless and not b.is_bridgeless():
-            continue
-        entries.append(_code_of(pm))
-    return Catalog(filt, tuple(sorted(entries)))
+        level = _qangulation_boundary_maps(q, f, perimeter)
+    # a subsequence of the level, so the entries stay sorted
+    kept = [(code, pm) for code, pm in zip(level.entries, level.maps())
+            if (q or not perimeter or len(pm.root_face()) == perimeter)
+            and (q or not f or pm.face_count - 1 == f)
+            and (not simple or BoundaryMap(pm).is_simple())
+            and (not bridgeless or BoundaryMap(pm).is_bridgeless())]
+    return Catalog(filt, tuple([code for code, _ in kept]),
+                   tuple([pm for _, pm in kept]))
 
 
 # -- decorated brute-force counts -----------------------------------------------
@@ -422,7 +408,7 @@ def sphere_qangulations(q: int, f: int, cap: int | None = None) -> list[PlanarMa
     _check_cap(e, cap, QANG_EDGE_CAP)
     if e < 1:
         raise Infeasible("edge count must be at least 1")
-    return list(_qangulation_boundary_maps(q, f - 1, q))
+    return _qangulation_boundary_maps(q, f - 1, q).maps()
 
 
 def _forests(pool, sizes: list[int], rooted_labeled: bool) -> int:
@@ -546,10 +532,12 @@ def catalog_from_text(text: str) -> Catalog:
     q, f, e, perim, simple, bridgeless, count = _ints(
         ",".join(head[k] for k in _CATALOG_FIELDS), count=7)
     filt = CatalogFilter(q, f, e, perim, bool(simple), bool(bridgeless))
-    entries = tuple([CanonicalCode(tuple(_ints(ln))) for ln in lines[1:-1]])
-    if len(entries) != count:
+    codes = [tuple(_ints(ln)) for ln in lines[1:-1]]
+    if len(codes) != count:
         raise FormatError("catalog count does not match the entry lines")
-    return Catalog(filt, entries)
+    # the one place where a code becomes a map, so every map is validated
+    maps = [build_map(c[:len(c) // 2], c[len(c) // 2:], 1) for c in codes]
+    return Catalog(filt, tuple(map(CanonicalCode, codes)), tuple(maps))
 
 
 def catalog_dir() -> str | None:

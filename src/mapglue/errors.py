@@ -48,7 +48,8 @@ class SizeMismatch(MapGlueError):
 
 
 class TreeTooLarge(MapGlueError):
-    """Partial gluing needs a tree strictly smaller than half the perimeter."""
+    """Partial gluing needs a tree contour (twice the tree edge count) no
+    longer than the perimeter."""
 
 
 class BoundariesNotDisjoint(MapGlueError):
@@ -85,8 +86,9 @@ class NonIntegral(MapGlueError):
 
 
 class InternalMismatch(MapGlueError):
-    """Bubble-map invariant broken: pinches that form no tree over the
-    spheres, or wicked cuts that cross or split off the wrong spheres."""
+    """Internal invariant broken: bubble-map pinches that form no tree over
+    the spheres, wicked cuts that cross or split off the wrong spheres, or
+    an enumeration level that builds a map twice."""
 
 
 class UnknownFormat(MapGlueError):

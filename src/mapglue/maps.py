@@ -117,12 +117,10 @@ class PlanarMap:
 
     Maps are validated once, at the trust boundary: :func:`build_map` runs
     on every map read from outside (map, decorated and forest records,
-    sampler exports, catalog codes), on each map of a general enumeration
-    level when its code is decoded, on each distinct candidate of the
-    q-angulation growth, and on every sphere the bubble kernels build.  The
-    sphere kernels (``unglue``, ``glue``, ``glue_partial``, ``glue_forest``
-    and ``contour_to_tree``) construct their maps directly from inputs
-    already checked, with tuple fields and sorted labels; the tests run
+    sampler exports, catalog files) and on every sphere the bubble kernels
+    build.  The enumeration and the sphere kernels (``unglue``, ``glue``,
+    ``glue_partial``, ``glue_forest`` and ``contour_to_tree``) construct
+    their maps directly, with tuple fields and sorted labels; the tests run
     their outputs through :func:`build_map` again.  Use :func:`build_map`
     for any other raw data.
     """

@@ -204,12 +204,6 @@ def test_verify_suites(suite):
     assert out.splitlines()[-1] == f"suite {suite}: ok"
 
 
-def test_verify_roundtrip_small_cap():
-    code, out, _ = run("verify", "--suite", "roundtrip", "--cap", "3")
-    assert code == 0
-    assert "0 failures" in out
-
-
 def test_verify_series_reports_each_check(monkeypatch):
     monkeypatch.setitem(verify.PRINTED_S, (3, 2), 6)
     code, out, _ = run("verify", "--suite", "series")

@@ -1,3 +1,4 @@
+from hashlib import sha256
 from math import comb
 
 import pytest
@@ -10,8 +11,9 @@ from mapglue.enumeration import (Catalog, CatalogFilter, _subtrees,
                                  save_catalog, sphere_qangulations,
                                  tree_submaps)
 from mapglue.errors import (CapExceeded, Disconnected, FormatError,
-                            InternalMismatch, NonPlanar)
+                            InternalMismatch)
 from mapglue.maps import BoundaryMap, _canonical, build_map
+from mapglue.verify import _grid
 
 TRIANGLE = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1)
 
@@ -31,7 +33,8 @@ def test_enumerate_maps_counts():
     assert sizes == [2, 9, 54, 378, 2916, 24057]
 
 
-def test_level_build_validates_each_distinct_map_once(monkeypatch):
+def test_level_build_canonicalises_each_map_once_and_validates_none(
+        monkeypatch):
     from mapglue import enumeration
     before = enumerate_maps(5)
     monkeypatch.setattr(enumeration, "_LEVELS", {})
@@ -41,9 +44,10 @@ def test_level_build_validates_each_distinct_map_once(monkeypatch):
     monkeypatch.setattr(enumeration, "build_map",
                         _counting(built, enumeration.build_map))
     sizes = [len(enumerate_maps(e)) for e in range(1, 6)]
-    # each level map is built and canonicalised once, and decoded once;
-    # there is no other validation
-    assert len(canonical) == len(built) == sum(sizes) == 3359
+    # each level map is built and canonicalised once; its map is cut from
+    # its code, so nothing is decoded or validated
+    assert len(canonical) == sum(sizes) == 3359
+    assert built == []
     again = enumerate_maps(5)
     assert again is not before and again == before
     assert again.maps() == before.maps()
@@ -98,13 +102,14 @@ def test_root_edge_levels_match_edge_insertion():
     codes = {(1, 2, 2, 1), (2, 1, 2, 1)}  # the edge and the loop
     for e in range(1, 7):
         if e > 1:
-            half = 2 * (e - 1)
-            grown = set()
-            for c in codes:
-                grown.update(_with_edge_inserted(
-                    build_map(c[:half], c[half:], 1)))
-            codes = grown
-        assert sorted(codes) == [c.code for c in enumerate_maps(e).entries]
+            codes = {c for pm in maps for c in _with_edge_inserted(pm)}
+        level = enumerate_maps(e)
+        assert sorted(codes) == [c.code for c in level.entries]
+        # the level's maps are built unchecked: each is a valid map, the
+        # one its code describes
+        maps = [build_map(c.code[:2 * e], c.code[2 * e:], 1)
+                for c in level.entries]
+        assert maps == level.maps()
 
 
 def test_map_built_twice_raises(monkeypatch):
@@ -122,17 +127,6 @@ def test_map_built_twice_raises(monkeypatch):
         enumerate_maps(1)
 
 
-def _joining_two_faces(pmap):
-    """Raw rotation arrays of ``pmap`` plus an edge between corners on two
-    different faces: a map of genus 1."""
-    n = pmap.dart_count
-    c1, c2 = pmap.faces()[0][0], pmap.faces()[1][0]
-    sigma = list(pmap.sigma)
-    sigma[sigma.index(c1)] = n + 1  # the new darts precede c1 and c2
-    sigma[sigma.index(c2)] = n + 2
-    return sigma + [c1, c2], pmap.alpha + (n + 2, n + 1)
-
-
 def _with_loose_loop(pmap):
     """Raw rotation arrays of ``pmap`` plus a loop at a new vertex."""
     n = pmap.dart_count
@@ -141,7 +135,6 @@ def _with_loose_loop(pmap):
 
 
 @pytest.mark.parametrize("bad_candidate, error", [
-    (_joining_two_faces, NonPlanar),
     (_with_loose_loop, Disconnected),
 ])
 def test_invalid_insertion_candidate_raises(monkeypatch, bad_candidate,
@@ -178,7 +171,8 @@ def _recording(results, real):
     return recorded
 
 
-def test_qangulation_growth_validates_each_distinct_map_once(monkeypatch):
+def test_qangulation_growth_keys_each_candidate_and_validates_none(
+        monkeypatch):
     from mapglue import enumeration, trees
     before = enumerate_boundary_maps(q=4, f=3, perimeter=4)
     monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
@@ -196,8 +190,8 @@ def test_qangulation_growth_validates_each_distinct_map_once(monkeypatch):
     distinct = {min(_canonical(sigma, alpha, (d,))[0] for d in walk)
                 for sigma, alpha, walk in cands}
     assert len(cands) > len(distinct) > 0
-    # the seed trees come from their Dyck paths and are not validated
-    assert len(calls) == len(distinct)
+    # neither the seed trees nor the candidates are validated
+    assert calls == []
 
 
 def test_qangulation_growth_memoised(monkeypatch):
@@ -213,7 +207,6 @@ def test_qangulation_growth_memoised(monkeypatch):
 
 
 @pytest.mark.parametrize("bad_candidate, error", [
-    (_joining_two_faces, NonPlanar),
     (_with_loose_loop, Disconnected),
 ])
 def test_invalid_qangulation_candidate_raises(monkeypatch, bad_candidate,
@@ -228,8 +221,21 @@ def test_invalid_qangulation_candidate_raises(monkeypatch, bad_candidate,
         return sigma, alpha, walk
 
     monkeypatch.setattr(enumeration, "_add_qgon", add_qgon)
-    with pytest.raises(error):  # one step, so only the growth validates
+    with pytest.raises(error):  # one step, so only the growth checks
         enumerate_boundary_maps(q=4, f=1, perimeter=4)
+
+
+def test_grown_maps_are_valid():
+    # the growth builds its maps unchecked: build_map gives each one back
+    pools = [sphere_qangulations(4, 5), sphere_qangulations(3, 6)]
+    pools += [enumerate_boundary_maps(q=q, f=f, perimeter=2 * m,
+                                      simple=True).maps()
+              for q in (3, 4) for f, m in _grid(q)]
+    assert len(pools[0]) == 2916
+    for pool in pools:
+        assert pool
+        for pm in pool:
+            assert build_map(pm.sigma, pm.alpha, pm.root) == pm
 
 
 def test_enumerate_maps_entries_are_canonical_and_distinct():
@@ -337,6 +343,18 @@ def test_catalog_text_round_trip():
     assert again == cat
     assert text.startswith("catalog q=4 f=1 ")
     assert text.rstrip().splitlines()[-1].startswith("checksum=")
+
+
+@pytest.mark.parametrize("kwargs, digest", [
+    (dict(e=6, perimeter=4),
+     "cdffd3f99af18d17463eea8869323f7ca343b8e3f64d577d0555bc8ab82fcdd0"),
+    (dict(q=4, f=4, perimeter=4, simple=True),
+     "a8772ecc2c0184c53344fffb1845040aacf6718fdbf84e5988ac428769727638"),
+])
+def test_catalog_bytes_unchanged(kwargs, digest):
+    # the SHA-256 of the whole text, so saved catalog files stay valid
+    text = catalog_to_text(enumerate_boundary_maps(**kwargs))
+    assert sha256(text.encode()).hexdigest() == digest
 
 
 def test_catalog_text_corruption_detected():
@@ -453,21 +471,27 @@ def test_cap_checked_on_warm_calls(monkeypatch):
         sphere_qangulations(4, 3, cap=5)
 
 
-def test_catalog_maps_validated_on_first_call_only(monkeypatch):
+def test_catalog_maps_validated_on_first_call_only(tmp_path, monkeypatch):
+    # only a catalog read from a file is validated, each entry once, when
+    # get_catalog first loads it
     from mapglue import enumeration
-    cat = Catalog(CatalogFilter(e=4), enumerate_maps(4).entries)
+    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
+    monkeypatch.setattr(enumeration, "_CATALOG_MEMO", {})
     calls = []
-    real = enumeration.build_map
-
-    def counting_build_map(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(enumeration, "build_map", counting_build_map)
+    monkeypatch.setattr(enumeration, "build_map",
+                        _counting(calls, enumeration.build_map))
+    cat = enumerate_maps(4)
     first = cat.maps()
-    assert len(calls) == len(cat) == 378
     second = cat.maps()
-    assert len(calls) == 378
     assert second == first and second is not first
     second.clear()
     assert len(cat.maps()) == 378
+    built = get_catalog(e=4, perimeter=4)  # a miss: built and saved
+    assert len(built.maps()) == len(built) == 58
+    assert calls == []
+    monkeypatch.setattr(enumeration, "_CATALOG_MEMO", {})
+    loaded = get_catalog(e=4, perimeter=4)
+    assert len(calls) == len(loaded) == 58
+    assert loaded == built and loaded.maps() == built.maps()
+    assert get_catalog(e=4, perimeter=4) is loaded
+    assert len(calls) == 58

@@ -14,11 +14,12 @@ import pytest
 from mapglue.bijection import (MultiBoundaryMap, decorated_from_line,
                                forest_from_line, forest_to_line, glue_forest)
 from mapglue.cli import main
-from mapglue.enumeration import (EDGE_CAP, QANG_EDGE_CAP, _checksum_line,
-                                 catalog_from_text, catalog_to_text,
-                                 enumerate_maps)
-from mapglue.errors import FormatError, MapGlueError
-from mapglue.maps import build_map, map_from_line
+from mapglue.enumeration import (EDGE_CAP, QANG_EDGE_CAP, Catalog,
+                                 CatalogFilter, _catalog_filename,
+                                 _checksum_line, catalog_from_text,
+                                 catalog_to_text, enumerate_maps, get_catalog)
+from mapglue.errors import Disconnected, FormatError, MapGlueError, NonPlanar
+from mapglue.maps import CanonicalCode, build_map, map_from_line
 from mapglue.sampler import (SampleSpec, draw_tree_decorated,
                              export_decorated, parse_decorated)
 from mapglue.trees import DyckPath, contour_to_tree
@@ -192,6 +193,27 @@ def test_catalog_mutations():
     for mutated in mutations(body):
         _parses_or_refuses(catalog_from_text,
                            mutated + _checksum_line(mutated) + "\n")
+
+
+@pytest.mark.parametrize("code, error", [
+    ((2, 3, 4, 1, 3, 4, 1, 2), NonPlanar),  # two crossing loops: a torus
+    ((2, 1, 4, 3, 2, 1, 4, 3), Disconnected),  # two loops, two vertices
+])
+def test_catalog_file_with_an_invalid_map_refused(tmp_path, monkeypatch,
+                                                  code, error):
+    # the checksum holds, so only the validation on load can refuse it
+    from mapglue import enumeration
+    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
+    monkeypatch.setattr(enumeration, "_CATALOG_MEMO", {})
+    filt = CatalogFilter(q=4, f=1, perimeter=2, simple=True)
+    (tmp_path / _catalog_filename(filt)).write_text(
+        catalog_to_text(Catalog(filt, (CanonicalCode(code),), ())))
+    with pytest.raises(error):
+        get_catalog(q=4, f=1, perimeter=2, simple=True)
+    status, out, err = run("sample", "--q", "4", "--faces", "1",
+                           "--tree-edges", "1", "--seed", "1", "--count", "1")
+    assert status == 2 and out == ""
+    assert error.__name__ in err and "Traceback" not in err
 
 
 def test_record_fields_in_any_order():
