@@ -12,34 +12,34 @@ checks guard the level: a short code (a disconnected construction) raises
 :class:`Disconnected`, and two equal codes raise :class:`InternalMismatch`.
 
 Boundary catalogs of q-angulations need more edges than the general levels
-can afford, so they are grown separately: starting from a plane tree (whose
-single face is the external face), each level splits the external face with
-a chord that closes off one new internal q-gon.  The reverse move (deleting
-one edge shared by an internal face and the external face) reduces any map
-whose internal faces are all q-gons to a plane tree, so this growth is also
-exhaustive.  For q = 1 the tree may be the vertex map, which has no dart to
-root; the growth then starts from its one child, the one-loop map.  This
-growth works on raw arrays too: each chord candidate is keyed by its
-smallest code over the rootings at its external face, found by
-:func:`~mapglue.maps._min_code`, whose searches stop as soon as they fall
-behind, and a short key (a disconnected candidate) raises
-:class:`Disconnected`.
+can afford, so they are built cell by cell with the same decomposition
+(Tutte, "A census of planar triangulations", 1962).  A rooted map with f
+internal q-gons and a root face of degree p is a root chord to corner q-1
+of the root face of a map with f-1 internal q-gons and a root face of
+degree p+q-2 (the chord closes the new q-gon), or a root bridge between two
+such maps whose internal faces number f and whose root faces have degrees
+summing to p-2.  The chord chain is streamed and only the bridge factors
+are kept, for one build.  In the requested cell the catalog filter runs
+on each raw map first, and only the maps it keeps are canonicalised, once
+each, with the same two checks.
 
 Maps are validated where they enter: :func:`catalog_from_text`, the only
 code here that decodes a code, runs each map it reads through
-:func:`~mapglue.maps.build_map`.  Catalogs built in process keep the maps
-their enumeration built; the tests run those through it instead.
+:func:`~mapglue.maps.build_map`, and refuses a file whose entries are not
+strictly increasing canonical codes of maps of the family its header
+names.  Catalogs built in process keep the maps their enumeration built;
+the tests run those through it instead.
 
 The pools of sphere q-angulations that the brute-force counts sum over are
-grown the same way, as the maps whose root face is a q-gon and whose other
-faces are q-gons; the general level is never scanned for them.  The
-filter of the e-edge general level by face degree is kept in the tests as
-the reference these pools must equal.
+the cells whose root face is a q-gon; the general level is never scanned
+for them.  The filter of the e-edge general level by face degree is kept
+in the tests as the reference these pools must equal.
 
 Everything is computed at most once per process: each general level, each
-q-angulation boundary level (which holds the sphere pools too), and each
-catalog fetched through :func:`get_catalog`.  The size cap is checked before every one of these
-memos is consulted, so a warm call refuses exactly what a cold call refuses.
+filtered q-angulation cell (which holds the sphere pools too), and each
+catalog fetched through :func:`get_catalog`.  The size cap is checked
+before every one of these memos is consulted, so a warm call refuses
+exactly what a cold call refuses.
 
 Catalogs can be persisted as text files; the directory is taken from the
 MAPGLUE_CATALOG_DIR environment variable when set.  A file is written under
@@ -71,9 +71,7 @@ except ImportError:
 from .errors import (CapExceeded, Disconnected, FormatError, Infeasible,
                      InternalMismatch)
 from .maps import (BoundaryMap, CanonicalCode, PlanarMap, _canonical,
-                   _edge_ends, _ints, _is_tree, _min_code, _record,
-                   build_map)
-from .trees import contour_to_tree, enumerate_trees
+                   _edge_ends, _ints, _is_tree, _record, build_map)
 
 EDGE_CAP = 6        # general enumeration, by edge count
 QANG_EDGE_CAP = 10  # q-angulation boundary catalogs, by total edge count
@@ -119,14 +117,17 @@ def _check_cap(edges: int, cap: int | None, default: int) -> None:
 
 # -- general rooted maps, by edge count ----------------------------------------
 
-def _root_chords(pmap: PlanarMap | None):
+def _root_chords(pmap: PlanarMap | None, corner: int | None = None):
     """Raw ``(sigma, alpha)`` of the maps whose root edge is a chord of
-    ``pmap`` (None is the vertex map), rooted at dart ``len(sigma) - 1``.
+    ``pmap`` (None is the vertex map), rooted at dart ``len(sigma) - 1``:
+    one to each corner of the root face, or to ``corner`` alone.
 
     The new root r = n+1 goes into the root corner, just before the root
     f0; its partner r' = n+2 goes into one of the k+1 corners of the root
     face (f0, ..., f_{k-1}): before f0 after r (j = 0), before r (j = k),
-    or before f_j (0 < j < k), which follows alpha(f_{j-1}).
+    or before f_j (0 < j < k), which follows alpha(f_{j-1}).  The darts
+    f0, ..., f_{j-1} then bound a new face of degree j + 1, and the root
+    face keeps the other k - j + 1.
     """
     if pmap is None:
         yield [2, 1], (2, 1)  # the loop
@@ -138,7 +139,7 @@ def _root_chords(pmap: PlanarMap | None):
     k = len(face)
     f0 = face[0]
     last = alpha[face[-1] - 1]  # sigma(last) = f0
-    for j in range(k + 1):
+    for j in range(k + 1) if corner is None else (corner,):
         sigma = list(pmap.sigma)
         if j == 0:
             sigma[last - 1] = r
@@ -197,30 +198,38 @@ def _root_edge_maps(e: int):
                 yield _bridge(m1, m2)
 
 
+def _catalog(filt: CatalogFilter, built) -> Catalog:
+    """The catalog of ``built``, raw ``(sigma, alpha)`` pairs each rooted
+    at dart ``len(sigma) - 1`` and each built once.
+
+    Each map is canonicalised once and cut from its code.  A short code
+    (a disconnected construction) raises :class:`Disconnected` and two
+    equal codes raise :class:`InternalMismatch`.
+    """
+    codes = []
+    for sigma, alpha in built:
+        code = _canonical(sigma, alpha, (len(sigma) - 1,))[0]
+        if len(code) < 2 * len(sigma):
+            raise Disconnected("the darts do not form a connected map")
+        codes.append(code)
+    codes.sort()
+    if any(a == b for a, b in zip(codes, codes[1:])):
+        raise InternalMismatch(f"a map of {filt} was built twice")
+    return Catalog(filt, tuple([CanonicalCode(c) for c in codes]),
+                   tuple([PlanarMap(c[:len(c) // 2], c[len(c) // 2:], 1)
+                          for c in codes]))
+
+
 _LEVELS: dict[int, Catalog] = {}
 
 
 def _level(e: int) -> Catalog:
-    """All rooted planar maps with e edges, sorted by code.
-
-    Each map is built once by the root-edge decomposition (a chord of a
-    map with e-1 edges, or a bridge between two maps with e-1 edges in
-    all), canonicalised once, and cut from its code.  A short code raises
-    :class:`Disconnected` and two equal codes raise
-    :class:`InternalMismatch`.
-    """
+    """All rooted planar maps with e edges, sorted by code: each built
+    once by the root-edge decomposition (a chord of a map with e-1 edges,
+    or a bridge between two maps with e-1 edges in all) and made a
+    catalog by :func:`_catalog`."""
     if e not in _LEVELS:
-        codes = sorted([_canonical(sigma, alpha, (len(sigma) - 1,))[0]
-                        for sigma, alpha in _root_edge_maps(e)])
-        if min(map(len, codes)) != 4 * e:
-            raise Disconnected("the darts do not form a connected map")
-        if any(a == b for a, b in zip(codes, codes[1:])):
-            raise InternalMismatch(f"a map with {e} edges was built twice")
-        n = 2 * e
-        _LEVELS[e] = Catalog(CatalogFilter(e=e),
-                             tuple([CanonicalCode(c) for c in codes]),
-                             tuple([PlanarMap(c[:n], c[n:], 1)
-                                    for c in codes]))
+        _LEVELS[e] = _catalog(CatalogFilter(e=e), _root_edge_maps(e))
     return _LEVELS[e]
 
 
@@ -233,88 +242,63 @@ def enumerate_maps(e: int, cap: int | None = None) -> Catalog:
     return _level(e)
 
 
-# -- q-angulation boundary growth ----------------------------------------------
+# -- q-angulation boundary cells -----------------------------------------------
 
-def _add_qgon(sigma, alpha, walk, i: int, q: int):
-    """Split the external face, whose cycle is ``walk``, with a chord
-    closing a q-gon over the external darts at positions i..i+q-2 of the
-    walk.
+def _cell_maps(q: int, f: int, p: int, factors: dict):
+    """Every rooted map with f internal q-gons and a root face of degree
+    p, built once each, as a raw :class:`PlanarMap` rooted at dart
+    ``dart_count - 1``; cell (0, 0) is [None], the vertex map.
 
-    Returns the candidate's raw ``sigma`` and ``alpha`` lists and its new
-    external face cycle, which starts at the new external dart.
+    The root edge is a chord to corner q - 1 of the root face of a map of
+    cell (f-1, p+q-2), which closes a q-gon, or a bridge between maps of
+    cells (f1, p1) and (f-f1, p-2-p1).  The chord chain is streamed, and
+    the bridge factors, whose root faces are shorter, are built once into
+    ``factors``, a cell -> list memo for one build.
     """
-    p = len(walk)
-    n = len(sigma)
-    x, y = n + 1, n + 2
-    face1 = [x] + [walk[(i + k) % p] for k in range(q - 1)]
-    face2 = [y] + [walk[(i + k) % p] for k in range(q - 1, p)]
-    alpha = list(alpha) + [y, x]
-    # sigma(alpha(d)) = phi(d): only the darts of the two new faces change
-    sigma = list(sigma) + [0, 0]
-    for cyc in (face1, face2):
-        for k, d in enumerate(cyc):
-            sigma[alpha[d - 1] - 1] = cyc[(k + 1) % len(cyc)]
-    return sigma, alpha, face2
+    if f == p == 0:
+        yield None
+        return
+    if f < 0 or p < 1 or (q * f + p) % 2:
+        return
+    chain = factors.get((f - 1, p + q - 2))
+    if chain is None:
+        chain = _cell_maps(q, f - 1, p + q - 2, factors)
+    for m in chain:
+        for sigma, alpha in _root_chords(m, q - 1):
+            yield PlanarMap(tuple(sigma), alpha, len(sigma) - 1)
+    for f1 in range(f + 1):
+        for p1 in range(p - 1):
+            right = _factor(q, f - f1, p - 2 - p1, factors)
+            if not right:
+                continue
+            for m1 in _factor(q, f1, p1, factors):
+                for m2 in right:
+                    sigma, alpha = _bridge(m1, m2)
+                    yield PlanarMap(tuple(sigma), alpha, len(sigma) - 1)
 
 
-def _external_canonical(sigma, alpha, walk) -> tuple[int, ...]:
-    """Identity of (map, external face): the smallest code over the
-    rootings at the darts of the external face cycle ``walk``."""
-    return _min_code(sigma, alpha, [(d,) for d in walk])[0]
+def _factor(q: int, f: int, p: int, factors: dict) -> list:
+    """The maps of cell (f, p), built on the first call of a build."""
+    if (f, p) not in factors:
+        factors[f, p] = list(_cell_maps(q, f, p, factors))
+    return factors[f, p]
 
 
-_QANG_LEVELS: dict[tuple[int, int, int], Catalog] = {}
+_QANG_LEVELS: dict[CatalogFilter, Catalog] = {}
 
 
-def _qangulation_boundary_maps(q: int, f: int, perimeter: int) -> Catalog:
-    """Rooted maps with f internal q-gon faces and external (root) face of
-    the given degree, each rooted-map exactly once, sorted by code.
-
-    Each growth step keys its candidates' raw arrays by
-    :func:`_external_canonical`, an early-stopping minimum over the
-    external rootings; a short key (a disconnected candidate) raises
-    :class:`Disconnected`.
-    """
-    memo_key = (q, f, perimeter)
-    if memo_key in _QANG_LEVELS:
-        return _QANG_LEVELS[memo_key]
-    p0 = perimeter + f * (q - 2)  # perimeter of the seed tree
-    if f < 0 or p0 % 2 or p0 < 0:
-        seeds, steps = [], 0
-    elif p0 == 0:  # q = 1, seeded by the vertex map's one child
-        seeds, steps = [PlanarMap((2, 1), (2, 1), 1)], f - 1
-    else:
-        seeds = (contour_to_tree(path) for path in enumerate_trees(p0 // 2))
-        steps = f
-    # (sigma, alpha, external face cycle) of one representative per
-    # external-rooting-invariant identity
-    level: dict[tuple[int, ...], tuple] = {}
-    for t in seeds:
-        walk = t.root_face()
-        level.setdefault(_external_canonical(t.sigma, t.alpha, walk),
-                         (t.sigma, t.alpha, walk))
-    for _ in range(steps):
-        nxt: dict[tuple[int, ...], tuple] = {}
-        for sigma, alpha, walk in level.values():
-            for i in range(len(walk)):
-                cand = _add_qgon(sigma, alpha, walk, i, q)
-                code = _external_canonical(*cand)
-                if len(code) < 2 * len(cand[0]):
-                    raise Disconnected("the darts do not form a connected map")
-                nxt.setdefault(code, cand)
-        level = nxt
-    rooted: dict[tuple[int, ...], PlanarMap] = {}
-    for sigma, alpha, walk in level.values():
-        n = len(sigma)
-        for d in walk:
-            code = _canonical(sigma, alpha, (d,))[0]
-            if code not in rooted:
-                rooted[code] = PlanarMap(code[:n], code[n:], 1)
-    codes = sorted(rooted)
-    _QANG_LEVELS[memo_key] = Catalog(CatalogFilter(q, f, perimeter=perimeter),
-                                     tuple([CanonicalCode(c) for c in codes]),
-                                     tuple([rooted[c] for c in codes]))
-    return _QANG_LEVELS[memo_key]
+def _qangulation_boundary_maps(filt: CatalogFilter) -> Catalog:
+    """The maps of the cell (``filt.f``, ``filt.perimeter``) of
+    :func:`_cell_maps` that pass the ``simple`` and ``bridgeless``
+    filters, as a catalog: only those are canonicalised.  Memoised by the
+    filter."""
+    if filt not in _QANG_LEVELS:
+        kept = [(m.sigma, m.alpha)
+                for m in _cell_maps(filt.q, filt.f, filt.perimeter, {})
+                if (not filt.simple or BoundaryMap(m).is_simple())
+                and (not filt.bridgeless or BoundaryMap(m).is_bridgeless())]
+        _QANG_LEVELS[filt] = _catalog(filt, kept)
+    return _QANG_LEVELS[filt]
 
 
 def _check_boundary_family(q: int, f: int, e: int, perimeter: int,
@@ -334,6 +318,9 @@ def _check_boundary_family(q: int, f: int, e: int, perimeter: int,
     _check_cap(total // 2, cap, QANG_EDGE_CAP)
     if perimeter < 2:
         raise Infeasible("perimeter must be at least 2")
+    if e and e != total // 2:
+        raise Infeasible(f"q={q}, f={f}, perimeter={perimeter}: "
+                         f"{total // 2} edges, not {e}")
 
 
 def enumerate_boundary_maps(q: int = 0, f: int = 0, e: int = 0,
@@ -343,16 +330,12 @@ def enumerate_boundary_maps(q: int = 0, f: int = 0, e: int = 0,
     """Catalog of rooted maps whose root face matches the boundary filter."""
     _check_boundary_family(q, f, e, perimeter, cap)
     filt = CatalogFilter(q, f, e, perimeter, simple, bridgeless)
-    if q == 0:
-        level = enumerate_maps(e, cap=cap)
-    else:  # grown with exactly the q, f and perimeter asked for
-        level = _qangulation_boundary_maps(q, f, perimeter)
+    if q:  # built with exactly the q, f and perimeter asked for
+        return _qangulation_boundary_maps(filt)
+    level = enumerate_maps(e, cap=cap)
     # a subsequence of the level, so the entries stay sorted
     kept = [(code, pm) for code, pm in zip(level.entries, level.maps())
-            if (q or not perimeter or len(pm.root_face()) == perimeter)
-            and (q or not f or pm.face_count - 1 == f)
-            and (not simple or BoundaryMap(pm).is_simple())
-            and (not bridgeless or BoundaryMap(pm).is_bridgeless())]
+            if _in_family(pm, filt)]
     return Catalog(filt, tuple([code for code, _ in kept]),
                    tuple([pm for _, pm in kept]))
 
@@ -397,8 +380,8 @@ def sphere_qangulations(q: int, f: int, cap: int | None = None) -> list[PlanarMa
     sorted by code.
 
     Such a map is exactly a map whose root face is a q-gon and whose other
-    f - 1 faces are q-gons, so the pool is the boundary growth of
-    :func:`_qangulation_boundary_maps` with perimeter q, memoised there.
+    f - 1 faces are q-gons, so the pool is the cell (f - 1, q) of
+    :func:`_qangulation_boundary_maps`, memoised there.
     The e-edge general level filtered by face degree gives the same maps
     in the same order; the tests keep that filter as the reference.
     """
@@ -408,7 +391,8 @@ def sphere_qangulations(q: int, f: int, cap: int | None = None) -> list[PlanarMa
     _check_cap(e, cap, QANG_EDGE_CAP)
     if e < 1:
         raise Infeasible("edge count must be at least 1")
-    return _qangulation_boundary_maps(q, f - 1, q).maps()
+    return _qangulation_boundary_maps(CatalogFilter(q, f - 1,
+                                                    perimeter=q)).maps()
 
 
 def _forests(pool, sizes: list[int], rooted_labeled: bool) -> int:
@@ -535,9 +519,28 @@ def catalog_from_text(text: str) -> Catalog:
     codes = [tuple(_ints(ln)) for ln in lines[1:-1]]
     if len(codes) != count:
         raise FormatError("catalog count does not match the entry lines")
+    if any(a >= b for a, b in zip(codes, codes[1:])):
+        raise FormatError("catalog entries are not strictly increasing")
     # the one place where a code becomes a map, so every map is validated
     maps = [build_map(c[:len(c) // 2], c[len(c) // 2:], 1) for c in codes]
+    for code, pm in zip(codes, maps):
+        if _canonical(pm.sigma, pm.alpha, (1,))[0] != code:
+            raise FormatError(f"catalog entry {code} is not a canonical code")
+        if not _in_family(pm, filt):
+            raise FormatError(f"catalog entry {code} is not a map of {filt}")
     return Catalog(filt, tuple(map(CanonicalCode, codes)), tuple(maps))
+
+
+def _in_family(pm: PlanarMap, filt: CatalogFilter) -> bool:
+    """Whether ``pm`` is a map of the family ``filt``."""
+    return ((not filt.e or pm.edge_count == filt.e)
+            and (not filt.perimeter
+                 or len(pm.root_face()) == filt.perimeter)
+            and (not (filt.q or filt.f) or pm.face_count - 1 == filt.f)
+            and (not filt.q or all(len(c) == filt.q for c in pm.faces()
+                                   if pm.root not in c))
+            and (not filt.simple or BoundaryMap(pm).is_simple())
+            and (not filt.bridgeless or BoundaryMap(pm).is_bridgeless()))
 
 
 def catalog_dir() -> str | None:

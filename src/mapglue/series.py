@@ -20,6 +20,7 @@ declared truncation orders.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .errors import Infeasible, NonIntegral
@@ -147,13 +148,13 @@ class TruncatedSeries2:
         c0 = self.coeff(0, 0)
         if not c0:
             raise ZeroDivisionError("series has no constant term")
-        inv = TruncatedSeries2.constant(1 / c0, self.nx, self.ny)
-        order = 1
-        # Newton iteration R <- R (2 - A R) doubles the correct total degree.
-        while order <= self.nx + self.ny:
-            inv = inv * (2 - self * inv)
-            order *= 2
-        return inv
+        out = {(0, 0): 1 / c0}
+        for i, j in _graded(self.nx, self.ny):
+            # r_ij = -sum a_kl r_(i-k)(j-l) / a_00 over (k, l) != (0, 0)
+            c = -_convolution(self.coeffs, out, i, j) / c0
+            if c:
+                out[i, j] = c
+        return TruncatedSeries2(self.nx, self.ny, out)
 
     def __truediv__(self, other) -> "TruncatedSeries2":
         if isinstance(other, TruncatedSeries2):
@@ -164,13 +165,14 @@ class TruncatedSeries2:
         """Square root of a series with constant term 1."""
         if self.coeff(0, 0) != 1:
             raise NonIntegral("square root needs constant term 1")
-        root = TruncatedSeries2.constant(1, self.nx, self.ny)
-        order = 1
-        # Newton iteration R <- (R + A / R) / 2 doubles the correct degree.
-        while order <= self.nx + self.ny:
-            root = (root + self * root.reciprocal()) * Fraction(1, 2)
-            order *= 2
-        return root
+        out = {(0, 0): Fraction(1)}
+        for i, j in _graded(self.nx, self.ny):
+            # r_ij = (a_ij - sum r_kl r_(i-k)(j-l)) / 2 over the pairs of
+            # non-constant factors
+            c = (self.coeff(i, j) - _convolution(out, out, i, j)) / 2
+            if c:
+                out[i, j] = c
+        return TruncatedSeries2(self.nx, self.ny, out)
 
     def substitute(self, xs: "TruncatedSeries2",
                    ys: "TruncatedSeries2") -> "TruncatedSeries2":
@@ -202,6 +204,19 @@ class TruncatedSeries2:
         for (i, _), c in self.coeffs.items():
             out[i, 0] = out.get((i, 0), Fraction(0)) + c
         return TruncatedSeries2(self.nx, 0, out)
+
+
+def _graded(nx: int, ny: int) -> list[tuple[int, int]]:
+    """``(i, j)`` of every non-constant coefficient, by total degree."""
+    return sorted(product(range(nx + 1), range(ny + 1)), key=sum)[1:]
+
+
+def _convolution(a: Coeffs, r: Coeffs, i: int, j: int) -> Fraction:
+    """Sum of a_kl r_(i-k)(j-l) over the terms already in ``r``: r_ij is
+    not there yet, so the pairs that need it drop out.  Neither table
+    holds zeros, which keeps the sum short."""
+    return sum([c * r[i - k, j - l] for (k, l), c in a.items()
+                if k <= i and l <= j and (i - k, j - l) in r], Fraction(0))
 
 
 def _geometric_y(nx: int, ny: int) -> TruncatedSeries2:

@@ -1,3 +1,4 @@
+from functools import cache
 from hashlib import sha256
 from math import comb
 
@@ -11,8 +12,10 @@ from mapglue.enumeration import (Catalog, CatalogFilter, _subtrees,
                                  save_catalog, sphere_qangulations,
                                  tree_submaps)
 from mapglue.errors import (CapExceeded, Disconnected, FormatError,
-                            InternalMismatch)
-from mapglue.maps import BoundaryMap, _canonical, build_map
+                            Infeasible, InternalMismatch)
+from mapglue.maps import (BoundaryMap, PlanarMap, _canonical, _min_code,
+                          build_map)
+from mapglue.trees import contour_to_tree, enumerate_trees
 from mapglue.verify import _grid
 
 TRIANGLE = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1)
@@ -163,65 +166,168 @@ def _counting(calls, real):
     return counted
 
 
-def _recording(results, real):
-    """``real``, appending each call's result to ``results``."""
-    def recorded(*args):
-        results.append(real(*args))
-        return results[-1]
-    return recorded
+def _add_qgon(sigma, alpha, walk, i: int, q: int):
+    """Split the external face, whose cycle is ``walk``, with a chord
+    closing a q-gon over the external darts at positions i..i+q-2 of the
+    walk; the raw ``sigma`` and ``alpha`` lists and the new external face
+    cycle, which starts at the new external dart."""
+    p = len(walk)
+    n = len(sigma)
+    x, y = n + 1, n + 2
+    face1 = [x] + [walk[(i + k) % p] for k in range(q - 1)]
+    face2 = [y] + [walk[(i + k) % p] for k in range(q - 1, p)]
+    alpha = list(alpha) + [y, x]
+    # sigma(alpha(d)) = phi(d): only the darts of the two new faces change
+    sigma = list(sigma) + [0, 0]
+    for cyc in (face1, face2):
+        for k, d in enumerate(cyc):
+            sigma[alpha[d - 1] - 1] = cyc[(k + 1) % len(cyc)]
+    return sigma, alpha, face2
 
 
-def test_qangulation_growth_keys_each_candidate_and_validates_none(
-        monkeypatch):
-    from mapglue import enumeration, trees
-    before = enumerate_boundary_maps(q=4, f=3, perimeter=4)
+def _grown_boundary_codes(q, f, perimeter):
+    """The reference: codes of the rooted maps with f internal q-gons and
+    a root face of degree ``perimeter``, sorted, grown from the plane
+    trees by splitting the external face with a chord that closes a new
+    q-gon.  Deleting an edge shared by an internal face and the external
+    face reduces every such map to a plane tree, so the growth is
+    exhaustive; each step keeps one candidate per (map, external face),
+    keyed by its smallest code over the external rootings."""
+    p0 = perimeter + f * (q - 2)  # perimeter of the seed tree
+    if f < 0 or p0 % 2 or p0 < 0:
+        return []
+    if p0 == 0:  # q = 1, seeded by the vertex map's one child, the loop
+        seeds, steps = [build_map([2, 1], [2, 1], 1)], f - 1
+    else:
+        seeds = [contour_to_tree(path) for path in enumerate_trees(p0 // 2)]
+        steps = f
+    level = {}
+    for t in seeds:
+        walk = t.root_face()
+        key = _min_code(t.sigma, t.alpha, [(d,) for d in walk])[0]
+        level.setdefault(key, (t.sigma, t.alpha, walk))
+    for _ in range(steps):
+        nxt = {}
+        for sigma, alpha, walk in level.values():
+            for i in range(len(walk)):
+                cand = _add_qgon(sigma, alpha, walk, i, q)
+                key = _min_code(cand[0], cand[1],
+                                [(d,) for d in cand[2]])[0]
+                nxt.setdefault(key, cand)
+        level = nxt
+    return sorted({_canonical(sigma, alpha, (d,))[0]
+                   for sigma, alpha, walk in level.values() for d in walk})
+
+
+def _cells(q, max_edges, min_perimeter=1):
+    """``(f, p)`` of every cell of q-angulations with at most
+    ``max_edges`` edges and a root face of degree at least
+    ``min_perimeter``."""
+    return [(f, p) for f in range(2 * max_edges + 1)
+            for p in range(min_perimeter, 2 * max_edges + 1)
+            if (q * f + p) % 2 == 0 and q * f + p <= 2 * max_edges]
+
+
+def test_qangulation_cells_match_growth(monkeypatch):
+    from mapglue import enumeration
     monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
-    trees._memo_tree.cache_clear()
-    calls, cands = [], []
+    cells = [(q, f, p) for q in range(1, 7) for f, p in _cells(q, 7)]
+    assert len(cells) == 147
+    for q, f, p in cells:
+        cat = enumeration._qangulation_boundary_maps(
+            CatalogFilter(q, f, perimeter=p))
+        assert [c.code for c in cat.entries] == \
+            _grown_boundary_codes(q, f, p), (q, f, p)
+
+
+def _tutte_count(q, f, p):
+    """W(f, p), the rooted maps with f internal q-gons and a root face of
+    degree p, by the root-edge recursion: a root chord closing a q-gon
+    (p >= 1) or a root bridge between two cells."""
+    @cache
+    def w(f, p):
+        if f == p == 0:
+            return 1
+        if f < 0 or p < 1:
+            return 0
+        return w(f - 1, p + q - 2) + sum(
+            w(f1, p1) * w(f - f1, p - 2 - p1)
+            for f1 in range(f + 1) for p1 in range(p - 1))
+    return w(f, p)
+
+
+def test_qangulation_cell_sizes_follow_the_recursion():
+    for q in (3, 4):
+        for f, p in _cells(q, 8, min_perimeter=2):
+            assert len(enumerate_boundary_maps(q=q, f=f, perimeter=p)) == \
+                _tutte_count(q, f, p), (q, f, p)
+    assert len(sphere_qangulations(4, 5)) == _tutte_count(4, 4, 4) == 2916
+    assert len(sphere_qangulations(3, 6)) == _tutte_count(3, 5, 3)
+
+
+def test_qangulation_cell_canonicalises_each_kept_map_once_and_validates_none(
+        monkeypatch):
+    from mapglue import enumeration
+    whole = enumerate_boundary_maps(q=4, f=3, perimeter=4)
+    before = enumerate_boundary_maps(q=4, f=3, perimeter=4, simple=True)
+    monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
+    canonical, built = [], []
+    monkeypatch.setattr(enumeration, "_canonical",
+                        _counting(canonical, enumeration._canonical))
     monkeypatch.setattr(enumeration, "build_map",
-                        _counting(calls, enumeration.build_map))
-    monkeypatch.setattr(enumeration, "_add_qgon",
-                        _recording(cands, enumeration._add_qgon))
-    again = enumerate_boundary_maps(q=4, f=3, perimeter=4)
-    assert again == before
-    # each (map, external face) pair once, by its smallest code over the
-    # external rootings; the steps have different dart counts, so one set
-    # holds them all
-    distinct = {min(_canonical(sigma, alpha, (d,))[0] for d in walk)
-                for sigma, alpha, walk in cands}
-    assert len(cands) > len(distinct) > 0
-    # neither the seed trees nor the candidates are validated
-    assert calls == []
+                        _counting(built, enumeration.build_map))
+    again = enumerate_boundary_maps(q=4, f=3, perimeter=4, simple=True)
+    assert again == before and again.maps() == before.maps()
+    # the filter runs on the raw maps first, and neither the kept maps
+    # nor the intermediate cells are validated
+    assert len(canonical) == len(again) < len(whole)
+    assert built == []
 
 
 def test_qangulation_growth_memoised(monkeypatch):
     from mapglue import enumeration
     monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
-    first = enumeration._qangulation_boundary_maps(4, 2, 4)
-    cands = []
-    monkeypatch.setattr(enumeration, "_add_qgon",
-                        _counting(cands, enumeration._add_qgon))
-    assert enumeration._qangulation_boundary_maps(4, 2, 4) is first
-    assert cands == []
-    assert list(enumeration._QANG_LEVELS) == [(4, 2, 4)]
+    first = enumerate_boundary_maps(q=4, f=2, perimeter=4)
+    calls = []
+    for name in ("_root_chords", "_bridge"):
+        monkeypatch.setattr(enumeration, name,
+                            _counting(calls, getattr(enumeration, name)))
+    assert enumerate_boundary_maps(q=4, f=2, perimeter=4) is first
+    assert calls == []
+    # the memo is keyed by the whole filter
+    simple = enumerate_boundary_maps(q=4, f=2, perimeter=4, simple=True)
+    assert calls and len(simple) < len(first)
+    assert list(enumeration._QANG_LEVELS) == [
+        CatalogFilter(4, 2, perimeter=4),
+        CatalogFilter(4, 2, perimeter=4, simple=True)]
+
+
+def _same_map(pmap):
+    """Raw rotation arrays of ``pmap`` itself."""
+    return pmap.sigma, pmap.alpha
 
 
 @pytest.mark.parametrize("bad_candidate, error", [
     (_with_loose_loop, Disconnected),
+    (_same_map, InternalMismatch),
 ])
 def test_invalid_qangulation_candidate_raises(monkeypatch, bad_candidate,
                                               error):
+    # the bad candidate rides along with the maps of the requested cell;
+    # it is rooted at its last dart but one, as every built map is
     from mapglue import enumeration
     monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
-    real = enumeration._add_qgon
+    real = enumeration._cell_maps
 
-    def add_qgon(*args):
-        sigma, alpha, walk = real(*args)
-        sigma, alpha = bad_candidate(build_map(sigma, alpha, walk[0]))
-        return sigma, alpha, walk
+    def cell_maps(q, f, p, factors):
+        built = list(real(q, f, p, factors))
+        yield from built
+        if (f, p) == (1, 4):
+            sigma, alpha = bad_candidate(built[-1])
+            yield PlanarMap(tuple(sigma), alpha, len(sigma) - 1)
 
-    monkeypatch.setattr(enumeration, "_add_qgon", add_qgon)
-    with pytest.raises(error):  # one step, so only the growth checks
+    monkeypatch.setattr(enumeration, "_cell_maps", cell_maps)
+    with pytest.raises(error):
         enumerate_boundary_maps(q=4, f=1, perimeter=4)
 
 
@@ -264,6 +370,11 @@ def test_boundary_map_anchors():
                                        simple=True)) == 2
     assert len(enumerate_boundary_maps(q=3, f=2, perimeter=4,
                                        simple=True)) == 2
+    # an edge count, when given, must be the one q, f and the perimeter fix
+    assert enumerate_boundary_maps(q=4, f=1, e=3, perimeter=2).entries == \
+        enumerate_boundary_maps(q=4, f=1, perimeter=2).entries
+    with pytest.raises(Infeasible):
+        enumerate_boundary_maps(q=4, f=1, e=5, perimeter=2)
 
 
 def test_boundary_catalogs_match_direct_filter():
@@ -350,6 +461,12 @@ def test_catalog_text_round_trip():
      "cdffd3f99af18d17463eea8869323f7ca343b8e3f64d577d0555bc8ab82fcdd0"),
     (dict(q=4, f=4, perimeter=4, simple=True),
      "a8772ecc2c0184c53344fffb1845040aacf6718fdbf84e5988ac428769727638"),
+    (dict(q=3, f=5, perimeter=3),
+     "3e1d6030590f17409b2ffd0fb7570ebaf3c9999a0da6ac8026175223cbac9989"),
+    (dict(q=4, f=3, perimeter=6, simple=True),
+     "b845011ef19196c570947731056b8660b9fbb89c5d754fb5df8a5d3b09cd2b2b"),
+    (dict(q=3, f=4, perimeter=4, simple=True),
+     "64dba0dd4a5c4ffc3288965b2f07a37c095fbbac8cc4b04e37c5114000ad9863"),
 ])
 def test_catalog_bytes_unchanged(kwargs, digest):
     # the SHA-256 of the whole text, so saved catalog files stay valid

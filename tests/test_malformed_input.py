@@ -17,7 +17,8 @@ from mapglue.cli import main
 from mapglue.enumeration import (EDGE_CAP, QANG_EDGE_CAP, Catalog,
                                  CatalogFilter, _catalog_filename,
                                  _checksum_line, catalog_from_text,
-                                 catalog_to_text, enumerate_maps, get_catalog)
+                                 catalog_to_text, enumerate_boundary_maps,
+                                 enumerate_maps, get_catalog)
 from mapglue.errors import Disconnected, FormatError, MapGlueError, NonPlanar
 from mapglue.maps import CanonicalCode, build_map, map_from_line
 from mapglue.sampler import (SampleSpec, draw_tree_decorated,
@@ -214,6 +215,47 @@ def test_catalog_file_with_an_invalid_map_refused(tmp_path, monkeypatch,
                            "--tree-edges", "1", "--seed", "1", "--count", "1")
     assert status == 2 and out == ""
     assert error.__name__ in err and "Traceback" not in err
+
+
+def _relabelled(code):
+    """``code`` with darts 2 and 3 swapped: the same map, rooted at dart
+    1, under a labelling that is not the canonical one."""
+    n = len(code) // 2
+    pm = build_map(code[:n], code[n:], 1).relabel([0, 1, 3, 2]
+                                                  + list(range(4, n + 1)))
+    return pm.sigma + pm.alpha
+
+
+@pytest.mark.parametrize("entries, message", [
+    # the entries of q = 3 under the q = 4 header
+    (lambda: enumerate_boundary_maps(q=3, f=2, perimeter=2,
+                                     simple=True).entries[:2],
+     "is not a map of"),
+    (lambda: enumerate_boundary_maps(q=4, f=1, perimeter=2,
+                                     simple=True).entries[::-1],
+     "not strictly increasing"),
+    (lambda: enumerate_boundary_maps(q=4, f=1, perimeter=2,
+                                     simple=True).entries[:1] * 2,
+     "not strictly increasing"),
+    (lambda: [CanonicalCode(_relabelled(enumerate_boundary_maps(
+        q=4, f=1, perimeter=2, simple=True).entries[0].code))],
+     "not a canonical code"),
+])
+def test_catalog_file_of_another_family_refused(tmp_path, monkeypatch,
+                                                entries, message):
+    # the checksum holds and every entry is a valid map
+    from mapglue import enumeration
+    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
+    monkeypatch.setattr(enumeration, "_CATALOG_MEMO", {})
+    filt = CatalogFilter(q=4, f=1, perimeter=2, simple=True)
+    (tmp_path / _catalog_filename(filt)).write_text(
+        catalog_to_text(Catalog(filt, tuple(entries()), ())))
+    with pytest.raises(FormatError, match=message):
+        get_catalog(q=4, f=1, perimeter=2, simple=True)
+    status, out, err = run("sample", "--q", "4", "--faces", "1",
+                           "--tree-edges", "1", "--seed", "1", "--count", "1")
+    assert status == 2 and out == ""
+    assert "FormatError" in err and "Traceback" not in err
 
 
 def test_record_fields_in_any_order():

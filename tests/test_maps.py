@@ -247,8 +247,9 @@ def _check_min_code(sigma, alpha, roots):
 
 
 def test_min_code_is_smallest_array_code():
-    from mapglue.enumeration import _add_qgon, enumerate_maps
+    from mapglue.enumeration import enumerate_maps
     from mapglue.trees import contour_to_tree, enumerate_trees
+    from test_enumeration import _add_qgon  # the reference growth step
     ties = 0
     for e in range(1, 6):
         for pm in enumerate_maps(e).maps():
@@ -256,7 +257,7 @@ def test_min_code_is_smallest_array_code():
                 ties += _check_min_code(pm.sigma, pm.alpha,
                                         [(d,) for d in darts])
     assert ties > 100  # rotational symmetry ties the smallest code
-    # the raw candidates of one q-angulation growth step
+    # the raw candidates of one step of the reference q-angulation growth
     for path in enumerate_trees(4):
         tree = contour_to_tree(path)
         for i in range(tree.dart_count):

@@ -31,6 +31,51 @@ def test_reciprocal_and_sqrt():
     assert sq.coeff(0, 0) == 1
 
 
+def newton_reciprocal(a: TruncatedSeries2) -> TruncatedSeries2:
+    """Reference inverse: Newton's R <- R (2 - A R), which doubles the
+    correct total degree on each pass."""
+    inv = TruncatedSeries2.constant(1 / a.coeff(0, 0), a.nx, a.ny)
+    order = 1
+    while order <= a.nx + a.ny:
+        inv = inv * (2 - a * inv)
+        order *= 2
+    return inv
+
+
+def newton_sqrt(a: TruncatedSeries2) -> TruncatedSeries2:
+    """Reference square root of a series with constant term 1: Newton's
+    R <- (R + A / R) / 2, with the reference inverse."""
+    root = TruncatedSeries2.constant(1, a.nx, a.ny)
+    order = 1
+    while order <= a.nx + a.ny:
+        root = (root + a * newton_reciprocal(root)) * Fraction(1, 2)
+        order *= 2
+    return root
+
+
+def _examples():
+    """Series with constant term 1, in one or two variables, sparse and
+    dense, with integer and fractional coefficients."""
+    x = TruncatedSeries2.variable("x", 7, 5)
+    y = TruncatedSeries2.variable("y", 7, 5)
+    yield (1 - 4 * x).truncate(9, 0)
+    yield 1 + x * y - 3 * y * y
+    yield 1 + x / 3 + y * y * Fraction(5, 7) - x * x * y
+    yield TruncatedSeries2(4, 6, {(i, j): Fraction(i - 2 * j + 1, j + 1)
+                                  for i in range(5) for j in range(7)})
+    yield (1 - 12 * x).truncate(6, 0)
+    yield series_B(3, 4)
+
+
+def test_coefficient_forms_match_newton():
+    for a in _examples():
+        assert a.reciprocal() == newton_reciprocal(a)
+        assert (3 * a).reciprocal() == newton_reciprocal(3 * a)
+        assert a.sqrt() == newton_sqrt(a)
+        one = TruncatedSeries2.constant(1, a.nx, a.ny)
+        assert a.sqrt() * a.sqrt() == a and a * a.reciprocal() == one
+
+
 def test_shift_x():
     x = TruncatedSeries2.variable("x", 4, 0)
     shifted = (x * x).shift_x(-2)
