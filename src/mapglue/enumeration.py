@@ -7,9 +7,13 @@ or a chord of a map with e-1 edges, running from its root corner to one
 of the k+1 corners of its root face of degree k.  Deleting the root edge
 inverts both constructions, so each rooted map is built exactly once, and
 no deduplication is needed.  Each is canonicalised once, from its raw
-rotation arrays, for its code, and its map is cut from that code.  Two
-checks guard the level: a short code (a disconnected construction) raises
-:class:`Disconnected`, and two equal codes raise :class:`InternalMismatch`.
+rotation arrays, for its code, which is split once into the sigma and
+alpha tuples that its catalog entry and its map share.  Canonical
+labelling makes the alpha arrays repetitive (73 distinct ones among the
+24,057 maps with 6 edges), and a catalog holds each distinct one once.
+Two checks guard the level: a short code (a disconnected construction)
+raises :class:`Disconnected`, and two equal codes raise
+:class:`InternalMismatch`.
 
 Boundary catalogs of q-angulations need more edges than the general levels
 can afford, so they are built cell by cell with the same decomposition
@@ -94,7 +98,12 @@ class CatalogFilter:
 @dataclass(frozen=True)
 class Catalog:
     """Rooted maps sorted by code: their ``entries`` and, one per entry,
-    their maps, each in canonical form (rooted at dart 1)."""
+    their maps, each in canonical form (rooted at dart 1).
+
+    Each map is held once: ``entries[i].sigma is maps()[i].sigma``, the
+    same for alpha, and equal alpha arrays are one tuple, whether the
+    catalog was built or read from text.
+    """
 
     filter: CatalogFilter
     entries: tuple[CanonicalCode, ...]
@@ -202,22 +211,32 @@ def _catalog(filt: CatalogFilter, built) -> Catalog:
     """The catalog of ``built``, raw ``(sigma, alpha)`` pairs each rooted
     at dart ``len(sigma) - 1`` and each built once.
 
-    Each map is canonicalised once and cut from its code.  A short code
-    (a disconnected construction) raises :class:`Disconnected` and two
-    equal codes raise :class:`InternalMismatch`.
+    Each map is canonicalised once, and its code split by
+    :func:`_halves` into the tuples that its entry and its map share.  A
+    short code (a disconnected construction) raises :class:`Disconnected`
+    and two equal codes raise :class:`InternalMismatch`.
     """
-    codes = []
+    shared: dict = {}
+    pairs = []
     for sigma, alpha in built:
         code = _canonical(sigma, alpha, (len(sigma) - 1,))[0]
         if len(code) < 2 * len(sigma):
             raise Disconnected("the darts do not form a connected map")
-        codes.append(code)
-    codes.sort()
-    if any(a == b for a, b in zip(codes, codes[1:])):
+        pairs.append(_halves(code, shared))
+    pairs.sort()
+    if any(a == b for a, b in zip(pairs, pairs[1:])):
         raise InternalMismatch(f"a map of {filt} was built twice")
-    return Catalog(filt, tuple([CanonicalCode(c) for c in codes]),
-                   tuple([PlanarMap(c[:len(c) // 2], c[len(c) // 2:], 1)
-                          for c in codes]))
+    return Catalog(filt, tuple([CanonicalCode(s, a) for s, a in pairs]),
+                   tuple([PlanarMap(s, a, 1) for s, a in pairs]))
+
+
+def _halves(code: tuple[int, ...], shared: dict) -> tuple[tuple, tuple]:
+    """The sigma and alpha halves of ``code``, the alpha taken from
+    ``shared`` (an alpha -> alpha memo for one catalog) when an equal one
+    is there, so that each catalog holds each distinct alpha once."""
+    n = len(code) // 2
+    alpha = code[n:]
+    return code[:n], shared.setdefault(alpha, alpha)
 
 
 _LEVELS: dict[int, Catalog] = {}
@@ -522,13 +541,15 @@ def catalog_from_text(text: str) -> Catalog:
     if any(a >= b for a, b in zip(codes, codes[1:])):
         raise FormatError("catalog entries are not strictly increasing")
     # the one place where a code becomes a map, so every map is validated
-    maps = [build_map(c[:len(c) // 2], c[len(c) // 2:], 1) for c in codes]
+    shared: dict = {}
+    maps = [build_map(*_halves(c, shared), 1) for c in codes]
     for code, pm in zip(codes, maps):
         if _canonical(pm.sigma, pm.alpha, (1,))[0] != code:
             raise FormatError(f"catalog entry {code} is not a canonical code")
         if not _in_family(pm, filt):
             raise FormatError(f"catalog entry {code} is not a map of {filt}")
-    return Catalog(filt, tuple(map(CanonicalCode, codes)), tuple(maps))
+    return Catalog(filt, tuple([CanonicalCode(pm.sigma, pm.alpha)
+                                for pm in maps]), tuple(maps))
 
 
 def _in_family(pm: PlanarMap, filt: CatalogFilter) -> bool:

@@ -111,7 +111,7 @@ def _is_tree(pairs) -> set | None:
     return verts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarMap:
     """Immutable rooted planar map.
 
@@ -123,6 +123,10 @@ class PlanarMap:
     their maps directly, with tuple fields and sorted labels; the tests run
     their outputs through :func:`build_map` again.  Use :func:`build_map`
     for any other raw data.
+
+    A catalog map holds the same ``sigma`` and ``alpha`` tuples as its
+    :class:`CanonicalCode` entry, and shares equal alpha tuples with the
+    other maps of its catalog.
     """
 
     sigma: Perm
@@ -200,28 +204,10 @@ class PlanarMap:
 
     # -- identity ---------------------------------------------------------
 
-    def relabel(self, image: dict[int, int] | list[int]) -> "PlanarMap":
-        """Apply a dart relabelling ``old -> new`` (a bijection on 1..2E),
-        given as a dict or as an image array such as
-        :meth:`canonical_relabelling` returns."""
-        n = self.dart_count
-        sigma = [0] * n
-        alpha = [0] * n
-        for d in self.darts():
-            sigma[image[d] - 1] = image[self.sigma_of(d)]
-            alpha[image[d] - 1] = image[self.alpha_of(d)]
-        labels = tuple(sorted((image[d], v) for d, v in self.labels))
-        return PlanarMap(tuple(sigma), tuple(alpha), image[self.root], labels)
-
-    def canonical_relabelling(self) -> list[int]:
-        """First-visit order of the breadth-first exploration from the root,
-        alternating sigma then alpha, as an image array: dart ``d`` becomes
-        ``image[d]`` (index 0 is unused)."""
-        return _canonical(self.sigma, self.alpha, (self.root,))[1]
-
     def canonical_code(self) -> "CanonicalCode":
-        return CanonicalCode(_canonical(self.sigma, self.alpha,
-                                        (self.root,))[0])
+        code = _canonical(self.sigma, self.alpha, (self.root,))[0]
+        n = len(self.sigma)
+        return CanonicalCode(code[:n], code[n:])
 
     def rerooted(self, root: int) -> "PlanarMap":
         """The same map rooted at dart ``root``, which must be one of its
@@ -330,11 +316,23 @@ def _connected_vertex_count(sigma: Perm, alpha: Perm) -> int | None:
     return vertices if reached == len(sigma) else None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CanonicalCode:
-    """Relabelling-invariant identity of a rooted map."""
+    """Relabelling-invariant identity of a rooted map: its sigma and alpha
+    relabelled by :func:`_canonical` from the root, which becomes dart 1.
 
-    code: tuple[int, ...]
+    Codes compare field by field, sigma first.  Among maps with the same
+    edge count, which covers every map of one catalog, that is exactly the
+    order of the concatenated :attr:`code`.
+    """
+
+    sigma: Perm
+    alpha: Perm
+
+    @property
+    def code(self) -> tuple[int, ...]:
+        """Sigma then alpha as one tuple, the catalog file's entry line."""
+        return self.sigma + self.alpha
 
 
 def build_map(sigma, alpha, root: int, labels=()) -> PlanarMap:

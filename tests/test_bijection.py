@@ -24,6 +24,8 @@ from mapglue.trees import (DyckPath, _memo_tree, catalan, contour_to_tree,
                            enumerate_trees, sample_dyck_uniform,
                            tree_to_contour)
 
+from relabelling import canonical_relabelling
+
 EDGE = build_map([1, 2], [2, 1], 1)
 
 
@@ -83,7 +85,7 @@ def test_glue_counts_match_product():
         for pm in cat.maps():
             for path in enumerate_trees(m):
                 tdm = glue(BoundaryMap(pm), contour_to_tree(path))
-                image = tdm.map.canonical_relabelling()
+                image = canonical_relabelling(tdm.map)
                 canon_tree = frozenset(
                     min(image[e], image[tdm.map.alpha_of(e)])
                     for e in tdm.tree_edges)
@@ -218,7 +220,7 @@ def test_glue_partial_properties():
         tree_verts = {tdm.map.vertex_of(d) for d in tdm.map.darts()
                       if tdm.map.edge_of(d) in tdm.tree_edges}
         assert len(tree_verts & set(out.boundary_vertices())) == 1
-        image = tdm.map.canonical_relabelling()
+        image = canonical_relabelling(tdm.map)
         canon_tree = frozenset(min(image[e], image[tdm.map.alpha_of(e)])
                                for e in tdm.tree_edges)
         seen.add((tdm.map.canonical_code(), canon_tree))

@@ -21,6 +21,8 @@ from mapglue.trees import (DyckPath, class_starts, contour_to_tree,
                            enumerate_trees, sample_dyck_uniform,
                            tree_to_contour)
 
+from relabelling import canonical_relabelling, relabel
+
 # two loops at one vertex, rooted so the external face has degree 2
 FIGURE_EIGHT = build_map([2, 3, 4, 1], [2, 1, 4, 3], 1)
 
@@ -136,7 +138,7 @@ def _branching_key(bubble, circuit, cyclic=False):
     """Reference bubble_canonical_key: root every newly attached sphere at
     every dart of its pinch vertex, and keep the smallest assembled key."""
     best = None
-    stack = [({0: bubble.spheres[0].canonical_relabelling()}, [0])]
+    stack = [({0: canonical_relabelling(bubble.spheres[0])}, [0])]
     while stack:
         images, order = stack.pop()
         if len(order) == len(bubble.spheres):
@@ -158,7 +160,7 @@ def _branching_key(bubble, circuit, cyclic=False):
             sph = bubble.spheres[new]
             for d in sph.darts():
                 if sph.vertex_of(d) == vn:
-                    image = sph.rerooted(d).canonical_relabelling()
+                    image = canonical_relabelling(sph.rerooted(d))
                     stack.append(({**images, new: image}, order + [new]))
     return best
 
@@ -175,7 +177,7 @@ def _assembled_key(bubble, images, order, circuit_darts, cyclic):
         offs_new.append(offs_new[-1] + bubble.spheres[old].dart_count)
     codes = []
     for new, old in enumerate(order):
-        s = bubble.spheres[old].relabel(images[old])
+        s = relabel(bubble.spheres[old], images[old])
         codes.append(s.sigma + s.alpha + ((s.root,) if new == 0 else ()))
     pinches = tuple(sorted(
         tuple(sorted(((pos[a], _image_vertex(bubble.spheres[a], images[a],

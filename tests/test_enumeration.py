@@ -1,6 +1,7 @@
 from functools import cache
 from hashlib import sha256
 from math import comb
+from random import Random
 
 import pytest
 
@@ -47,8 +48,8 @@ def test_level_build_canonicalises_each_map_once_and_validates_none(
     monkeypatch.setattr(enumeration, "build_map",
                         _counting(built, enumeration.build_map))
     sizes = [len(enumerate_maps(e)) for e in range(1, 6)]
-    # each level map is built and canonicalised once; its map is cut from
-    # its code, so nothing is decoded or validated
+    # each level map is built and canonicalised once; its map holds its
+    # code's arrays, so nothing is decoded or validated
     assert len(canonical) == sum(sizes) == 3359
     assert built == []
     again = enumerate_maps(5)
@@ -347,9 +348,42 @@ def test_grown_maps_are_valid():
 def test_enumerate_maps_entries_are_canonical_and_distinct():
     cat = enumerate_maps(2)
     assert len(set(cat.entries)) == len(cat)
+    assert [pm.canonical_code() for pm in cat.maps()] == list(cat.entries)
     for pm in cat.maps():
-        assert pm.canonical_code().code == pm.canonical_code().code
         assert pm.edge_count == 2
+
+
+def _distinct_shared_alphas(cat) -> int:
+    """The number of distinct alpha arrays of ``cat``, after checking
+    that each entry holds its map's own sigma and alpha tuples and that
+    equal alpha arrays are one tuple."""
+    maps = cat.maps()
+    assert len(maps) == len(cat)
+    for entry, pm in zip(cat.entries, maps):
+        assert entry.sigma is pm.sigma and entry.alpha is pm.alpha
+    alphas = [pm.alpha for pm in maps]
+    assert len({id(a) for a in alphas}) == len(set(alphas))
+    return len(set(alphas))
+
+
+def test_catalog_holds_each_map_once():
+    assert [_distinct_shared_alphas(enumerate_maps(e))
+            for e in range(1, 7)] == [1, 2, 4, 10, 26, 73]
+    cell = enumerate_boundary_maps(q=4, f=4, perimeter=4, simple=True)
+    assert len(cell) == 810
+    for cat in (enumerate_maps(5), cell):
+        again = catalog_from_text(catalog_to_text(cat))
+        assert again == cat
+        assert _distinct_shared_alphas(again) == _distinct_shared_alphas(cat)
+
+
+def test_entry_order_is_code_order():
+    # entries of one edge count compare as their concatenated codes
+    for e in (5, 6):
+        entries = list(enumerate_maps(e).entries)
+        shuffled = Random(e).sample(entries, len(entries))
+        assert sorted(shuffled) == sorted(shuffled, key=lambda c: c.code)
+        assert sorted(shuffled) == entries
 
 
 def test_cap_exceeded():

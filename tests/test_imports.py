@@ -1,8 +1,12 @@
 """Every module of the package (but ``__init__.py``, which re-exports)
-and every test module uses each name it imports, and every public
-definition of the package has a user outside the tests."""
+and every test module uses each name it imports, every public definition
+of the package has a user outside the tests, and importing the package
+loads no heavy module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,7 @@ import mapglue
 PACKAGE = Path(mapglue.__file__).parent
 BENCH = Path(__file__).parent.parent / "bench"
 MODULES = sorted([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-                 + list(Path(__file__).parent.glob("test_*.py")))
+                 + list(Path(__file__).parent.glob("*.py")))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -47,7 +51,8 @@ def _used(tree: ast.Module) -> set[str]:
 
 def test_modules_are_found():
     names = {p.name for p in MODULES}
-    assert {"maps.py", "cli.py", "test_maps.py", "test_imports.py"} <= names
+    assert {"maps.py", "cli.py", "test_maps.py", "test_imports.py",
+            "relabelling.py"} <= names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -101,3 +106,19 @@ def test_every_public_definition_has_a_user():
     assert not sorted(defined - reached - set(TEST_ONLY)), "no user"
     assert sorted(set(TEST_ONLY) - (defined - reached)) == [], \
         "TEST_ONLY names a definition that is gone or has a user"
+
+
+# Each of these adds megabytes to the resident memory of every process
+# that imports mapglue: hashlib loads OpenSSL, and scipy (with numpy) is
+# imported only inside tree_marginal_test.
+HEAVY = ("hashlib", "_hashlib", "scipy", "numpy")
+
+
+def test_import_loads_no_heavy_module():
+    code = ("import sys\n"
+            "import mapglue, mapglue.cli, mapglue.verify\n"
+            f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

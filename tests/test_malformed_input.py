@@ -25,6 +25,8 @@ from mapglue.sampler import (SampleSpec, draw_tree_decorated,
                              export_decorated, parse_decorated)
 from mapglue.trees import DyckPath, contour_to_tree
 
+from relabelling import relabel
+
 SQUARE = ("map E=4 root=1 sigma=2,1,5,6,3,4,8,7 alpha=3,4,1,2,7,8,5,6 "
           "labels=2:a")
 
@@ -208,7 +210,8 @@ def test_catalog_file_with_an_invalid_map_refused(tmp_path, monkeypatch,
     monkeypatch.setattr(enumeration, "_CATALOG_MEMO", {})
     filt = CatalogFilter(q=4, f=1, perimeter=2, simple=True)
     (tmp_path / _catalog_filename(filt)).write_text(
-        catalog_to_text(Catalog(filt, (CanonicalCode(code),), ())))
+        catalog_to_text(Catalog(filt, (CanonicalCode(code[:4], code[4:]),),
+                                ())))
     with pytest.raises(error):
         get_catalog(q=4, f=1, perimeter=2, simple=True)
     status, out, err = run("sample", "--q", "4", "--faces", "1",
@@ -217,13 +220,13 @@ def test_catalog_file_with_an_invalid_map_refused(tmp_path, monkeypatch,
     assert error.__name__ in err and "Traceback" not in err
 
 
-def _relabelled(code):
-    """``code`` with darts 2 and 3 swapped: the same map, rooted at dart
-    1, under a labelling that is not the canonical one."""
-    n = len(code) // 2
-    pm = build_map(code[:n], code[n:], 1).relabel([0, 1, 3, 2]
-                                                  + list(range(4, n + 1)))
-    return pm.sigma + pm.alpha
+def _relabelled(entry):
+    """The code ``entry`` with darts 2 and 3 swapped: the same map, rooted
+    at dart 1, under a labelling that is not the canonical one."""
+    n = len(entry.sigma)
+    pm = relabel(build_map(entry.sigma, entry.alpha, 1),
+                 [0, 1, 3, 2] + list(range(4, n + 1)))
+    return CanonicalCode(pm.sigma, pm.alpha)
 
 
 @pytest.mark.parametrize("entries, message", [
@@ -237,8 +240,8 @@ def _relabelled(code):
     (lambda: enumerate_boundary_maps(q=4, f=1, perimeter=2,
                                      simple=True).entries[:1] * 2,
      "not strictly increasing"),
-    (lambda: [CanonicalCode(_relabelled(enumerate_boundary_maps(
-        q=4, f=1, perimeter=2, simple=True).entries[0].code))],
+    (lambda: [_relabelled(enumerate_boundary_maps(
+        q=4, f=1, perimeter=2, simple=True).entries[0])],
      "not a canonical code"),
 ])
 def test_catalog_file_of_another_family_refused(tmp_path, monkeypatch,

@@ -6,6 +6,8 @@ from mapglue.enumeration import enumerate_maps
 from mapglue.maps import (BoundaryMap, _connected_vertex_count, build_map,
                           map_from_line, map_to_line)
 
+from relabelling import canonical_relabelling, relabel
+
 EDGE = build_map([1, 2], [2, 1], 1)
 LOOP = build_map([2, 1], [2, 1], 1)
 # a triangle: vertices {1,2}, {3,4}, {5,6}; darts 1->2 pairs (1,4), (3,6), (5,2)
@@ -140,11 +142,11 @@ def test_simple_walk_matches_the_boundary_reads():
 
 def test_canonical_code_is_relabelling_invariant():
     image = {1: 3, 2: 5, 3: 1, 4: 6, 5: 2, 6: 4}
-    other = TRIANGLE.relabel(image)
+    other = relabel(TRIANGLE, image)
     assert other.root == 3
     assert other.canonical_code() == TRIANGLE.canonical_code()
-    assert (other.relabel(other.canonical_relabelling())
-            == TRIANGLE.relabel(TRIANGLE.canonical_relabelling()))
+    assert (relabel(other, canonical_relabelling(other))
+            == relabel(TRIANGLE, canonical_relabelling(TRIANGLE)))
 
 
 def test_rerooting_changes_code():
@@ -228,11 +230,11 @@ def test_canonical_kernel_matches_reference_relabelling():
         for d in pmap.darts():
             rerooted = pmap.rerooted(d)
             ref = _reference_relabelling(pmap, d)
-            image = rerooted.canonical_relabelling()
+            image = canonical_relabelling(rerooted)
             assert [image[x] for x in pmap.darts()] == [ref[x] for x in
                                                          pmap.darts()]
-            want = rerooted.relabel(ref)
-            form = rerooted.relabel(image)
+            want = relabel(rerooted, ref)
+            form = relabel(rerooted, image)
             assert form == want and form.labels == want.labels
             assert rerooted.canonical_code().code == want.sigma + want.alpha
 

@@ -6,6 +6,8 @@ from mapglue.sampler import (SampleSpec, draw_tree_decorated,
                              export_decorated, parse_decorated,
                              sample_tree_decorated, tree_marginal_test)
 
+from relabelling import canonical_relabelling, relabel
+
 
 def _support(draws):
     return {export_decorated(t) for t in draws}
@@ -97,8 +99,8 @@ def _reference_export(tdm):
     """export_decorated as a relabelled map: the canonical relabelling
     applied, its vertex cycles sorted and each rotated to its smallest
     dart."""
-    image = tdm.map.canonical_relabelling()
-    pmap = tdm.map.relabel(image)
+    image = canonical_relabelling(tdm.map)
+    pmap = relabel(tdm.map, image)
     tree = sorted(min(image[e], image[tdm.map.alpha_of(e)])
                   for e in tdm.tree_edges)
     lines = [f"decorated vertices={pmap.vertex_count} "
