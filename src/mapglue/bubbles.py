@@ -20,14 +20,16 @@ Gluing walks the boundary face once and reads the tree's contour once:
 that walk decides the bridge and size checks and gives the darts to sew,
 and the contour matching gives the Dyck path.  Wicked identifications come
 from one grouping of the boundary positions by (vertex, contour class).
-The circuit kernels (validation, the non-crossing test, the contour scan
-and the pinch check of ungluing) index the bubble-map's global dart tables
-directly, after one range check of the circuit.  The non-crossing test
-walks each sphere's vertex cycles once to give every dart its rotation
-position, then runs a stack check of the corner chords at each vertex.  At
-a pinch vertex the positions list the pinched copies in sphere order; the
-verdicts depend on that order, which reports a crossing on some exact
-round trips through a pinch vertex (``bench/README.md``, known defect 2).
+A circuit checks itself once, when it is made: its darts are in range,
+heads chain onto tails and every support edge is traversed twice.  The
+circuit kernels (the non-crossing test, the contour scan and the pinch
+check of ungluing) then index the bubble-map's global dart tables
+directly.  The non-crossing test walks each sphere's vertex cycles once
+to give every dart its rotation position, then runs a stack check of the
+corner chords at each vertex.  At a pinch vertex the positions list the
+pinched copies in sphere order; the verdicts depend on that order, which
+reports a crossing on some exact round trips through a pinch vertex
+(``bench/README.md``, known defect 2).
 
 The canonical key numbers the darts with one breadth-first search over the
 global dart table: from the root through the root sphere, then from the
@@ -35,10 +37,7 @@ first circuit dart that enters each sphere not yet reached, in circuit
 order.  The circuit fixes where every sphere is entered, so no rooting of
 a sphere is searched over; the key up to rotation of the circuit is the
 smallest key over its rotations.  Rotations that enter every sphere at the
-same darts share one labelling.  Every labelling numbers the root sphere
-alike, so the labellings are compared by the codes of the other spheres
-alone, with searches that stop as soon as they fall behind; only those
-that tie the smallest code are labelled in full.
+same darts share one labelling, so each group of them is labelled once.
 
 Boundaries with bridges are refused: two bridges identified by the tree
 would force the circuit through the same oriented edge twice, and the
@@ -62,8 +61,8 @@ from .errors import (
     SizeMismatch,
 )
 from .maps import (BoundaryMap, PlanarMap, _canonical, _find, _ints,
-                   _min_code, _record, _union, _vertex_ids, build_map,
-                   map_from_line, map_to_line)
+                   _record, _union, _vertex_ids, build_map, map_from_line,
+                   map_to_line)
 from .trees import DyckPath, _walk_contour, class_starts, contour_to_tree
 from .bijection import _contour_matching, _cut, _sew
 
@@ -90,9 +89,15 @@ class BubbleMap:
         if len(self.pinches) != k - 1:
             raise InternalMismatch("pinch count must be sphere count - 1")
         parent: dict = {}
-        for a, _, b, _ in self.pinches:
+        for a, va, b, vb in self.pinches:
             if not (0 <= a < k and 0 <= b < k and _union(parent, a, b)):
                 raise InternalMismatch("pinches do not connect the spheres")
+            # a vertex is named by its smallest local dart
+            for j, v in ((a, va), (b, vb)):
+                s = self.spheres[j]
+                if not (1 <= v <= s.dart_count and s.vertex_of(v) == v):
+                    raise FormatError(f"pinch names no vertex {v} of "
+                                      f"sphere {j}")
         # the global tables, built once here: the map is immutable
         offsets = [0]
         sigma: list[int] = []
@@ -125,10 +130,10 @@ class BubbleMap:
         return self.spheres[0].root
 
     def to_local(self, g: int) -> tuple[int, int]:
+        if not 1 <= g <= self.dart_count:
+            raise FormatError(f"dart {g} out of range")
         offs = self._offsets
         k = bisect_left(offs, g, 1) - 1
-        if k == len(self.spheres):
-            raise FormatError(f"dart {g} out of range")
         return k, g - offs[k]
 
     def to_global(self, sphere: int, d: int) -> int:
@@ -186,32 +191,28 @@ class BubbleMap:
         return range(1, self.dart_count + 1)
 
 
-def _stray_dart(bubble: BubbleMap, darts) -> int | None:
-    """The first of ``darts`` outside 1..2E, or None.  The kernels that
-    index the global tables check this first: a dart of 0 or below would
-    wrap around a list without any error."""
-    n = bubble.dart_count
-    if darts and (min(darts) < 1 or max(darts) > n):
-        return next(g for g in darts if not 1 <= g <= n)
-    return None
-
-
 @dataclass(frozen=True)
 class Circuit:
-    """A closed walk of darts (globally addressed) in a bubble-map."""
+    """A closed walk of darts (globally addressed) in a bubble-map.
+
+    Checked once, when it is made: MalformedCircuit unless its length is
+    even and positive, every dart is one of 1..2E, heads chain onto tails
+    and every support edge is traversed exactly twice.  The kernels that
+    take a circuit trust it.
+    """
 
     bubble: BubbleMap
     darts: tuple[int, ...]
 
-    def validate(self) -> None:
-        """Raise MalformedCircuit unless heads chain onto tails and every
-        support edge is traversed exactly twice."""
+    def __post_init__(self):
         darts = self.darts
         if not darts or len(darts) % 2:
             raise MalformedCircuit("circuit length must be a positive "
                                    "even number")
-        stray = _stray_dart(self.bubble, darts)
-        if stray is not None:
+        # before any table lookup: darts 0 and -1 would wrap around a list
+        n = self.bubble.dart_count
+        if min(darts) < 1 or max(darts) > n:
+            stray = next(g for g in darts if not 1 <= g <= n)
             raise MalformedCircuit(f"dart {stray} out of range")
         rep = self.bubble._corners[0]
         alpha = self.bubble._table[1]
@@ -243,19 +244,12 @@ class Circuit:
         trips (``bench/README.md``, known defect 2).
         """
         darts = self.darts
-        stray = _stray_dart(self.bubble, darts)
-        if stray is not None:
-            raise FormatError(f"dart {stray} out of range")
         rep, rank = self.bubble._corners
         alpha = self.bubble._table[1]
         chords: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for prev, g in zip(darts[-1:] + darts[:-1], darts):
-            v = rep[g]
-            a = alpha[prev - 1]
-            if rep[a] != v:
-                raise MalformedCircuit(
-                    f"head of dart {prev} is not the tail of dart {g}")
-            chords.setdefault(v, []).append((rank[a], rank[g]))
+            chords.setdefault(rep[g], []).append((rank[alpha[prev - 1]],
+                                                  rank[g]))
         return all(len(c) == 1 or _nested(c) for c in chords.values())
 
 
@@ -286,12 +280,6 @@ def circuit_to_contour(circuit: Circuit) -> DyckPath:
     vertex was seen before) raises it by one.  Splitting revisited vertices
     only changes the embedding bookkeeping, never the contour values.
     """
-    circuit.validate()
-    return _scan_contour(circuit)
-
-
-def _scan_contour(circuit: Circuit) -> DyckPath:
-    """:func:`circuit_to_contour` of a circuit already validated."""
     alpha = circuit.bubble._table[1]
     try:
         return _walk_contour([g if g < alpha[g - 1] else alpha[g - 1]
@@ -450,7 +438,6 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
     """
     if circuit.bubble is not bubble and circuit.bubble != bubble:
         raise MalformedCircuit("the circuit belongs to another bubble-map")
-    circuit.validate()
     darts = circuit.darts
     rep = bubble._corners[0]
     offs = bubble._offsets
@@ -466,7 +453,7 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
 
     phi = [sigma[a - 1] for a in alpha]
     bmap = BoundaryMap(build_map(*_cut(phi, alpha, darts)))
-    tree = contour_to_tree(_scan_contour(circuit))
+    tree = contour_to_tree(circuit_to_contour(circuit))
     return tree, bmap
 
 
@@ -505,15 +492,12 @@ def bubble_canonical_key(bubble: BubbleMap, circuit: Circuit,
     With ``cyclic`` the circuit is compared up to rotation (root anywhere);
     otherwise its starting point is part of the identity.  A cyclic key is
     the smallest key of :func:`_labelled_key` over the rotations of the
-    circuit; since the key leads with the code, only the rotations whose
-    code ties the smallest one (found by :func:`~mapglue.maps._min_code`)
-    are labelled.
+    circuit, one labelling for each group of rotations that enter every
+    sphere at the same darts.
     """
     if circuit.bubble is not bubble and circuit.bubble != bubble:
         raise MalformedCircuit("the circuit belongs to another bubble-map")
     darts = circuit.darts
-    if not darts or _stray_dart(bubble, darts) is not None:
-        raise MalformedCircuit("circuit darts missing or out of range")
     sphere_of = [k for k, s in enumerate(bubble.spheres) for _ in s.darts()]
     # a rotation's labelling depends only on the first circuit dart that
     # enters each non-root sphere, so rotations are grouped by those darts
@@ -531,16 +515,8 @@ def bubble_canonical_key(bubble: BubbleMap, circuit: Circuit,
         k = sphere_of[g - 1]
         order = [(k, g)] + [x for x in order if x[0] != k]
         groups.setdefault(_entries(order), []).append(i)
-    # every group labels the root sphere (darts 1..r, which share no dart
-    # with the other spheres) the same way, so only the other spheres are
-    # compared: their tables shifted down by r, searched from the entries
-    sigma, alpha = bubble._table
-    r = bubble.spheres[0].dart_count
-    shifted = {tuple(g - r for g in seeds): seeds for seeds in groups}
-    _, tied = _min_code([x - r for x in sigma[r:]],
-                        [x - r for x in alpha[r:]], list(shifted))
-    return min(_labelled_key(bubble, darts, shifted[s], groups[shifted[s]])
-               for s in tied)
+    return min(_labelled_key(bubble, darts, seeds, starts)
+               for seeds, starts in groups.items())
 
 
 def _entries(met) -> tuple[int, ...]:
@@ -607,10 +583,6 @@ def bubble_from_text(text: str):
         ends = [_ints(end, ".", 2) for end in item.split("~")]
         if len(ends) != 2:
             raise FormatError(f"a pinch needs a~b: {item!r}")
-        for k, v in ends:
-            if not (1 <= k <= count and 1 <= v <= spheres[k - 1].dart_count
-                    and spheres[k - 1].vertex_of(v) == v):
-                raise FormatError(f"pinch names no vertex {k}.{v}")
         (a, va), (b, vb) = ends
         pinches.append((a - 1, va, b - 1, vb))
     try:

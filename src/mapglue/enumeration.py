@@ -118,7 +118,7 @@ class Catalog:
         return list(self._maps)
 
 
-def _check_cap(edges: int, cap: int | None, default: int) -> None:
+def _check_cap(edges: int, default: int, cap: int | None = None) -> None:
     cap = default if cap is None else cap
     if edges > cap:
         raise CapExceeded(f"{edges} edges exceeds cap {cap}")
@@ -257,7 +257,7 @@ def enumerate_maps(e: int, cap: int | None = None) -> Catalog:
     process."""
     if e < 1:
         raise Infeasible("edge count must be at least 1")
-    _check_cap(e, cap, EDGE_CAP)
+    _check_cap(e, EDGE_CAP, cap)
     return _level(e)
 
 
@@ -321,20 +321,20 @@ def _qangulation_boundary_maps(filt: CatalogFilter) -> Catalog:
 
 
 def _check_boundary_family(q: int, f: int, e: int, perimeter: int,
-                           cap: int | None) -> None:
+                           cap: int | None = None) -> None:
     """Raise unless the boundary family is feasible and within the cap."""
     if min(q, f, e, perimeter) < 0:
         raise Infeasible("q, f, e and the perimeter must be nonnegative")
     if q == 0:
         if e < 1:
             raise Infeasible("general boundary catalogs need an edge count")
-        _check_cap(e, cap, EDGE_CAP)
+        _check_cap(e, EDGE_CAP, cap)
         return
     total = q * f + perimeter
     if total % 2:
         raise Infeasible(f"q={q}, f={f}, perimeter={perimeter}: "
                          "odd total degree")
-    _check_cap(total // 2, cap, QANG_EDGE_CAP)
+    _check_cap(total // 2, QANG_EDGE_CAP, cap)
     if perimeter < 2:
         raise Infeasible("perimeter must be at least 2")
     if e and e != total // 2:
@@ -394,7 +394,7 @@ def tree_submaps(pmap: PlanarMap, m: int,
     return [edges for edges, _ in _subtrees(pmap, m, through)]
 
 
-def sphere_qangulations(q: int, f: int, cap: int | None = None) -> list[PlanarMap]:
+def sphere_qangulations(q: int, f: int) -> list[PlanarMap]:
     """All rooted maps of the sphere whose f faces all have degree q,
     sorted by code.
 
@@ -407,7 +407,7 @@ def sphere_qangulations(q: int, f: int, cap: int | None = None) -> list[PlanarMa
     if q * f % 2:
         raise Infeasible(f"q={q}, f={f}: odd total degree")
     e = q * f // 2
-    _check_cap(e, cap, QANG_EDGE_CAP)
+    _check_cap(e, QANG_EDGE_CAP)
     if e < 1:
         raise Infeasible("edge count must be at least 1")
     return _qangulation_boundary_maps(CatalogFilter(q, f - 1,
@@ -457,8 +457,7 @@ def _forests(pool, sizes: list[int], rooted_labeled: bool) -> int:
 
 
 def brute_count_decorated(q: int, f: int | None = None, e: int | None = None,
-                          tree_sizes=(1,), root_mode: str = "on-tree",
-                          cap: int | None = None) -> int:
+                          tree_sizes=(1,), root_mode: str = "on-tree") -> int:
     """Count (rooted map, decoration) pairs by exhaustive search: the
     one-tree case of :func:`brute_count_forest`, rooted on the tree or
     anywhere.
@@ -476,16 +475,15 @@ def brute_count_decorated(q: int, f: int | None = None, e: int | None = None,
     if q == 0:
         if e is None:
             raise Infeasible("general family needs an edge count")
-        pool = enumerate_maps(e, cap=cap).maps()
+        pool = enumerate_maps(e).maps()
     else:
         if f is None:
             raise Infeasible("q-angulation family needs a face count")
-        pool = sphere_qangulations(q, f, cap=cap)
+        pool = sphere_qangulations(q, f)
     return _forests(pool, sizes, root_mode == "on-tree")
 
 
-def brute_count_forest(q: int, f: int, sizes, rooted_labeled: bool,
-                       cap: int | None = None) -> int:
+def brute_count_forest(q: int, f: int, sizes, rooted_labeled: bool) -> int:
     """Exhaustive count of forest-decorated sphere q-angulations.
 
     Unlabeled: the map is rooted anywhere and the decoration is an unordered
@@ -494,7 +492,7 @@ def brute_count_forest(q: int, f: int, sizes, rooted_labeled: bool,
     on tree 1 and serves as its root, and every other tree carries its own
     root dart (2 m_i choices).
     """
-    return _forests(sphere_qangulations(q, f, cap=cap), list(sizes),
+    return _forests(sphere_qangulations(q, f), list(sizes),
                     rooted_labeled)
 
 
@@ -611,17 +609,15 @@ _CATALOG_MEMO: dict[CatalogFilter, Catalog] = {}
 
 
 def get_catalog(q: int = 0, f: int = 0, e: int = 0, perimeter: int = 0,
-                simple: bool = False, bridgeless: bool = False,
-                cap: int | None = None) -> Catalog:
+                simple: bool = False, bridgeless: bool = False) -> Catalog:
     """Fetch a catalog from memory or disk, building it on a miss."""
-    _check_boundary_family(q, f, e, perimeter, cap)
+    _check_boundary_family(q, f, e, perimeter)
     filt = CatalogFilter(q, f, e, perimeter, simple, bridgeless)
     if filt in _CATALOG_MEMO:
         return _CATALOG_MEMO[filt]
     cat = load_catalog(filt)
     if cat is None:
-        cat = enumerate_boundary_maps(q, f, e, perimeter, simple, bridgeless,
-                                      cap=cap)
+        cat = enumerate_boundary_maps(q, f, e, perimeter, simple, bridgeless)
         if catalog_dir() is not None:
             save_catalog(cat)
     _CATALOG_MEMO[filt] = cat

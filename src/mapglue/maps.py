@@ -144,9 +144,6 @@ class PlanarMap:
     def edge_count(self) -> int:
         return len(self.sigma) // 2
 
-    def sigma_of(self, d: int) -> int:
-        return self.sigma[d - 1]
-
     def alpha_of(self, d: int) -> int:
         return self.alpha[d - 1]
 
@@ -217,8 +214,8 @@ class PlanarMap:
         return PlanarMap(self.sigma, self.alpha, root, self.labels)
 
 
-def _canonical(sigma: Perm, alpha: Perm, seeds,
-               bound=None) -> tuple[tuple[int, ...], list[int]] | None:
+def _canonical(sigma: Perm, alpha: Perm,
+               seeds) -> tuple[tuple[int, ...], list[int]]:
     """The one breadth-first labelling behind every canonical code, key and
     export: from the first seed, sigma before alpha; when the queue runs
     dry it continues from the next seed that has no label yet.
@@ -227,17 +224,9 @@ def _canonical(sigma: Perm, alpha: Perm, seeds,
     as one tuple (darts that no seed reaches are left out, so it is
     shorter than the arrays), and ``image[d]`` is the new label of dart
     ``d`` (index 0 unused, 0 for a dart no seed reaches).
-
-    With a ``bound`` (a code) it returns None as soon as the relabelled
-    sigma is known to be larger than ``bound``: the search fixes one entry
-    of it per dart it dequeues, and each is compared with ``bound`` as
-    soon as it is fixed, until the prefix differs from it.
     """
     image = [0] * (len(sigma) + 1)
     order: list[int] = []
-    # the next position to compare with ``bound``; -1 once there is
-    # nothing left to compare (no bound, or a smaller prefix)
-    k = -1 if bound is None else 0
     n = 0
     for seed in seeds:
         if image[seed]:
@@ -247,18 +236,10 @@ def _canonical(sigma: Perm, alpha: Perm, seeds,
         queue = [seed]
         for d in queue:  # also visits the darts appended while it runs
             e = sigma[d - 1]
-            v = image[e]
-            if not v:
+            if not image[e]:
                 n += 1
-                image[e] = v = n
+                image[e] = n
                 queue.append(e)
-            if k >= 0:
-                # k stays inside bound: a prefix that ties the first m
-                # entries of a code on m darts uses labels 1..m, so
-                # entry m exceeds every label of that code
-                if v > bound[k]:
-                    return None
-                k = k + 1 if v == bound[k] else -1
             e = alpha[d - 1]
             if not image[e]:
                 n += 1
@@ -267,28 +248,6 @@ def _canonical(sigma: Perm, alpha: Perm, seeds,
         order += queue
     return (tuple([image[sigma[d - 1]] for d in order]
                   + [image[alpha[d - 1]] for d in order]), image)
-
-
-def _min_code(sigma, alpha, roots) -> tuple[tuple[int, ...], list]:
-    """The smallest code of :func:`_canonical` over the seed tuples
-    ``roots`` (a plain root is a 1-tuple), and the seed tuples that give
-    it, in order.
-
-    Each seed tuple's search is bounded by the best code so far, so it
-    stops as soon as the relabelled sigma it has emitted is larger.
-    """
-    best = None
-    tied: list = []
-    for seeds in roots:
-        found = _canonical(sigma, alpha, seeds, best)
-        code = found and found[0]  # None when the search fell behind
-        if code is None or (best is not None and code > best):
-            continue
-        if code == best:
-            tied.append(seeds)
-        else:
-            best, tied = code, [seeds]
-    return best, tied
 
 
 def _connected_vertex_count(sigma: Perm, alpha: Perm) -> int | None:

@@ -12,7 +12,7 @@ def relabel(pmap: PlanarMap, image) -> PlanarMap:
     sigma = [0] * n
     alpha = [0] * n
     for d in pmap.darts():
-        sigma[image[d] - 1] = image[pmap.sigma_of(d)]
+        sigma[image[d] - 1] = image[pmap.sigma[d - 1]]
         alpha[image[d] - 1] = image[pmap.alpha_of(d)]
     labels = tuple(sorted((image[d], v) for d, v in pmap.labels))
     return PlanarMap(tuple(sigma), tuple(alpha), image[pmap.root], labels)
@@ -23,3 +23,12 @@ def canonical_relabelling(pmap: PlanarMap) -> list[int]:
     alternating sigma then alpha, as an image array: dart ``d`` becomes
     ``image[d]`` (index 0 is unused)."""
     return _canonical(pmap.sigma, pmap.alpha, (pmap.root,))[1]
+
+
+def min_code(sigma, alpha, roots):
+    """The smallest code of :func:`~mapglue.maps._canonical` over the seed
+    tuples ``roots`` (a plain root is a 1-tuple), and the seed tuples that
+    give it, in order."""
+    codes = [_canonical(sigma, alpha, seeds)[0] for seeds in roots]
+    best = min(codes)
+    return best, [seeds for seeds, c in zip(roots, codes) if c == best]

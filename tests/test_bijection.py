@@ -181,9 +181,9 @@ def _restricted_tree(pmap, tree_edges):
     sigma = [0] * len(darts)
     alpha = [0] * len(darts)
     for d in darts:
-        e = pmap.sigma_of(d)
+        e = pmap.sigma[d - 1]
         while pmap.edge_of(e) not in tree_edges:
-            e = pmap.sigma_of(e)
+            e = pmap.sigma[e - 1]
         sigma[index[d] - 1] = index[e]
         alpha[index[d] - 1] = index[pmap.alpha_of(d)]
     return build_map(sigma, alpha, index[pmap.root]), darts

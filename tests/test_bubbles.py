@@ -15,13 +15,13 @@ from mapglue.enumeration import enumerate_maps
 from mapglue.errors import (BoundaryHasBridge, CircuitMissesPinch,
                             Disconnected, EmptyTree, FormatError,
                             InternalMismatch, MalformedCircuit, SizeMismatch)
-from mapglue.maps import (BoundaryMap, _cycles, _find, _min_code, _union,
-                          build_map, map_from_line)
+from mapglue.maps import (BoundaryMap, _cycles, _find, _union, build_map,
+                          map_from_line)
 from mapglue.trees import (DyckPath, class_starts, contour_to_tree,
                            enumerate_trees, sample_dyck_uniform,
                            tree_to_contour)
 
-from relabelling import canonical_relabelling, relabel
+from relabelling import canonical_relabelling, min_code, relabel
 
 # two loops at one vertex, rooted so the external face has degree 2
 FIGURE_EIGHT = build_map([2, 3, 4, 1], [2, 1, 4, 3], 1)
@@ -48,7 +48,6 @@ def test_figure_eight_plus_ud():
     assert loop.edge_count == 1 and loop.vertex_count == 1
     # the circuit walks the loop in both directions
     assert sorted(circuit.darts) == sorted(loop.darts())
-    circuit.validate()
     assert circuit.is_non_crossing()
 
 
@@ -68,7 +67,6 @@ def test_exhaustive_round_trip():
     for pm, bm, path in _bridgeless_inputs(4):
         tree = contour_to_tree(path)
         bubble, circuit = glue_bridgeless(bm, tree)
-        circuit.validate()
         assert len(circuit.darts) == bm.perimeter
         assert circuit.is_non_crossing()
         wicked = detect_wicked(bm, tree)
@@ -256,10 +254,12 @@ def test_key_tells_pinch_vertices_apart():
     path2 = build_map([1, 3, 2, 4], [2, 1, 4, 3], 1)  # A - B - C
     loop = build_map([2, 1], [2, 1], 1)
     keys = set()
-    for d in (1, 2, 4):  # the loop hangs at A, B or C
+    # the loop (darts 5 and 6) hangs at A, B or C, and the circuit walks
+    # it when it passes there
+    for d, darts in ((1, (1, 3, 4, 2, 5, 6)), (2, (1, 5, 6, 3, 4, 2)),
+                     (4, (1, 3, 5, 6, 4, 2))):
         bubble = BubbleMap((path2, loop), ((0, path2.vertex_of(d), 1, 1),))
-        circuit = Circuit(bubble, (1, 5, 6, 3, 4, 2))
-        keys.add(bubble_canonical_key(bubble, circuit))
+        keys.add(bubble_canonical_key(bubble, Circuit(bubble, darts)))
     assert len(keys) == 3
 
 
@@ -307,42 +307,36 @@ def _three_spheres():
 
 def test_stray_darts_are_refused_before_any_table_lookup():
     """Darts 0, -1 and 2E + 1 would index the flat tables (0 and -1 wrap
-    around a list); every circuit kernel refuses them first."""
+    around a list); a circuit refuses them when it is made, so no circuit
+    kernel ever sees them."""
     for bubble, circuit in (glue_bridgeless(
             BoundaryMap(FIGURE_EIGHT),
             contour_to_tree(DyckPath.from_word("UD"))), _three_spheres()):
         darts = circuit.darts
         for stray in (0, -1, bubble.dart_count + 1):
             for bad in ((stray,) + darts[1:], darts[:-1] + (stray,)):
-                bad = Circuit(bubble, bad)
                 with pytest.raises(MalformedCircuit, match="out of range"):
-                    bad.validate()
-                with pytest.raises(MalformedCircuit, match="out of range"):
-                    circuit_to_contour(bad)
-                with pytest.raises(MalformedCircuit, match="out of range"):
-                    unglue_bubble(bubble, bad)
-                with pytest.raises(FormatError, match="out of range"):
-                    bad.is_non_crossing()
+                    Circuit(bubble, bad)
 
 
 def test_malformed_circuits():
     bubble, circuit = glue_bridgeless(
         BoundaryMap(FIGURE_EIGHT), contour_to_tree(DyckPath.from_word("UD")))
-    with pytest.raises(MalformedCircuit):
-        Circuit(bubble, circuit.darts[:1]).validate()  # odd length
-    with pytest.raises(MalformedCircuit):
-        Circuit(bubble, circuit.darts * 2).validate()  # edge visited 4 times
-    with pytest.raises(MalformedCircuit):
-        Circuit(bubble, (99, 100)).validate()
-    for darts in ((99, 100), (0, 1), ()):
-        with pytest.raises(MalformedCircuit):
-            bubble_canonical_key(bubble, Circuit(bubble, darts))
+    with pytest.raises(MalformedCircuit, match="positive even"):
+        Circuit(bubble, circuit.darts[:1])  # odd length
+    with pytest.raises(MalformedCircuit, match="positive even"):
+        Circuit(bubble, ())
+    with pytest.raises(MalformedCircuit, match="exactly twice"):
+        Circuit(bubble, circuit.darts * 2)  # edge visited 4 times
+    for darts in ((99, 100), (0, 1)):
+        with pytest.raises(MalformedCircuit, match="out of range"):
+            Circuit(bubble, darts)
     # chain break: two darts whose head and tail vertices do not meet
     path2 = build_map([1, 3, 2, 4], [2, 1, 4, 3], 1)
     loop = build_map([2, 1], [2, 1], 1)
     two = BubbleMap((path2, loop), ((0, path2.vertex_of(1), 1, 1),))
-    with pytest.raises(MalformedCircuit):
-        Circuit(two, (1, 3)).validate()
+    with pytest.raises(MalformedCircuit, match="not the tail"):
+        Circuit(two, (1, 3))
 
 
 def test_circuit_misses_pinch():
@@ -351,7 +345,6 @@ def test_circuit_misses_pinch():
     far_end = path2.vertex_of(4)
     bubble = BubbleMap((path2, loop), ((0, far_end, 1, 1),))
     circuit = Circuit(bubble, (1, 2))  # walks edge A-B twice, never C
-    circuit.validate()
     with pytest.raises(CircuitMissesPinch):
         unglue_bubble(bubble, circuit)
     with pytest.raises(MalformedCircuit):  # no labelling reaches the loop
@@ -391,7 +384,6 @@ def test_root_edge_must_be_on_circuit():
     far_end = path2.vertex_of(4)
     bubble = BubbleMap((path2, loop), ((0, far_end, 1, 1),))
     circuit = Circuit(bubble, (3, 4))  # covers the pinch, not the root edge
-    circuit.validate()
     with pytest.raises(MalformedCircuit):
         unglue_bubble(bubble, circuit)
 
@@ -437,6 +429,29 @@ def test_pinches_must_form_a_tree():
                            match="do not connect the spheres"):
             BubbleMap((loop,) * (len(pinches) + 1), pinches)
     BubbleMap((loop,) * 3, ((2, 1, 0, 1), (1, 1, 2, 1)))
+
+
+def test_pinches_must_name_vertices():
+    """A pinch names each vertex by its smallest local dart; a phantom
+    vertex would pinch nothing, so the constructor refuses it."""
+    path2 = build_map([1, 3, 2, 4], [2, 1, 4, 3], 1)  # vertices 1, 2, 4
+    loop = build_map([2, 1], [2, 1], 1)
+    for pinch in ((0, 99, 1, 1), (0, 3, 1, 1), (0, 0, 1, 1), (0, 1, 1, 2),
+                  (0, 1, 1, -1)):
+        with pytest.raises(FormatError, match="pinch names no vertex"):
+            BubbleMap((path2, loop), (pinch,))
+    for v in (1, 2, 4):
+        BubbleMap((path2, loop), ((0, v, 1, 1),))
+
+
+def test_to_local_refuses_darts_out_of_range():
+    bubble, _ = _three_spheres()
+    n = bubble.dart_count
+    assert [bubble.to_local(g) for g in (1, n)] == [
+        (0, 1), (2, bubble.spheres[2].dart_count)]
+    for g in (0, -1, n + 1):
+        with pytest.raises(FormatError, match="out of range"):
+            bubble.to_local(g)
 
 
 # -- one-pass kernels against the quadratic rules they replaced ---------------
@@ -669,15 +684,17 @@ def test_nested_matches_pairwise_rule(chords):
 
 
 def test_malformed_circuit_in_non_crossing():
+    """The circuits is_non_crossing used to refuse, a stray dart and a
+    broken chain, are refused when they are made."""
     bubble, circuit = glue_bridgeless(
         BoundaryMap(FIGURE_EIGHT), contour_to_tree(DyckPath.from_word("UD")))
-    with pytest.raises(FormatError):
-        Circuit(bubble, (1, 99)).is_non_crossing()
+    with pytest.raises(MalformedCircuit, match="out of range"):
+        Circuit(bubble, (1, 99))
     path2 = build_map([1, 3, 2, 4], [2, 1, 4, 3], 1)
     loop = build_map([2, 1], [2, 1], 1)
     two = BubbleMap((path2, loop), ((0, path2.vertex_of(1), 1, 1),))
-    with pytest.raises(MalformedCircuit):
-        Circuit(two, (1, 3)).is_non_crossing()
+    with pytest.raises(MalformedCircuit, match="not the tail"):
+        Circuit(two, (1, 3))
 
 
 def _global_cycle_corners(bubble):
@@ -715,8 +732,8 @@ def _root_search_cyclic_key(bubble, circuit):
         order = [(k, g)] + [x for x in order if x[0] != k]
         groups.setdefault(_entries(order), []).append(i)
     sigma, alpha = bubble._table
-    _, tied = _min_code(sigma, alpha,
-                        [(bubble.root,) + seeds for seeds in groups])
+    _, tied = min_code(sigma, alpha,
+                       [(bubble.root,) + seeds for seeds in groups])
     return min(_labelled_key(bubble, darts, seeds[1:], groups[seeds[1:]])
                for seeds in tied)
 

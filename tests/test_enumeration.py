@@ -14,10 +14,11 @@ from mapglue.enumeration import (Catalog, CatalogFilter, _subtrees,
                                  tree_submaps)
 from mapglue.errors import (CapExceeded, Disconnected, FormatError,
                             Infeasible, InternalMismatch)
-from mapglue.maps import (BoundaryMap, PlanarMap, _canonical, _min_code,
-                          build_map)
+from mapglue.maps import BoundaryMap, PlanarMap, _canonical, build_map
 from mapglue.trees import contour_to_tree, enumerate_trees
 from mapglue.verify import _grid
+
+from relabelling import min_code
 
 TRIANGLE = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1)
 
@@ -205,15 +206,15 @@ def _grown_boundary_codes(q, f, perimeter):
     level = {}
     for t in seeds:
         walk = t.root_face()
-        key = _min_code(t.sigma, t.alpha, [(d,) for d in walk])[0]
+        key = min_code(t.sigma, t.alpha, [(d,) for d in walk])[0]
         level.setdefault(key, (t.sigma, t.alpha, walk))
     for _ in range(steps):
         nxt = {}
         for sigma, alpha, walk in level.values():
             for i in range(len(walk)):
                 cand = _add_qgon(sigma, alpha, walk, i, q)
-                key = _min_code(cand[0], cand[1],
-                                [(d,) for d in cand[2]])[0]
+                key = min_code(cand[0], cand[1],
+                               [(d,) for d in cand[2]])[0]
                 nxt.setdefault(key, cand)
         level = nxt
     return sorted({_canonical(sigma, alpha, (d,))[0]
@@ -612,14 +613,13 @@ def test_load_catalog_refuses_other_filter_and_old_checksum(tmp_path):
 def test_cap_checked_on_warm_calls(monkeypatch):
     monkeypatch.delenv("MAPGLUE_CATALOG_DIR", raising=False)
     assert len(get_catalog(q=4, f=2, perimeter=4, simple=True)) == 10
+    assert enumerate_boundary_maps(q=4, f=2, perimeter=4, simple=True) is \
+        enumerate_boundary_maps(q=4, f=2, perimeter=4, simple=True)
     with pytest.raises(CapExceeded):
-        get_catalog(q=4, f=2, perimeter=4, simple=True, cap=3)
+        enumerate_boundary_maps(q=4, f=2, perimeter=4, simple=True, cap=3)
     assert enumerate_maps(6) is enumerate_maps(6)
     with pytest.raises(CapExceeded):
         enumerate_maps(6, cap=5)
-    assert len(sphere_qangulations(4, 3)) > 0
-    with pytest.raises(CapExceeded):
-        sphere_qangulations(4, 3, cap=5)
 
 
 def test_catalog_maps_validated_on_first_call_only(tmp_path, monkeypatch):

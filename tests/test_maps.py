@@ -24,7 +24,7 @@ def test_euler_counts():
 def test_phi_is_face_permutation():
     for pmap in (EDGE, LOOP, TRIANGLE):
         darts = set(pmap.darts())
-        assert {pmap.sigma_of(pmap.alpha_of(d)) for d in darts} == darts
+        assert {pmap.sigma[pmap.alpha[d - 1] - 1] for d in darts} == darts
         assert sum(len(f) for f in pmap.faces()) == pmap.dart_count
 
 
@@ -208,12 +208,12 @@ def test_labels_do_not_affect_equality():
 
 
 def _reference_relabelling(pmap, root):
-    """The breadth-first relabelling written out with a dict and the
-    per-dart accessors, as an independent reference."""
+    """The breadth-first relabelling written out with a dict, as an
+    independent reference."""
     image = {root: 1}
     queue = [root]
     for d in queue:
-        for e in (pmap.sigma_of(d), pmap.alpha_of(d)):
+        for e in (pmap.sigma[d - 1], pmap.alpha[d - 1]):
             if e not in image:
                 image[e] = len(image) + 1
                 queue.append(e)
@@ -237,67 +237,3 @@ def test_canonical_kernel_matches_reference_relabelling():
             form = relabel(rerooted, image)
             assert form == want and form.labels == want.labels
             assert rerooted.canonical_code().code == want.sigma + want.alpha
-
-
-def _check_min_code(sigma, alpha, roots):
-    from mapglue.maps import _canonical, _min_code
-    codes = [_canonical(sigma, alpha, seeds)[0] for seeds in roots]
-    best = min(codes)
-    assert _min_code(sigma, alpha, roots) == (
-        best, [seeds for seeds, c in zip(roots, codes) if c == best])
-    return codes.count(best) > 1
-
-
-def test_min_code_is_smallest_array_code():
-    from mapglue.enumeration import enumerate_maps
-    from mapglue.trees import contour_to_tree, enumerate_trees
-    from test_enumeration import _add_qgon  # the reference growth step
-    ties = 0
-    for e in range(1, 6):
-        for pm in enumerate_maps(e).maps():
-            for darts in (pm.root_face(), pm.darts()):
-                ties += _check_min_code(pm.sigma, pm.alpha,
-                                        [(d,) for d in darts])
-    assert ties > 100  # rotational symmetry ties the smallest code
-    # the raw candidates of one step of the reference q-angulation growth
-    for path in enumerate_trees(4):
-        tree = contour_to_tree(path)
-        for i in range(tree.dart_count):
-            sigma, alpha, walk = _add_qgon(tree.sigma, tree.alpha,
-                                           tree.root_face(), i, 4)
-            _check_min_code(sigma, alpha, [(d,) for d in walk])
-    # two components: plain roots give codes of different lengths, and
-    # seed pairs label both
-    for pm in enumerate_maps(3).maps()[::5]:
-        n = pm.dart_count
-        sigma = pm.sigma + tuple(n + x for x in TRIANGLE.sigma)
-        alpha = pm.alpha + tuple(n + x for x in TRIANGLE.alpha)
-        _check_min_code(sigma, alpha,
-                        [(d,) for d in range(1, len(sigma) + 1)])
-        _check_min_code(sigma, alpha,
-                        [(d, g) for d in pm.root_face()
-                         for g in range(n + 1, len(sigma) + 1)])
-
-
-def test_bounded_search_stops_only_past_its_bound():
-    """From every dart d of every map with e <= 4, bounded by the code from
-    every dart d': None exactly when the unbounded code's relabelled sigma
-    is larger than the bound's, and otherwise the unbounded result."""
-    from mapglue.maps import _canonical
-    stopped = 0
-    for e in range(1, 5):
-        for pm in enumerate_maps(e).maps():
-            sigma, alpha = pm.sigma, pm.alpha
-            n = len(sigma)
-            found = {d: _canonical(sigma, alpha, (d,)) for d in pm.darts()}
-            for d, want in found.items():
-                for other in found.values():
-                    bound = other[0]
-                    got = _canonical(sigma, alpha, (d,), bound)
-                    assert (got is None) == (want[0][:n] > bound[:n])
-                    if got is None:
-                        stopped += 1
-                        assert want[0] > bound
-                    else:
-                        assert got == want
-    assert stopped > 1000

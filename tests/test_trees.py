@@ -82,7 +82,7 @@ def test_contour_classes_match_the_definition():
             for p in range(2 * m):
                 later = [j for j in range(p + 1, 2 * m)
                          if starts[j] == starts[p]]
-                assert tree.sigma_of(p + 1) == (later or starts[p:p + 1])[0] + 1
+                assert tree.sigma[p] == (later or starts[p:p + 1])[0] + 1
 
 
 def test_sampling_is_valid_and_deterministic():
