@@ -7,7 +7,8 @@ a simple boundary of perimeter 2m is sewn shut along the vertex equivalence
 induced by the contour of an m-edge tree.
 
 Ungluing reads the tree's contour in place, walking the tree darts of the
-map from its root, and returns the tree rebuilt from that contour by
+map from its root (the same walk checks that the decoration is a tree),
+and returns the tree rebuilt from that contour by
 :func:`~mapglue.trees.contour_to_tree`: dart ``i + 1`` of the tree is
 contour step ``i``, and trees of at most six edges are built once and
 shared.  Gluing takes one walk of each boundary, which decides simplicity
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .maps import (BoundaryMap, PlanarMap, _edge_ends, _ints, _is_tree,
                    _map_record, map_to_line)
-from .trees import _MEMO_EDGES, DyckPath, contour_to_tree
+from .trees import _MEMO_EDGES, DyckPath, class_starts, contour_to_tree
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,19 @@ def _tree_contour(pmap: PlanarMap, tree_edges) -> tuple[list[int],
 
     The dart after ``d`` is the first tree dart counterclockwise from
     ``alpha(d)``, which is the face walk of the plane tree that restricting
-    the rotation of ``pmap`` to the tree darts gives.
+    the rotation of ``pmap`` to the tree darts gives.  The walk also checks
+    the decoration: DecorationNotATree unless every id names an edge and
+    the walk takes all 2|S| darts of the edges S.  The restricted rotation
+    is planar, so a face that holds every dart makes it a tree; on any
+    other edge set the walk returns to the root early.
     """
     sigma, alpha = pmap.sigma, pmap.alpha
+    n = len(sigma)
     # 1: a tree dart whose edge the walk has not taken yet, 2: taken
-    state = [0] * (len(sigma) + 1)
+    state = [0] * (n + 1)
     for e in tree_edges:
+        if not (1 <= e <= n and e < alpha[e - 1]):
+            raise DecorationNotATree("unknown edge ids in decoration")
         state[e] = state[alpha[e - 1]] = 1
     root = pmap.root
     darts = []
@@ -127,17 +135,30 @@ def _tree_contour(pmap: PlanarMap, tree_edges) -> tuple[list[int],
         while not state[d]:
             d = sigma[d - 1]
         if d == root:
-            return darts, DyckPath(tuple(steps))
+            break
+    # before the path is made: a cycle's walk is no Dyck path
+    if len(darts) != 2 * len(tree_edges):
+        raise DecorationNotATree("edge set is not a tree")
+    return darts, DyckPath(tuple(steps))
 
 
 def _contour_matching(tree: PlanarMap) -> tuple[int, ...]:
     """match[i] = j when contour steps i and j traverse the same edge.
     Raises NotDyck unless ``tree`` is a plane tree: its root face must
     take every dart.  The matching of a tree with at most ``_MEMO_EDGES``
-    edges is computed once and shared; a larger tree is never kept."""
+    edges is computed once and shared, together with its contour classes
+    (:func:`_contour_tables`); a larger tree is never kept."""
+    if tree.dart_count <= 2 * _MEMO_EDGES:
+        return _memo_matching(tree)[0]
+    return _matching(tree)
+
+
+def _contour_tables(tree: PlanarMap):
+    """``(match, classes)``: :func:`_contour_matching` of ``tree``, and
+    :func:`~mapglue.trees.class_starts` of its contour; shared alike."""
     if tree.dart_count <= 2 * _MEMO_EDGES:
         return _memo_matching(tree)
-    return _matching(tree)
+    return _matching_and_classes(tree)
 
 
 def _matching(tree: PlanarMap) -> tuple[int, ...]:
@@ -151,8 +172,15 @@ def _matching(tree: PlanarMap) -> tuple[int, ...]:
     return tuple([pos[alpha[d - 1]] for d in walk])
 
 
+def _matching_and_classes(tree: PlanarMap):
+    match = _matching(tree)
+    # step i goes up exactly when match[i] > i
+    path = DyckPath(tuple([1 if j > i else -1 for i, j in enumerate(match)]))
+    return match, tuple(class_starts(path))
+
+
 # the same room as trees._memo_tree; a raise is never cached
-_memo_matching = lru_cache(maxsize=256)(_matching)
+_memo_matching = lru_cache(maxsize=256)(_matching_and_classes)
 
 
 def _cut(phi: list[int], alpha: list[int], walk):
@@ -190,8 +218,9 @@ def unglue(tdm: TreeDecoratedMap):
     are the faces of the input in degree-preserving correspondence.
     """
     pmap = tdm.map
-    check_tree_decoration(pmap, tdm.tree_edges)
     if not tdm.root_on_tree:
+        # a decoration that is no tree is refused as such first
+        check_tree_decoration(pmap, tdm.tree_edges)
         raise RootNotOnTree("map root edge must belong to the decoration")
     contour, path = _tree_contour(pmap, tdm.tree_edges)
     sigma, alpha = pmap.sigma, pmap.alpha

@@ -9,27 +9,36 @@ decomposes into a tree of spheres joined at pinch vertices, a bubble-map.
 The decoration is recorded as the image of the tree contour, a
 non-self-crossing circuit traversing every support edge exactly twice.
 
-The tree is recovered from the circuit alone by a left-to-right scan: a
-step along an already-visited edge lowers the contour, any other step
-raises it (revisited vertices are conceptually duplicated, which does not
-affect the contour values).  Ungluing then doubles every circuit edge so
-that the new darts form a fresh external face, re-thickening the pinch
-vertices in the process.
+The tree is recovered from the circuit alone by a left-to-right scan,
+made when the circuit is checked: a step along an already-visited edge
+lowers the contour, any other step raises it (revisited vertices are
+conceptually duplicated, which does not affect the contour values).
+Ungluing then doubles every circuit edge so that the new darts form a
+fresh external face, re-thickening the pinch vertices in the process.
 
 Gluing walks the boundary face once and reads the tree's contour once:
 that walk decides the bridge and size checks and gives the darts to sew,
 and the contour matching gives the Dyck path.  Wicked identifications come
-from one grouping of the boundary positions by (vertex, contour class).
+from one grouping of the boundary positions by (vertex, contour class);
+the contour classes of a small tree are kept with its matching.  The
+kernels build their maps directly and check only what can fail: a
+single-sphere gluing checks that it is connected (it is not on the inputs
+of ``bench/README.md``'s known defect 1), the spheres of a pinched gluing
+are its connected components, each a disc sewn along a non-crossing
+pairing, and ungluing checks that the cut map is connected and planar,
+which a crossing circuit is not.
+
 A circuit checks itself once, when it is made: its darts are in range,
-heads chain onto tails and every support edge is traversed twice.  The
-circuit kernels (the non-crossing test, the contour scan and the pinch
-check of ungluing) then index the bubble-map's global dart tables
-directly.  The non-crossing test walks each sphere's vertex cycles once
-to give every dart its rotation position, then runs a stack check of the
-corner chords at each vertex.  At a pinch vertex the positions list the
-pinched copies in sphere order; the verdicts depend on that order, which
-reports a crossing on some exact round trips through a pinch vertex
-(``bench/README.md``, known defect 2).
+heads chain onto tails and every support edge is traversed twice, once in
+each direction, so that cutting along it always gives a rotation system.
+The walk that checks it records its contour.  The circuit kernels (the
+non-crossing test and the pinch check of ungluing) then index the
+bubble-map's global dart tables directly.  The non-crossing test walks
+each sphere's vertex cycles once to give every dart its rotation
+position, then runs a stack check of the corner chords at each vertex.
+At a pinch vertex the positions list the pinched copies in sphere order;
+the verdicts depend on that order, which reports a crossing on some exact
+round trips through a pinch vertex (``bench/README.md``, known defect 2).
 
 The canonical key numbers the darts with one breadth-first search over the
 global dart table: from the root through the root sphere, then from the
@@ -53,18 +62,18 @@ from operator import itemgetter
 from .errors import (
     BoundaryHasBridge,
     CircuitMissesPinch,
+    Disconnected,
     EmptyTree,
     FormatError,
     InternalMismatch,
     MalformedCircuit,
-    NotDyck,
     SizeMismatch,
 )
-from .maps import (BoundaryMap, PlanarMap, _canonical, _find, _ints,
-                   _record, _union, _vertex_ids, build_map, map_from_line,
-                   map_to_line)
-from .trees import DyckPath, _walk_contour, class_starts, contour_to_tree
-from .bijection import _contour_matching, _cut, _sew
+from .maps import (BoundaryMap, PlanarMap, _canonical,
+                   _connected_vertex_count, _find, _ints, _on_sphere,
+                   _record, _union, _vertex_ids, map_from_line, map_to_line)
+from .trees import DyckPath, contour_to_tree
+from .bijection import _contour_tables, _cut, _sew
 
 
 @dataclass(frozen=True)
@@ -191,14 +200,21 @@ class BubbleMap:
         return range(1, self.dart_count + 1)
 
 
+_TWICE = ("every support edge must be traversed exactly twice, once in "
+          "each direction")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A closed walk of darts (globally addressed) in a bubble-map.
 
     Checked once, when it is made: MalformedCircuit unless its length is
     even and positive, every dart is one of 1..2E, heads chain onto tails
-    and every support edge is traversed exactly twice.  The kernels that
-    take a circuit trust it.
+    and every support edge is traversed exactly twice, once in each
+    direction.  The walk that checks the last two also records the
+    contour, read by :func:`circuit_to_contour`: the first traversal of an
+    edge goes up, the second down, which is a Dyck path once every edge is
+    taken twice.  The kernels that take a circuit trust it.
     """
 
     bubble: BubbleMap
@@ -216,18 +232,23 @@ class Circuit:
             raise MalformedCircuit(f"dart {stray} out of range")
         rep = self.bubble._corners[0]
         alpha = self.bubble._table[1]
-        for g, h in zip(darts, darts[1:] + darts[:1]):
-            if rep[alpha[g - 1]] != rep[h]:
-                raise MalformedCircuit(
-                    f"head of dart {g} is not the tail of dart {h}")
-        edges: dict[int, int] = {}
+        taken = [False] * (n + 1)
+        steps = []
+        p = darts[-1]
         for g in darts:
-            a = alpha[g - 1]
-            e = g if g < a else a
-            edges[e] = edges.get(e, 0) + 1
-        if any(c != 2 for c in edges.values()):
-            raise MalformedCircuit("every support edge must be traversed "
-                                   "exactly twice")
+            if rep[alpha[p - 1]] != rep[g]:
+                raise MalformedCircuit(
+                    f"head of dart {p} is not the tail of dart {g}")
+            if taken[g]:
+                raise MalformedCircuit(_TWICE + f" (dart {g} repeats)")
+            taken[g] = True
+            steps.append(-1 if taken[alpha[g - 1]] else 1)
+            p = g
+        # with no dart repeated, the steps sum to 0 exactly when every
+        # dart's partner is taken too
+        if sum(steps):
+            raise MalformedCircuit(_TWICE)
+        object.__setattr__(self, "_contour", DyckPath(tuple(steps)))
 
     def is_non_crossing(self) -> bool:
         """No interleaved visit pattern at any vertex.
@@ -273,20 +294,15 @@ def _nested(chords) -> bool:
 
 
 def circuit_to_contour(circuit: Circuit) -> DyckPath:
-    """Recover the tree contour from a circuit.
+    """Recover the tree contour from a circuit: the contour the circuit
+    recorded when it was made.
 
-    Scan the circuit once: a step along an already-visited edge lowers the
-    contour by one, any other step (a new edge, whether or not its head
-    vertex was seen before) raises it by one.  Splitting revisited vertices
-    only changes the embedding bookkeeping, never the contour values.
+    A step along an already-visited edge lowers the contour by one, any
+    other step (a new edge, whether or not its head vertex was seen before)
+    raises it by one.  Splitting revisited vertices only changes the
+    embedding bookkeeping, never the contour values.
     """
-    alpha = circuit.bubble._table[1]
-    try:
-        return _walk_contour([g if g < alpha[g - 1] else alpha[g - 1]
-                              for g in circuit.darts])
-    except NotDyck as exc:
-        raise MalformedCircuit(
-            f"scan does not close into a contour: {exc}") from exc
+    return circuit._contour
 
 
 def detect_wicked(bmap: BoundaryMap, tree: PlanarMap):
@@ -302,7 +318,7 @@ def detect_wicked(bmap: BoundaryMap, tree: PlanarMap):
     if len(walk) != 2 * m:
         raise SizeMismatch(f"perimeter {len(walk)} != 2*{m} tree edges")
     hits: dict[int, list[int]] = {}
-    for v, ps in _boundary_groups(bmap.map, walk, _contour_matching(tree)):
+    for v, ps in _boundary_groups(bmap.map, walk, _contour_tables(tree)[1]):
         hits.setdefault(v, []).extend(ps)
     return [(v, tuple(sorted(ps))) for v, ps in hits.items()]
 
@@ -316,10 +332,11 @@ def _bridgeless_walk(bmap: BoundaryMap) -> tuple[int, ...]:
     return walk
 
 
-def _boundary_groups(pmap: PlanarMap, walk, match: tuple[int, ...]):
+def _boundary_groups(pmap: PlanarMap, walk, classes):
     """Boundary positions grouped by (vertex, contour class) in one pass
-    over the boundary walk ``walk`` of ``pmap``, glued along the contour
-    matching ``match`` (step i goes up exactly when ``match[i] > i``).
+    over the boundary walk ``walk`` of ``pmap``, glued along a contour
+    whose position p lies in the class that starts at ``classes[p]``
+    (:func:`~mapglue.bijection._contour_tables`).
 
     Returns a ``(vertex, positions)`` pair for each group of two or more
     positions (a wicked identification), by ascending vertex and then by
@@ -329,21 +346,19 @@ def _boundary_groups(pmap: PlanarMap, walk, match: tuple[int, ...]):
     """
     vertex = _vertex_ids(pmap.sigma)
     alpha = pmap.alpha
-    cls_of = class_starts(DyckPath(tuple(1 if j > i else -1
-                                         for i, j in enumerate(match))))
     groups: dict[tuple[int, int], list[int]] = {}
     for p, d in enumerate(walk):
-        groups.setdefault((vertex[alpha[d - 1]], cls_of[p]), []).append(p)
+        groups.setdefault((vertex[alpha[d - 1]], classes[p]), []).append(p)
     # a stable sort keeps each vertex's groups in first-position order
     return sorted(((v, ps) for (v, _), ps in groups.items() if len(ps) > 1),
                   key=itemgetter(0))
 
 
-def _wicked_cuts(pmap: PlanarMap, walk, match: tuple[int, ...]):
+def _wicked_cuts(pmap: PlanarMap, walk, classes):
     """Laminar intervals [a, b) of boundary positions pinched off by wicked
     identifications, as (a, b, vertex) triples (arguments as for
     :func:`_boundary_groups`)."""
-    cuts = [(a, b, v) for v, ps in _boundary_groups(pmap, walk, match)
+    cuts = [(a, b, v) for v, ps in _boundary_groups(pmap, walk, classes)
             for a, b in zip(ps, ps[1:])]
     if not _nested((a, b) for a, b, _ in cuts):
         raise InternalMismatch("wicked cuts cross")
@@ -364,7 +379,7 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     if len(walk) != 2 * m:
         raise SizeMismatch(f"perimeter {len(walk)} != 2*{m} tree edges")
     pmap = bmap.map
-    match = _contour_matching(tree)
+    match, classes = _contour_tables(tree)
     sigma, alpha, index = _sew(pmap, walk, match)
     n = len(sigma)
     # circuit step p is the image of contour step p: the survivor partner
@@ -373,17 +388,25 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     circuit_raw = [index[old_alpha[b - 1]] for b in walk]
     root_new = circuit_raw[0]
 
-    cuts = _wicked_cuts(pmap, walk, match)
+    cuts = _wicked_cuts(pmap, walk, classes)
     if not cuts:
-        glued = build_map(sigma, alpha, root_new)
-        bubble = BubbleMap((glued,))
+        # the one check that can fail: a boundary vertex recurring in two
+        # contour classes can still split the sewn structure, and no
+        # wicked identification accounts for it (``bench/README.md``, known
+        # defect 1)
+        if _connected_vertex_count(sigma, alpha) is None:
+            raise Disconnected("the darts do not form a connected map")
+        bubble = BubbleMap((PlanarMap(tuple(sigma), tuple(alpha),
+                                      root_new),))
         return bubble, Circuit(bubble, tuple(circuit_raw))
 
     # rebuilding sigma from the internal faces separates the rotation at
     # every pinch vertex on its own (the two sides of a wicked
     # identification share no internal face), so the spheres are exactly
     # the connected components of the sewn structure: the root's first,
-    # then by smallest dart, each with its darts in increasing order
+    # then by smallest dart, each with its darts in increasing order.  A
+    # component is connected by construction, and a disc sewn along a
+    # non-crossing pairing is a sphere, so each is built directly
     sphere = [-1] * (n + 1)
     comps: list[list[int]] = []
     for start in (root_new, *range(1, n + 1)):
@@ -405,8 +428,8 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     for k, ds in enumerate(comps):
         for i, d in enumerate(ds, 1):
             local[d] = i
-        spheres.append(build_map([local[sigma[d - 1]] for d in ds],
-                                 [local[alpha[d - 1]] for d in ds],
+        spheres.append(PlanarMap(tuple([local[sigma[d - 1]] for d in ds]),
+                                 tuple([local[alpha[d - 1]] for d in ds]),
                                  local[root_new] if k == 0 else 1))
 
     pinches = []
@@ -434,7 +457,10 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
     Returns ``(tree, bmap)``; the inverse of :func:`glue_bridgeless`.
     Every circuit edge is doubled, the new darts form the external face in
     reverse circuit order, and pinch vertices regain thickness because the
-    duplicated darts all join that face.
+    duplicated darts all join that face.  A circuit takes every support
+    edge once in each direction, so the cut is always a rotation system;
+    only its connectivity and genus are checked (a crossing circuit cuts
+    a map of higher genus, NonPlanar).
     """
     if circuit.bubble is not bubble and circuit.bubble != bubble:
         raise MalformedCircuit("the circuit belongs to another bubble-map")
@@ -452,9 +478,10 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
         raise MalformedCircuit("circuit does not contain the root edge")
 
     phi = [sigma[a - 1] for a in alpha]
-    bmap = BoundaryMap(build_map(*_cut(phi, alpha, darts)))
-    tree = contour_to_tree(circuit_to_contour(circuit))
-    return tree, bmap
+    sigma, alpha, root = _cut(phi, alpha, darts)
+    bmap = BoundaryMap(_on_sphere(PlanarMap(tuple(sigma), tuple(alpha),
+                                            root)))
+    return contour_to_tree(circuit_to_contour(circuit)), bmap
 
 
 # -- rerooting and canonical keys ---------------------------------------------

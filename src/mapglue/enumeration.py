@@ -65,7 +65,7 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 try:  # the builtin module, as random.py does: hashlib also loads OpenSSL
     from _sha256 import sha256
@@ -518,6 +518,17 @@ def _checksum_line(body: str) -> str:
 
 
 def catalog_from_text(text: str) -> Catalog:
+    """The catalog a file holds, refused with FormatError unless its
+    checksum, version and header hold and its entries are strictly
+    increasing canonical codes of maps of the family its header names.
+
+    The header's count must equal the entry lines, and for an unfiltered
+    general level (q = 0, no face count, perimeter, simplicity or
+    bridgelessness) it must also be the number of rooted maps with e
+    edges, 2·3^e·C(2e,e)/((e+1)(e+2)), so a file missing maps is refused.
+    Filtered and q-angulation families have no count to check against
+    yet: that waits for an exact count kernel of maps with a boundary.
+    """
     lines = text.splitlines()
     if len(lines) < 2 or not lines[-1].startswith("checksum="):
         raise FormatError("missing checksum line")
@@ -536,6 +547,11 @@ def catalog_from_text(text: str) -> Catalog:
     codes = [tuple(_ints(ln)) for ln in lines[1:-1]]
     if len(codes) != count:
         raise FormatError("catalog count does not match the entry lines")
+    if filt == CatalogFilter(e=e) and e > 0:
+        expected = 2 * 3 ** e * comb(2 * e, e) // ((e + 1) * (e + 2))
+        if count != expected:
+            raise FormatError(f"catalog count {count} is not the "
+                              f"{expected} rooted maps with {e} edges")
     if any(a >= b for a, b in zip(codes, codes[1:])):
         raise FormatError("catalog entries are not strictly increasing")
     # the one place where a code becomes a map, so every map is validated

@@ -117,12 +117,15 @@ class PlanarMap:
 
     Maps are validated once, at the trust boundary: :func:`build_map` runs
     on every map read from outside (map, decorated and forest records,
-    sampler exports, catalog files) and on every sphere the bubble kernels
-    build.  The enumeration and the sphere kernels (``unglue``, ``glue``,
-    ``glue_partial``, ``glue_forest`` and ``contour_to_tree``) construct
-    their maps directly, with tuple fields and sorted labels; the tests run
-    their outputs through :func:`build_map` again.  Use :func:`build_map`
-    for any other raw data.
+    sampler exports, catalog files).  The enumeration, the sphere kernels
+    (``unglue``, ``glue``, ``glue_partial``, ``glue_forest`` and
+    ``contour_to_tree``) and the bubble kernels construct their maps
+    directly, with tuple fields and sorted labels; the bubble kernels keep
+    only the checks that can fail on a valid input (a connectivity check
+    in ``glue_bridgeless``, and connectivity and genus in
+    ``unglue_bubble``, whose circuit may cross).  The tests run all these
+    outputs through :func:`build_map` again.  Use :func:`build_map` for
+    any other raw data.
 
     A catalog map holds the same ``sigma`` and ``alpha`` tuples as its
     :class:`CanonicalCode` entry, and shares equal alpha tuples with the
@@ -319,14 +322,21 @@ def build_map(sigma, alpha, root: int, labels=()) -> PlanarMap:
         darts = [d for d, _ in labels]  # sorted
         if darts[0] < 1 or darts[-1] > n or len(set(darts)) != len(darts):
             raise FormatError("labels must sit on distinct darts of the map")
-    m = PlanarMap(sigma, alpha, root, labels)
-    vertices = _connected_vertex_count(sigma, alpha)
+    return _on_sphere(PlanarMap(sigma, alpha, root, labels))
+
+
+def _on_sphere(pmap: PlanarMap) -> PlanarMap:
+    """``pmap``, whose arrays must be a permutation and a fixed-point-free
+    involution, once its rotation system is checked to be connected and of
+    genus 0: raises :class:`Disconnected` or :class:`NonPlanar`
+    otherwise."""
+    vertices = _connected_vertex_count(pmap.sigma, pmap.alpha)
     if vertices is None:
         raise Disconnected("the darts do not form a connected map")
-    euler = vertices - m.edge_count + m.face_count
+    euler = vertices - pmap.edge_count + pmap.face_count
     if euler != 2:
         raise NonPlanar(f"V - E + F = {euler}, not 2")
-    return m
+    return pmap
 
 
 class BoundaryMap:

@@ -131,18 +131,16 @@ _MEMO_EDGES = 6
 _memo_tree = lru_cache(maxsize=256)(_tree)
 
 
-def is_plane_tree(pmap: PlanarMap) -> bool:
-    return pmap.face_count == 1
-
-
 def tree_to_contour(tree: PlanarMap) -> DyckPath:
     """Contour function of a plane tree (read off the single face walk;
-    the first traversal of an edge is the up step)."""
+    the first traversal of an edge is the up step).  The map is a tree
+    exactly when its root face takes every dart."""
     if tree.edge_count == 0:
         raise EmptyTree("a tree must have at least one edge")
-    if not is_plane_tree(tree):
+    walk = tree.root_face()
+    if len(walk) != tree.dart_count:
         raise NotDyck("map is not a plane tree (more than one face)")
-    return _walk_contour(map(tree.edge_of, tree.root_face()))
+    return _walk_contour(map(tree.edge_of, walk))
 
 
 def _walk_contour(edges) -> DyckPath:

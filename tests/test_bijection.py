@@ -395,6 +395,21 @@ def test_unglue_root_not_on_tree():
         unglue(TreeDecoratedMap(triangle, frozenset({2})))
 
 
+def test_unglue_refuses_decorations_that_are_no_tree():
+    """unglue checks its decoration with its own contour walk, which
+    returns to the root before it has taken every decoration dart; the
+    walk of a cycle is no Dyck path, so it is refused as no tree, not as
+    NotDyck."""
+    triangle = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1)
+    loop = build_map([2, 1], [2, 1], 1)
+    path3 = contour_to_tree(DyckPath.from_word("UUUDDD"))
+    for pmap, edges in ((triangle, {1, 2, 3}), (loop, {1}),
+                        (path3, {1, 3}), (path3, {1, 2, 99}),
+                        (triangle, {4})):
+        with pytest.raises(DecorationNotATree):
+            unglue(TreeDecoratedMap(pmap, frozenset(edges)))
+
+
 def test_decorated_line_round_trip():
     tdm = TreeDecoratedMap(EDGE, frozenset({1}))
     again = decorated_from_line(decorated_to_line(tdm))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mapglue.bijection import _contour_matching, glue
+from mapglue.bijection import _contour_tables, glue
 from mapglue.bubbles import (BubbleMap, Circuit, _entries, _labelled_key,
                              _nested, _wicked_cuts, bubble_canonical_key,
                              bubble_from_text, bubble_rerooted,
@@ -14,12 +14,13 @@ from mapglue.counting import count_bubble
 from mapglue.enumeration import enumerate_maps
 from mapglue.errors import (BoundaryHasBridge, CircuitMissesPinch,
                             Disconnected, EmptyTree, FormatError,
-                            InternalMismatch, MalformedCircuit, SizeMismatch)
+                            InternalMismatch, MalformedCircuit, NonPlanar,
+                            SizeMismatch)
 from mapglue.maps import (BoundaryMap, _cycles, _find, _union, build_map,
                           map_from_line)
-from mapglue.trees import (DyckPath, class_starts, contour_to_tree,
-                           enumerate_trees, sample_dyck_uniform,
-                           tree_to_contour)
+from mapglue.trees import (DyckPath, _walk_contour, class_starts,
+                           contour_to_tree, enumerate_trees,
+                           sample_dyck_uniform, tree_to_contour)
 
 from relabelling import canonical_relabelling, min_code, relabel
 
@@ -339,6 +340,65 @@ def test_malformed_circuits():
         Circuit(two, (1, 3))
 
 
+def test_circuit_takes_each_edge_once_in_each_direction():
+    loop = BubbleMap((build_map([2, 1], [2, 1], 1),))
+    assert circuit_to_contour(Circuit(loop, (1, 2))) == DyckPath((1, -1))
+    for darts in ((1, 1), (2, 2), (1, 1, 2, 2), (1, 2, 1, 2)):
+        with pytest.raises(MalformedCircuit, match="once in each direction"):
+            Circuit(loop, darts)
+
+
+def _closed_walks(pm):
+    """Every closed walk on ``pm`` that starts along the root edge, whose
+    darts chain head to tail and that takes each edge it uses exactly
+    twice."""
+    alpha = pm.alpha
+    vid = [0] + [pm.vertex_of(d) for d in pm.darts()]
+    out = []
+
+    def extend(walk, uses):
+        head = vid[alpha[walk[-1] - 1]]
+        if head == vid[walk[0]] and all(c == 2 for c in uses.values()):
+            out.append(tuple(walk))
+        for g in pm.darts():
+            e = pm.edge_of(g)
+            if vid[g] == head and uses.get(e, 0) < 2:
+                extend(walk + [g], {**uses, e: uses.get(e, 0) + 1})
+
+    for g in (pm.root, alpha[pm.root - 1]):
+        extend([g], {pm.edge_of(g): 1})
+    return out
+
+
+def test_circuits_refuse_repeated_darts_and_cut_into_valid_maps():
+    """Over every closed walk along the root edge that takes its edges
+    exactly twice on the maps with at most 3 edges, a circuit is made
+    exactly when no dart repeats.  Cutting it open gives a map that
+    passes build_map, or raises NonPlanar on a walk that crosses itself:
+    the cut is always a rotation system, so nothing else is checked."""
+    refused = cut = crossing = 0
+    for e in (1, 2, 3):
+        for pm in enumerate_maps(e).maps():
+            bubble = BubbleMap((pm,))
+            for walk in _closed_walks(pm):
+                if len(set(walk)) < len(walk):
+                    with pytest.raises(MalformedCircuit):
+                        Circuit(bubble, walk)
+                    refused += 1
+                    continue
+                circuit = Circuit(bubble, walk)
+                try:
+                    tree, bmap = unglue_bubble(bubble, circuit)
+                except NonPlanar:
+                    crossing += 1
+                    continue
+                m = bmap.map
+                assert build_map(m.sigma, m.alpha, m.root) == m
+                assert tree_to_contour(tree) == circuit_to_contour(circuit)
+                cut += 1
+    assert (refused, cut, crossing) == (11670, 2010, 824)
+
+
 def test_circuit_misses_pinch():
     path2 = build_map([1, 3, 2, 4], [2, 1, 4, 3], 1)  # A - B - C
     loop = build_map([2, 1], [2, 1], 1)
@@ -546,12 +606,16 @@ def _scanned_cuts(bmap, tree):
 def _cuts(bmap, tree):
     """The wicked cuts that glue_bridgeless takes of one gluing."""
     return _wicked_cuts(bmap.map, bmap.boundary_walk(),
-                        _contour_matching(tree))
+                        _contour_tables(tree)[1])
 
 
 def _check_against_references(bm, tree):
     """Compare the one-pass kernels with the references on one gluing and
-    return the gluing, or None when it raises Disconnected."""
+    return the gluing, or None when it raises Disconnected.
+
+    The kernels build their maps unchecked: every sphere of the gluing and
+    the map its circuit cuts open pass build_map, and the contour the
+    circuit recorded is the scan of its edges."""
     assert detect_wicked(bm, tree) == _scanned_wicked(bm, tree)
     assert _cuts(bm, tree) == _scanned_cuts(bm, tree)
     try:
@@ -561,6 +625,14 @@ def _check_against_references(bm, tree):
     for g in bubble.darts():
         assert bubble.vertex_of(g) == _pairwise_vertex(bubble, g)
     assert circuit.is_non_crossing() == _pairwise_non_crossing(circuit)
+    for s in bubble.spheres:
+        assert build_map(s.sigma, s.alpha, s.root) == s
+    alpha = bubble._table[1]
+    assert (circuit_to_contour(circuit)
+            == _walk_contour([min(g, alpha[g - 1]) for g in circuit.darts])
+            == tree_to_contour(tree))
+    cut = unglue_bubble(bubble, circuit)[1].map
+    assert build_map(cut.sigma, cut.alpha, cut.root) == cut
     return bubble, circuit
 
 

@@ -169,6 +169,14 @@ def test_bubble_text_mutations():
         _cli_survives("unglue", "--decorated", mutated, "--bridgeless")
 
 
+def test_circuit_taking_a_dart_twice_refused():
+    # it walks the loop's one edge twice in the same direction
+    text = "bubble spheres=1\nmap E=1 root=1 sigma=2,1 alpha=2,1\ncircuit=1,1"
+    code, out, err = run("unglue", "--decorated", text, "--bridgeless")
+    assert code == 2 and out == ""
+    assert "MalformedCircuit" in err and "Traceback" not in err
+
+
 def test_export_mutations():
     spec = SampleSpec(q=4, f=2, m=1, seed=3, count=1)
     text = export_decorated(draw_tree_decorated(spec, 0))
@@ -259,6 +267,23 @@ def test_catalog_file_of_another_family_refused(tmp_path, monkeypatch,
                            "--tree-edges", "1", "--seed", "1", "--count", "1")
     assert status == 2 and out == ""
     assert "FormatError" in err and "Traceback" not in err
+
+
+def test_general_level_missing_a_map_refused(tmp_path, monkeypatch):
+    # the checksum holds and every entry is a canonical map of the level:
+    # only the number of rooted maps with 3 edges shows one is missing
+    from mapglue import enumeration
+    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
+    monkeypatch.setattr(enumeration, "_CATALOG_MEMO", {})
+    level = enumerate_maps(3)
+    assert len(level) == 54
+    short = catalog_to_text(Catalog(level.filter, level.entries[1:], ()))
+    with pytest.raises(FormatError, match="not the 54 rooted maps"):
+        catalog_from_text(short)
+    (tmp_path / _catalog_filename(level.filter)).write_text(short)
+    with pytest.raises(FormatError, match="not the 54 rooted maps"):
+        get_catalog(e=3)
+    assert catalog_from_text(catalog_to_text(level)).entries == level.entries
 
 
 def test_record_fields_in_any_order():

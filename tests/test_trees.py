@@ -4,8 +4,8 @@ import pytest
 
 from mapglue.errors import NotDyck
 from mapglue.trees import (DyckPath, catalan, class_starts, contour_to_tree,
-                           enumerate_trees, is_plane_tree,
-                           sample_dyck_uniform, tree_to_contour)
+                           enumerate_trees, sample_dyck_uniform,
+                           tree_to_contour)
 
 
 def test_dyck_validation():
@@ -43,7 +43,6 @@ def test_contour_round_trip():
     for m in range(1, 6):
         for path in enumerate_trees(m):
             tree = contour_to_tree(path)
-            assert is_plane_tree(tree)
             assert tree.edge_count == m
             assert tree.face_count == 1
             assert tree_to_contour(tree) == path
