@@ -27,35 +27,35 @@ are kept, for one build.  In the requested cell the catalog filter runs
 on each raw map first, and only the maps it keeps are canonicalised, once
 each, with the same two checks.
 
+Every catalog is held once per process, in one store keyed by its
+:class:`CatalogFilter` and filled by one builder, :func:`_family`: a
+general level, a q-angulation cell (the sphere pools of the brute-force
+counts are the cells whose root face is a q-gon, so no level is scanned
+for them), or another general family, a subsequence of its level.  The
+size cap is checked before the store is consulted, so a warm call refuses
+exactly what a cold call refuses.  The same decomposition counts the maps
+with e edges by root face degree k: G(e, k) of :func:`_root_face_counts`.
+
+Catalogs can be persisted as text files in the directory that the
+MAPGLUE_CATALOG_DIR environment variable names.  :func:`get_catalog`
+returns the store's catalog, else reads the file into the store (so the
+enumeration builds on it), else builds the catalog and saves it.  A file
+is written under a temporary name and renamed over the target, so a
+reader never sees a partial file.  Its header ends in ``version=1``, the
+file format version, and its last line is ``checksum=sha256:<hex>``, the
+SHA-256 digest of every line above it, so any edit, truncation or
+reordering is detected.  A file without either, with another version or
+the earlier byte-sum checksum, or whose header names another filter than
+the one requested is refused with :class:`FormatError`.
+
 Maps are validated where they enter: :func:`catalog_from_text`, the only
 code here that decodes a code, runs each map it reads through
 :func:`~mapglue.maps.build_map`, and refuses a file whose entries are not
 strictly increasing canonical codes of maps of the family its header
-names.  Catalogs built in process keep the maps their enumeration built;
-the tests run those through it instead.
-
-The pools of sphere q-angulations that the brute-force counts sum over are
-the cells whose root face is a q-gon; the general level is never scanned
-for them.  The filter of the e-edge general level by face degree is kept
-in the tests as the reference these pools must equal.
-
-Everything is computed at most once per process: each general level, each
-filtered q-angulation cell (which holds the sphere pools too), and each
-catalog fetched through :func:`get_catalog`.  The size cap is checked
-before every one of these memos is consulted, so a warm call refuses
-exactly what a cold call refuses.
-
-Catalogs can be persisted as text files; the directory is taken from the
-MAPGLUE_CATALOG_DIR environment variable when set.  A file is written under
-a temporary name in the same directory and renamed over the target, so a
-reader never sees a partial file.  Its header ends in ``version=1``, the
-file format version; a file without it or with another one is refused with
-:class:`FormatError`.  The last line of a file is
-``checksum=sha256:<hex>``, the SHA-256 digest of every line above it, so
-any edit, truncation or reordering of the entries is detected.  Files
-written with the earlier byte-sum checksum are refused with
-:class:`FormatError`, as is a file whose header names another filter than
-the one requested.
+names, or, for a general family, whose count is not the one G gives.
+Catalogs built in process keep the maps their enumeration built; the
+tests run those through it instead, and keep the level filtered by face
+degree as the reference the sphere pools must equal.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb, factorial, prod
+from itertools import combinations, compress
+from math import factorial, prod
 
 try:  # the builtin module, as random.py does: hashlib also loads OpenSSL
     from _sha256 import sha256
@@ -192,7 +192,7 @@ def _bridge(m1: PlanarMap | None, m2: PlanarMap | None):
 
 def _smaller(e: int) -> list[PlanarMap | None]:
     """The maps with e edges; [None], the vertex map, when e is 0."""
-    return [None] if e == 0 else _level(e).maps()
+    return [None] if e == 0 else _family(CatalogFilter(e=e)).maps()
 
 
 def _root_edge_maps(e: int):
@@ -205,6 +205,25 @@ def _root_edge_maps(e: int):
         for m1 in _smaller(e1):
             for m2 in right:
                 yield _bridge(m1, m2)
+
+
+def _root_face_counts(e: int) -> list[list[int]]:
+    """Rows G[e'][k] for e' <= e: the rooted maps with e' edges and a root
+    face of degree k, counted as :func:`_root_edge_maps` builds them.  A
+    root chord of a map whose root face has degree k' leaves one of each
+    degree 1, ..., k'+1; a root bridge adds the two degrees plus 2."""
+    rows = [[1]]  # the vertex map
+    for n in range(1, e + 1):
+        row = [0] * (2 * n + 1)
+        for k, c in enumerate(rows[n - 1]):
+            for j in range(1, k + 2):
+                row[j] += c
+        for n1 in range(n):
+            for k1, c1 in enumerate(rows[n1]):
+                for k2, c2 in enumerate(rows[n - 1 - n1]):
+                    row[k1 + k2 + 2] += c1 * c2
+        rows.append(row)
+    return rows
 
 
 def _catalog(filt: CatalogFilter, built) -> Catalog:
@@ -239,26 +258,13 @@ def _halves(code: tuple[int, ...], shared: dict) -> tuple[tuple, tuple]:
     return code[:n], shared.setdefault(alpha, alpha)
 
 
-_LEVELS: dict[int, Catalog] = {}
-
-
-def _level(e: int) -> Catalog:
-    """All rooted planar maps with e edges, sorted by code: each built
-    once by the root-edge decomposition (a chord of a map with e-1 edges,
-    or a bridge between two maps with e-1 edges in all) and made a
-    catalog by :func:`_catalog`."""
-    if e not in _LEVELS:
-        _LEVELS[e] = _catalog(CatalogFilter(e=e), _root_edge_maps(e))
-    return _LEVELS[e]
-
-
 def enumerate_maps(e: int, cap: int | None = None) -> Catalog:
     """Catalog of all rooted planar maps with e edges, built once per
     process."""
     if e < 1:
         raise Infeasible("edge count must be at least 1")
     _check_cap(e, EDGE_CAP, cap)
-    return _level(e)
+    return _family(CatalogFilter(e=e))
 
 
 # -- q-angulation boundary cells -----------------------------------------------
@@ -303,21 +309,34 @@ def _factor(q: int, f: int, p: int, factors: dict) -> list:
     return factors[f, p]
 
 
-_QANG_LEVELS: dict[CatalogFilter, Catalog] = {}
+_CATALOGS: dict[CatalogFilter, Catalog] = {}
 
 
-def _qangulation_boundary_maps(filt: CatalogFilter) -> Catalog:
-    """The maps of the cell (``filt.f``, ``filt.perimeter``) of
-    :func:`_cell_maps` that pass the ``simple`` and ``bridgeless``
-    filters, as a catalog: only those are canonicalised.  Memoised by the
-    filter."""
-    if filt not in _QANG_LEVELS:
-        kept = [(m.sigma, m.alpha)
-                for m in _cell_maps(filt.q, filt.f, filt.perimeter, {})
-                if (not filt.simple or BoundaryMap(m).is_simple())
-                and (not filt.bridgeless or BoundaryMap(m).is_bridgeless())]
-        _QANG_LEVELS[filt] = _catalog(filt, kept)
-    return _QANG_LEVELS[filt]
+def _family(filt: CatalogFilter) -> Catalog:
+    """The catalog of ``filt`` from the store, built there on a miss: a
+    general level from :func:`_root_edge_maps`; a q-angulation family
+    from the cell (``filt.f``, ``filt.perimeter``) of :func:`_cell_maps`,
+    canonicalising only the raw maps that pass the ``simple`` and
+    ``bridgeless`` tests; any other general family as the subsequence of
+    its level that :func:`_in_family` keeps, so its entries stay sorted.
+    """
+    if filt in _CATALOGS:
+        return _CATALOGS[filt]
+    if filt.q:
+        cat = _catalog(filt, [
+            (m.sigma, m.alpha)
+            for m in _cell_maps(filt.q, filt.f, filt.perimeter, {})
+            if (not filt.simple or BoundaryMap(m).is_simple())
+            and (not filt.bridgeless or BoundaryMap(m).is_bridgeless())])
+    elif filt == CatalogFilter(e=filt.e):
+        cat = _catalog(filt, _root_edge_maps(filt.e))
+    else:
+        level = _family(CatalogFilter(e=filt.e))
+        keep = [_in_family(pm, filt) for pm in level._maps]
+        cat = Catalog(filt, tuple(compress(level.entries, keep)),
+                      tuple(compress(level._maps, keep)))
+    _CATALOGS[filt] = cat
+    return cat
 
 
 def _check_boundary_family(q: int, f: int, e: int, perimeter: int,
@@ -348,15 +367,7 @@ def enumerate_boundary_maps(q: int = 0, f: int = 0, e: int = 0,
                             cap: int | None = None) -> Catalog:
     """Catalog of rooted maps whose root face matches the boundary filter."""
     _check_boundary_family(q, f, e, perimeter, cap)
-    filt = CatalogFilter(q, f, e, perimeter, simple, bridgeless)
-    if q:  # built with exactly the q, f and perimeter asked for
-        return _qangulation_boundary_maps(filt)
-    level = enumerate_maps(e, cap=cap)
-    # a subsequence of the level, so the entries stay sorted
-    kept = [(code, pm) for code, pm in zip(level.entries, level.maps())
-            if _in_family(pm, filt)]
-    return Catalog(filt, tuple([code for code, _ in kept]),
-                   tuple([pm for _, pm in kept]))
+    return _family(CatalogFilter(q, f, e, perimeter, simple, bridgeless))
 
 
 # -- decorated brute-force counts -----------------------------------------------
@@ -399,8 +410,8 @@ def sphere_qangulations(q: int, f: int) -> list[PlanarMap]:
     sorted by code.
 
     Such a map is exactly a map whose root face is a q-gon and whose other
-    f - 1 faces are q-gons, so the pool is the cell (f - 1, q) of
-    :func:`_qangulation_boundary_maps`, memoised there.
+    f - 1 faces are q-gons, so the pool is the family of the cell
+    (f - 1, q), held in the store.
     The e-edge general level filtered by face degree gives the same maps
     in the same order; the tests keep that filter as the reference.
     """
@@ -410,8 +421,7 @@ def sphere_qangulations(q: int, f: int) -> list[PlanarMap]:
     _check_cap(e, QANG_EDGE_CAP)
     if e < 1:
         raise Infeasible("edge count must be at least 1")
-    return _qangulation_boundary_maps(CatalogFilter(q, f - 1,
-                                                    perimeter=q)).maps()
+    return _family(CatalogFilter(q, f - 1, perimeter=q)).maps()
 
 
 def _forests(pool, sizes: list[int], rooted_labeled: bool) -> int:
@@ -522,18 +532,19 @@ def catalog_from_text(text: str) -> Catalog:
     checksum, version and header hold and its entries are strictly
     increasing canonical codes of maps of the family its header names.
 
-    The header's count must equal the entry lines, and for an unfiltered
-    general level (q = 0, no face count, perimeter, simplicity or
-    bridgelessness) it must also be the number of rooted maps with e
-    edges, 2·3^e·C(2e,e)/((e+1)(e+2)), so a file missing maps is refused.
-    Filtered and q-angulation families have no count to check against
-    yet: that waits for an exact count kernel of maps with a boundary.
+    The header's count must equal the entry lines, and each entry is read
+    and checked in turn.  A general family with e edges, and perhaps a
+    perimeter p, must then hold G[e][p] maps of :func:`_root_face_counts`
+    (the row sum without p), read once the entries have shown they have e
+    edges, as the table costs O(e^4).  Other families have no count to
+    check yet: simple, bridgeless and q-angulation ones wait for an exact
+    count kernel of q-angulations with a boundary.
     """
     lines = text.splitlines()
     if len(lines) < 2 or not lines[-1].startswith("checksum="):
         raise FormatError("missing checksum line")
-    body = "".join(line + "\n" for line in lines[:-1])
-    if lines[-1] != _checksum_line(body):
+    # the body is not kept: it would double the text held while reading
+    if lines[-1] != _checksum_line("".join(ln + "\n" for ln in lines[:-1])):
         raise FormatError("catalog checksum mismatch")
     head = _record(lines[0], "catalog", _CATALOG_FIELDS, ("version",))
     if "version" not in head:
@@ -544,24 +555,29 @@ def catalog_from_text(text: str) -> Catalog:
     q, f, e, perim, simple, bridgeless, count = _ints(
         ",".join(head[k] for k in _CATALOG_FIELDS), count=7)
     filt = CatalogFilter(q, f, e, perim, bool(simple), bool(bridgeless))
-    codes = [tuple(_ints(ln)) for ln in lines[1:-1]]
-    if len(codes) != count:
+    if len(lines) - 2 != count:
         raise FormatError("catalog count does not match the entry lines")
-    if filt == CatalogFilter(e=e) and e > 0:
-        expected = 2 * 3 ** e * comb(2 * e, e) // ((e + 1) * (e + 2))
-        if count != expected:
-            raise FormatError(f"catalog count {count} is not the "
-                              f"{expected} rooted maps with {e} edges")
-    if any(a >= b for a, b in zip(codes, codes[1:])):
-        raise FormatError("catalog entries are not strictly increasing")
     # the one place where a code becomes a map, so every map is validated
     shared: dict = {}
-    maps = [build_map(*_halves(c, shared), 1) for c in codes]
-    for code, pm in zip(codes, maps):
+    maps, last = [], ()
+    for line in lines[1:-1]:
+        code = tuple(_ints(line))
+        if last >= code:
+            raise FormatError("catalog entries are not strictly increasing")
+        pm = build_map(*_halves(code, shared), 1)
         if _canonical(pm.sigma, pm.alpha, (1,))[0] != code:
             raise FormatError(f"catalog entry {code} is not a canonical code")
         if not _in_family(pm, filt):
             raise FormatError(f"catalog entry {code} is not a map of {filt}")
+        maps.append(pm)
+        last = code
+    if filt == CatalogFilter(e=e, perimeter=perim) and e > 0:
+        row = dict(enumerate(_root_face_counts(e)[e]))
+        expected = row.get(perim, 0) if perim else sum(row.values())
+        if count != expected:
+            face = f" and a root face of degree {perim}" if perim else ""
+            raise FormatError(f"catalog count {count} is not the "
+                              f"{expected} rooted maps with {e} edges{face}")
     return Catalog(filt, tuple([CanonicalCode(pm.sigma, pm.alpha)
                                 for pm in maps]), tuple(maps))
 
@@ -621,20 +637,17 @@ def load_catalog(filt: CatalogFilter, directory: str | None = None) -> Catalog |
     return cat
 
 
-_CATALOG_MEMO: dict[CatalogFilter, Catalog] = {}
-
-
 def get_catalog(q: int = 0, f: int = 0, e: int = 0, perimeter: int = 0,
                 simple: bool = False, bridgeless: bool = False) -> Catalog:
-    """Fetch a catalog from memory or disk, building it on a miss."""
+    """The family's catalog: the store's, else the catalog directory's
+    file, which is stored, else built by :func:`_family` and saved.  A
+    family the process holds is neither read from nor written to a file."""
     _check_boundary_family(q, f, e, perimeter)
     filt = CatalogFilter(q, f, e, perimeter, simple, bridgeless)
-    if filt in _CATALOG_MEMO:
-        return _CATALOG_MEMO[filt]
-    cat = load_catalog(filt)
-    if cat is None:
-        cat = enumerate_boundary_maps(q, f, e, perimeter, simple, bridgeless)
-        if catalog_dir() is not None:
-            save_catalog(cat)
-    _CATALOG_MEMO[filt] = cat
-    return cat
+    if filt not in _CATALOGS:
+        cat = load_catalog(filt)
+        if cat is not None:
+            _CATALOGS[filt] = cat
+        elif catalog_dir() is not None:
+            save_catalog(_family(filt))
+    return _family(filt)

@@ -9,9 +9,11 @@ solves the functional equation
 and ``S`` is tied to ``B`` through the substitution ``S(x, yB(x,y)) =
 B(x,y)``: hanging a general map with a boundary from the tail of each
 boundary edge of a simple-boundary map recovers all maps with a boundary.
-``S`` is computed here from the closed radical form; the tests keep an
-inversion of the substitution as the independent reference it is compared
-with.
+``B`` is read from the integer rows of Tutte's root-edge decomposition,
+:func:`~mapglue.enumeration._root_face_counts`, and ``S`` from the closed
+radical form; the tests keep a fixed-point solver of the equation and an
+inversion of the substitution as the independent references they are
+compared with.
 
 All arithmetic is exact over the rationals and never reads beyond the
 declared truncation orders.
@@ -23,6 +25,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+from .enumeration import _root_face_counts
 from .errors import Infeasible, NonIntegral
 
 Coeffs = dict[tuple[int, int], Fraction]
@@ -198,13 +201,6 @@ class TruncatedSeries2:
             out = out + xpow[i] * ypow[j] * c
         return out
 
-    def eval_y_one(self) -> "TruncatedSeries2":
-        """Sum over all y powers, giving a series in x alone (ny = 0)."""
-        out: Coeffs = {}
-        for (i, _), c in self.coeffs.items():
-            out[i, 0] = out.get((i, 0), Fraction(0)) + c
-        return TruncatedSeries2(self.nx, 0, out)
-
 
 def _graded(nx: int, ny: int) -> list[tuple[int, int]]:
     """``(i, j)`` of every non-constant coefficient, by total degree."""
@@ -219,30 +215,17 @@ def _convolution(a: Coeffs, r: Coeffs, i: int, j: int) -> Fraction:
                 if k <= i and l <= j and (i - k, j - l) in r], Fraction(0))
 
 
-def _geometric_y(nx: int, ny: int) -> TruncatedSeries2:
-    """1 / (1 - y) as the truncated geometric series."""
-    return TruncatedSeries2(nx, ny, {(0, j): Fraction(1)
-                                     for j in range(ny + 1)})
-
-
 def series_B(nx: int, ny: int) -> TruncatedSeries2:
     """Maps with a boundary: coefficient of x^e y^p counts rooted maps with
     e edges whose root face has degree p.
 
-    Solves B = 1 + y^2 x B^2 + x y/(1-y) (B(x,1) - y B) by fixed-point
-    iteration in powers of x.  A map with e edges has boundary length at
-    most 2e, so the iteration runs at y-order max(ny, 2 nx) to make the
-    y = 1 specialization exact before truncating back.
+    Read from the integer rows of Tutte's root-edge decomposition, the
+    table :func:`~mapglue.enumeration._root_face_counts`, whose
+    generating function solves the functional equation above.
     """
-    ny_int = max(ny, 2 * nx)
-    x = TruncatedSeries2.variable("x", nx, ny_int)
-    y = TruncatedSeries2.variable("y", nx, ny_int)
-    geom = _geometric_y(nx, ny_int)
-    b = TruncatedSeries2.constant(1, nx, ny_int)
-    for _ in range(nx + 1):
-        b1 = b.eval_y_one().truncate(nx, ny_int)
-        b = 1 + y * y * x * b * b + x * y * geom * (b1 - y * b)
-    return b.truncate(nx, ny)
+    return TruncatedSeries2(nx, ny, {
+        (e, p): c for e, row in enumerate(_root_face_counts(nx))
+        for p, c in enumerate(row)})
 
 
 def series_B1(nx: int) -> TruncatedSeries2:

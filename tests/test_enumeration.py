@@ -42,7 +42,7 @@ def test_level_build_canonicalises_each_map_once_and_validates_none(
         monkeypatch):
     from mapglue import enumeration
     before = enumerate_maps(5)
-    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     canonical, built = [], []
     monkeypatch.setattr(enumeration, "_canonical",
                         _counting(canonical, enumeration._canonical))
@@ -119,7 +119,7 @@ def test_root_edge_levels_match_edge_insertion():
 
 def test_map_built_twice_raises(monkeypatch):
     from mapglue import enumeration
-    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     real = enumeration._root_chords
 
     def chords(pmap):
@@ -147,7 +147,7 @@ def test_invalid_insertion_candidate_raises(monkeypatch, bad_candidate,
     # the bad candidate rides along with the root chords of the loop; it
     # is rooted at its first new dart, as every root chord is
     from mapglue import enumeration
-    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     real = enumeration._root_chords
 
     def chords(pmap):
@@ -232,12 +232,11 @@ def _cells(q, max_edges, min_perimeter=1):
 
 def test_qangulation_cells_match_growth(monkeypatch):
     from mapglue import enumeration
-    monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     cells = [(q, f, p) for q in range(1, 7) for f, p in _cells(q, 7)]
     assert len(cells) == 147
     for q, f, p in cells:
-        cat = enumeration._qangulation_boundary_maps(
-            CatalogFilter(q, f, perimeter=p))
+        cat = enumeration._family(CatalogFilter(q, f, perimeter=p))
         assert [c.code for c in cat.entries] == \
             _grown_boundary_codes(q, f, p), (q, f, p)
 
@@ -272,7 +271,7 @@ def test_qangulation_cell_canonicalises_each_kept_map_once_and_validates_none(
     from mapglue import enumeration
     whole = enumerate_boundary_maps(q=4, f=3, perimeter=4)
     before = enumerate_boundary_maps(q=4, f=3, perimeter=4, simple=True)
-    monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     canonical, built = [], []
     monkeypatch.setattr(enumeration, "_canonical",
                         _counting(canonical, enumeration._canonical))
@@ -288,7 +287,7 @@ def test_qangulation_cell_canonicalises_each_kept_map_once_and_validates_none(
 
 def test_qangulation_growth_memoised(monkeypatch):
     from mapglue import enumeration
-    monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     first = enumerate_boundary_maps(q=4, f=2, perimeter=4)
     calls = []
     for name in ("_root_chords", "_bridge"):
@@ -296,10 +295,10 @@ def test_qangulation_growth_memoised(monkeypatch):
                             _counting(calls, getattr(enumeration, name)))
     assert enumerate_boundary_maps(q=4, f=2, perimeter=4) is first
     assert calls == []
-    # the memo is keyed by the whole filter
+    # the store is keyed by the whole filter
     simple = enumerate_boundary_maps(q=4, f=2, perimeter=4, simple=True)
     assert calls and len(simple) < len(first)
-    assert list(enumeration._QANG_LEVELS) == [
+    assert list(enumeration._CATALOGS) == [
         CatalogFilter(4, 2, perimeter=4),
         CatalogFilter(4, 2, perimeter=4, simple=True)]
 
@@ -318,7 +317,7 @@ def test_invalid_qangulation_candidate_raises(monkeypatch, bad_candidate,
     # the bad candidate rides along with the maps of the requested cell;
     # it is rooted at its last dart but one, as every built map is
     from mapglue import enumeration
-    monkeypatch.setattr(enumeration, "_QANG_LEVELS", {})
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     real = enumeration._cell_maps
 
     def cell_maps(q, f, p, factors):
@@ -571,11 +570,10 @@ def test_save_catalog_failed_write_keeps_old_file(tmp_path, monkeypatch):
 def test_get_catalog_uses_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
     from mapglue import enumeration
-    filt = CatalogFilter(q=4, f=1, e=0, perimeter=4, simple=True)
-    enumeration._CATALOG_MEMO.pop(filt, None)
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     cat = get_catalog(q=4, f=1, perimeter=4, simple=True)
     assert (tmp_path / "q4_f1_e0_p4_s1_b0.cat").exists()
-    enumeration._CATALOG_MEMO.pop(filt, None)
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     again = get_catalog(q=4, f=1, perimeter=4, simple=True)
     assert again == cat
 
@@ -627,7 +625,7 @@ def test_catalog_maps_validated_on_first_call_only(tmp_path, monkeypatch):
     # get_catalog first loads it
     from mapglue import enumeration
     monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
-    monkeypatch.setattr(enumeration, "_CATALOG_MEMO", {})
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     calls = []
     monkeypatch.setattr(enumeration, "build_map",
                         _counting(calls, enumeration.build_map))
@@ -640,9 +638,59 @@ def test_catalog_maps_validated_on_first_call_only(tmp_path, monkeypatch):
     built = get_catalog(e=4, perimeter=4)  # a miss: built and saved
     assert len(built.maps()) == len(built) == 58
     assert calls == []
-    monkeypatch.setattr(enumeration, "_CATALOG_MEMO", {})
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     loaded = get_catalog(e=4, perimeter=4)
     assert len(calls) == len(loaded) == 58
     assert loaded == built and loaded.maps() == built.maps()
     assert get_catalog(e=4, perimeter=4) is loaded
     assert len(calls) == 58
+
+
+def test_loaded_family_is_the_one_the_enumeration_returns(tmp_path,
+                                                          monkeypatch):
+    # get_catalog stores what it reads, so the family is held once and
+    # its cell is never built
+    from mapglue import enumeration
+    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
+    save_catalog(enumerate_boundary_maps(q=4, f=3, perimeter=4))
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
+    calls = []
+    monkeypatch.setattr(enumeration, "_cell_maps",
+                        _counting(calls, enumeration._cell_maps))
+    loaded = get_catalog(q=4, f=3, perimeter=4)
+    assert enumerate_boundary_maps(q=4, f=3, perimeter=4) is loaded
+    assert get_catalog(q=4, f=3, perimeter=4) is loaded
+    assert len(loaded) == 378 and calls == []
+
+
+def test_loaded_level_is_the_enumerated_level(tmp_path, monkeypatch):
+    from mapglue import enumeration
+    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
+    save_catalog(enumerate_maps(5))
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
+    calls = []
+    for name in ("_root_chords", "_bridge"):
+        monkeypatch.setattr(enumeration, name,
+                            _counting(calls, getattr(enumeration, name)))
+    loaded = get_catalog(e=5)
+    assert enumerate_maps(5) is loaded
+    assert len(loaded) == 2916 and calls == []
+
+
+def test_general_boundary_family_built_once(monkeypatch):
+    # a perimeter-only general family is filtered from its level once
+    from mapglue import enumeration
+    monkeypatch.delenv("MAPGLUE_CATALOG_DIR", raising=False)
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
+    calls = []
+    monkeypatch.setattr(enumeration, "_in_family",
+                        _counting(calls, enumeration._in_family))
+    family = enumerate_boundary_maps(e=4, perimeter=4)
+    level = enumerate_maps(4)
+    assert len(calls) == len(level) == 378
+    assert enumerate_boundary_maps(e=4, perimeter=4) is family
+    assert get_catalog(e=4, perimeter=4) is family
+    assert len(calls) == 378 and len(family) == 58
+    assert family.entries == tuple([c for c, pm in zip(level.entries,
+                                                       level.maps())
+                                    if len(pm.root_face()) == 4])

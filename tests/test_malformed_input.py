@@ -215,7 +215,7 @@ def test_catalog_file_with_an_invalid_map_refused(tmp_path, monkeypatch,
     # the checksum holds, so only the validation on load can refuse it
     from mapglue import enumeration
     monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
-    monkeypatch.setattr(enumeration, "_CATALOG_MEMO", {})
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     filt = CatalogFilter(q=4, f=1, perimeter=2, simple=True)
     (tmp_path / _catalog_filename(filt)).write_text(
         catalog_to_text(Catalog(filt, (CanonicalCode(code[:4], code[4:]),),
@@ -257,10 +257,12 @@ def test_catalog_file_of_another_family_refused(tmp_path, monkeypatch,
     # the checksum holds and every entry is a valid map
     from mapglue import enumeration
     monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
-    monkeypatch.setattr(enumeration, "_CATALOG_MEMO", {})
     filt = CatalogFilter(q=4, f=1, perimeter=2, simple=True)
     (tmp_path / _catalog_filename(filt)).write_text(
         catalog_to_text(Catalog(filt, tuple(entries()), ())))
+    # entries() may hold the family in the store, which get_catalog
+    # would return without reading the file
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     with pytest.raises(FormatError, match=message):
         get_catalog(q=4, f=1, perimeter=2, simple=True)
     status, out, err = run("sample", "--q", "4", "--faces", "1",
@@ -274,16 +276,38 @@ def test_general_level_missing_a_map_refused(tmp_path, monkeypatch):
     # only the number of rooted maps with 3 edges shows one is missing
     from mapglue import enumeration
     monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
-    monkeypatch.setattr(enumeration, "_CATALOG_MEMO", {})
     level = enumerate_maps(3)
     assert len(level) == 54
     short = catalog_to_text(Catalog(level.filter, level.entries[1:], ()))
+    # the level is held in the store, which get_catalog would return
+    # without reading the file
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     with pytest.raises(FormatError, match="not the 54 rooted maps"):
         catalog_from_text(short)
     (tmp_path / _catalog_filename(level.filter)).write_text(short)
     with pytest.raises(FormatError, match="not the 54 rooted maps"):
         get_catalog(e=3)
     assert catalog_from_text(catalog_to_text(level)).entries == level.entries
+
+
+def test_general_boundary_family_missing_a_map_refused(tmp_path,
+                                                       monkeypatch):
+    # the checksum holds and every entry is a canonical map of the
+    # family: only the number of rooted maps with 4 edges and a root face
+    # of degree 4 shows one is missing
+    from mapglue import enumeration
+    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
+    family = enumerate_boundary_maps(e=4, perimeter=4)
+    assert len(family) == 58
+    short = catalog_to_text(Catalog(family.filter, family.entries[:-1], ()))
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
+    message = "not the 58 rooted maps with 4 edges and a root face of degree 4"
+    with pytest.raises(FormatError, match=message):
+        catalog_from_text(short)
+    (tmp_path / _catalog_filename(family.filter)).write_text(short)
+    with pytest.raises(FormatError, match=message):
+        get_catalog(e=4, perimeter=4)
+    assert catalog_from_text(catalog_to_text(family)) == family
 
 
 def test_record_fields_in_any_order():
