@@ -43,7 +43,6 @@ from .errors import (
     BoundaryNotSimple,
     DecorationNotATree,
     EmptyTree,
-    FormatError,
     NotDyck,
     RootNotOnTree,
     SizeMismatch,
@@ -380,30 +379,3 @@ def decorated_from_line(line: str) -> TreeDecoratedMap:
     check_tree_decoration(pmap, edges)
     return TreeDecoratedMap(pmap, edges)
 
-
-def forest_to_line(fdm: ForestDecoratedMap) -> str:
-    groups = []
-    for root, edges in zip(fdm.tree_roots, fdm.trees):
-        groups.append(f"{root}:" + ",".join(str(e) for e in sorted(edges)))
-    return map_to_line(fdm.map) + " trees=" + ";".join(groups)
-
-
-def forest_from_line(line: str) -> ForestDecoratedMap:
-    pmap, f = _map_record(line, ("trees",))
-    trees = []
-    roots = []
-    for group in f["trees"].split(";"):
-        root, colon, edges = group.partition(":")
-        if not colon:
-            raise FormatError(f"a tree needs root:edges: {group!r}")
-        roots.extend(_ints(root, count=1))
-        trees.append(frozenset(_ints(edges)))
-    seen: set[int] = set()
-    for root, edges in zip(roots, trees):
-        verts = check_tree_decoration(pmap, edges)
-        if verts & seen:
-            raise DecorationNotATree("trees share a vertex")
-        seen |= verts
-        if not (1 <= root <= pmap.dart_count and pmap.edge_of(root) in edges):
-            raise FormatError(f"root {root} is not a dart of its tree")
-    return ForestDecoratedMap(pmap, tuple(trees), tuple(roots))

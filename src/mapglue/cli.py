@@ -3,8 +3,9 @@ sampling, and the verification suites of :mod:`mapglue.verify`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 All flags are long-form; the only environment configuration is
-``MAPGLUE_CATALOG_DIR`` (catalog directory, honoured by the enumeration
-module).  Output is line-oriented and stable.
+``MAPGLUE_CATALOG_DIR``, a directory where ``sample`` caches the catalog
+it draws from (see :func:`mapglue.enumeration.get_catalog`).  Output is
+line-oriented and stable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .bubbles import (bubble_from_text, bubble_to_text, glue_bridgeless,
 from .counting import (catalan_ext, count_boundary_decorated, count_bubble,
                        count_forest, count_spanning, count_spanning_forest,
                        count_tree_decorated, mullin_count)
-from .enumeration import EDGE_CAP, enumerate_boundary_maps, save_catalog
+from .enumeration import EDGE_CAP, catalog_to_text, enumerate_boundary_maps
 from .errors import MapGlueError
 from .maps import BoundaryMap, map_from_line, map_to_line
 from .sampler import SampleSpec, export_decorated, sample_tree_decorated
@@ -122,18 +123,12 @@ def _cmd_series(args) -> int:
 # -- enumerate -----------------------------------------------------------------
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import catalog_to_text
-
     cat = enumerate_boundary_maps(q=args.q or 0, f=args.faces or 0,
                                   e=args.edges or 0,
                                   perimeter=args.perimeter or 0,
                                   simple=args.simple,
                                   bridgeless=args.bridgeless, cap=args.cap)
-    if args.save:
-        path = save_catalog(cat)
-        print(f"saved {len(cat)} maps to {path}")
-    else:
-        sys.stdout.write(catalog_to_text(cat))
+    sys.stdout.write(catalog_to_text(cat))
     return 0
 
 
@@ -174,7 +169,7 @@ def _cmd_sample(args) -> int:
     spec = SampleSpec(args.q, args.faces, args.tree_edges, args.seed,
                       args.count)
     for tdm in sample_tree_decorated(spec):
-        sys.stdout.write(export_decorated(tdm, format=args.format))
+        sys.stdout.write(export_decorated(tdm))
     return 0
 
 
@@ -235,8 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simple", action="store_true")
     p.add_argument("--bridgeless", action="store_true")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--save", action="store_true",
-                   help="store under MAPGLUE_CATALOG_DIR instead of printing")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("glue", help="sew a boundary shut along a tree")
@@ -262,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree-edges", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--format", default="plain")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -36,17 +36,19 @@ size cap is checked before the store is consulted, so a warm call refuses
 exactly what a cold call refuses.  The same decomposition counts the maps
 with e edges by root face degree k: G(e, k) of :func:`_root_face_counts`.
 
-Catalogs can be persisted as text files in the directory that the
-MAPGLUE_CATALOG_DIR environment variable names.  :func:`get_catalog`
-returns the store's catalog, else reads the file into the store (so the
-enumeration builds on it), else builds the catalog and saves it.  A file
-is written under a temporary name and renamed over the target, so a
-reader never sees a partial file.  Its header ends in ``version=1``, the
-file format version, and its last line is ``checksum=sha256:<hex>``, the
-SHA-256 digest of every line above it, so any edit, truncation or
-reordering is detected.  A file without either, with another version or
-the earlier byte-sum checksum, or whose header names another filter than
-the one requested is refused with :class:`FormatError`.
+A catalog prints as text (:func:`catalog_to_text`, the output of
+``mapglue enumerate``), and :func:`get_catalog`, the one code that opens a
+catalog file, caches q-angulation families as such text in the directory
+that the MAPGLUE_CATALOG_DIR environment variable names: it returns the
+store's catalog, else reads the file into the store, else builds the
+catalog and saves it.  A file is written under a temporary name and
+renamed over the target, so a reader never sees a partial file.  Its
+header ends in ``version=1``, the file format version, and its last line
+is ``checksum=sha256:<hex>``, the SHA-256 digest of every line above it,
+so any edit, truncation or reordering is detected.  A file without
+either, with another version or the earlier byte-sum checksum, or whose
+header names another filter than the one requested is refused with
+:class:`FormatError`.
 
 Maps are validated where they enter: :func:`catalog_from_text`, the only
 code here that decodes a code, runs each map it reads through
@@ -76,6 +78,7 @@ from .errors import (CapExceeded, Disconnected, FormatError, Infeasible,
                      InternalMismatch)
 from .maps import (BoundaryMap, CanonicalCode, PlanarMap, _canonical,
                    _edge_ends, _ints, _is_tree, _record, build_map)
+from .trees import catalan
 
 EDGE_CAP = 6        # general enumeration, by edge count
 QANG_EDGE_CAP = 10  # q-angulation boundary catalogs, by total edge count
@@ -258,12 +261,12 @@ def _halves(code: tuple[int, ...], shared: dict) -> tuple[tuple, tuple]:
     return code[:n], shared.setdefault(alpha, alpha)
 
 
-def enumerate_maps(e: int, cap: int | None = None) -> Catalog:
+def enumerate_maps(e: int) -> Catalog:
     """Catalog of all rooted planar maps with e edges, built once per
     process."""
     if e < 1:
         raise Infeasible("edge count must be at least 1")
-    _check_cap(e, EDGE_CAP, cap)
+    _check_cap(e, EDGE_CAP)
     return _family(CatalogFilter(e=e))
 
 
@@ -535,10 +538,16 @@ def catalog_from_text(text: str) -> Catalog:
     The header's count must equal the entry lines, and each entry is read
     and checked in turn.  A general family with e edges, and perhaps a
     perimeter p, must then hold G[e][p] maps of :func:`_root_face_counts`
-    (the row sum without p), read once the entries have shown they have e
-    edges, as the table costs O(e^4).  Other families have no count to
-    check yet: simple, bridgeless and q-angulation ones wait for an exact
-    count kernel of q-angulations with a boundary.
+    (the row sum without p).  That table costs O(e^4), so the header's
+    count is first bounded without it: the Catalan(e-1) plane trees with
+    e-1 edges, each with a root chord to one corner of its root face,
+    give distinct maps of every root face degree from 1 to 2e-1, and the
+    plane trees with e edges give degree 2e, so G[e][p] >= Catalan(e-1)
+    when 1 <= p <= 2e, and G[e][p] = 0 when p > 2e.  The table is then
+    built only for a file of at least Catalan(e-1) entries with e edges.
+    Other families have no count to check yet: simple, bridgeless and
+    q-angulation ones wait for an exact count kernel of q-angulations
+    with a boundary.
     """
     lines = text.splitlines()
     if len(lines) < 2 or not lines[-1].startswith("checksum="):
@@ -557,6 +566,14 @@ def catalog_from_text(text: str) -> Catalog:
     filt = CatalogFilter(q, f, e, perim, bool(simple), bool(bridgeless))
     if len(lines) - 2 != count:
         raise FormatError("catalog count does not match the entry lines")
+    general = e > 0 and filt == CatalogFilter(e=e, perimeter=perim)
+    face = f" and a root face of degree {perim}" if perim else ""
+    # Catalan(k) >= 2^(k-1) > count once k exceeds count's bit length, so
+    # the minimum keeps the Catalan number small for a header's huge e
+    if general and (count != 0 if perim > 2 * e else
+                    count < catalan(min(e - 1, count.bit_length() + 1))):
+        raise FormatError(f"catalog count {count} is impossible for rooted "
+                          f"maps with {e} edges{face}")
     # the one place where a code becomes a map, so every map is validated
     shared: dict = {}
     maps, last = [], ()
@@ -571,11 +588,10 @@ def catalog_from_text(text: str) -> Catalog:
             raise FormatError(f"catalog entry {code} is not a map of {filt}")
         maps.append(pm)
         last = code
-    if filt == CatalogFilter(e=e, perimeter=perim) and e > 0:
-        row = dict(enumerate(_root_face_counts(e)[e]))
-        expected = row.get(perim, 0) if perim else sum(row.values())
+    if general and perim <= 2 * e:
+        row = _root_face_counts(e)[e]
+        expected = row[perim] if perim else sum(row)
         if count != expected:
-            face = f" and a root face of degree {perim}" if perim else ""
             raise FormatError(f"catalog count {count} is not the "
                               f"{expected} rooted maps with {e} edges{face}")
     return Catalog(filt, tuple([CanonicalCode(pm.sigma, pm.alpha)
@@ -594,21 +610,35 @@ def _in_family(pm: PlanarMap, filt: CatalogFilter) -> bool:
             and (not filt.bridgeless or BoundaryMap(pm).is_bridgeless()))
 
 
-def catalog_dir() -> str | None:
-    return os.environ.get("MAPGLUE_CATALOG_DIR")
-
-
 def _catalog_filename(filt: CatalogFilter) -> str:
     return (f"q{filt.q}_f{filt.f}_e{filt.e}_p{filt.perimeter}"
             f"_s{int(filt.simple)}_b{int(filt.bridgeless)}.cat")
 
 
-def save_catalog(cat: Catalog, directory: str | None = None) -> str:
-    directory = directory or catalog_dir()
-    if directory is None:
-        raise FormatError("no catalog directory configured")
+def get_catalog(q: int, f: int, perimeter: int,
+                simple: bool = False) -> Catalog:
+    """The catalog of rooted maps with f internal q-gons, a root face of
+    degree ``perimeter`` and, if ``simple``, a simple boundary: the
+    store's, else the file of the MAPGLUE_CATALOG_DIR directory, which is
+    stored, else built by :func:`_family` and saved there when that
+    directory is set.  A family the process holds is neither read from
+    nor written to a file, and the cap is checked before either."""
+    _check_boundary_family(q, f, 0, perimeter)
+    filt = CatalogFilter(q, f, perimeter=perimeter, simple=simple)
+    directory = os.environ.get("MAPGLUE_CATALOG_DIR")
+    if filt in _CATALOGS or directory is None:
+        return _family(filt)
+    path = os.path.join(directory, _catalog_filename(filt))
+    if os.path.exists(path):
+        with open(path) as fh:
+            cat = catalog_from_text(fh.read())
+        if cat.filter != filt:
+            raise FormatError(f"{path} holds the catalog of {cat.filter}, "
+                              f"not of {filt}")
+        _CATALOGS[filt] = cat
+        return cat
+    cat = _family(filt)
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, _catalog_filename(cat.filter))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -619,35 +649,4 @@ def save_catalog(cat: Catalog, directory: str | None = None) -> str:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return path
-
-
-def load_catalog(filt: CatalogFilter, directory: str | None = None) -> Catalog | None:
-    directory = directory or catalog_dir()
-    if directory is None:
-        return None
-    path = os.path.join(directory, _catalog_filename(filt))
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        cat = catalog_from_text(fh.read())
-    if cat.filter != filt:
-        raise FormatError(f"{path} holds the catalog of {cat.filter}, "
-                          f"not of {filt}")
     return cat
-
-
-def get_catalog(q: int = 0, f: int = 0, e: int = 0, perimeter: int = 0,
-                simple: bool = False, bridgeless: bool = False) -> Catalog:
-    """The family's catalog: the store's, else the catalog directory's
-    file, which is stored, else built by :func:`_family` and saved.  A
-    family the process holds is neither read from nor written to a file."""
-    _check_boundary_family(q, f, e, perimeter)
-    filt = CatalogFilter(q, f, e, perimeter, simple, bridgeless)
-    if filt not in _CATALOGS:
-        cat = load_catalog(filt)
-        if cat is not None:
-            _CATALOGS[filt] = cat
-        elif catalog_dir() is not None:
-            save_catalog(_family(filt))
-    return _family(filt)

@@ -91,9 +91,5 @@ class InternalMismatch(MapGlueError):
     an enumeration level that builds a map twice."""
 
 
-class UnknownFormat(MapGlueError):
-    """Unrecognized export format tag."""
-
-
 class FormatError(MapGlueError):
     """Malformed text record."""

@@ -116,8 +116,8 @@ class PlanarMap:
     """Immutable rooted planar map.
 
     Maps are validated once, at the trust boundary: :func:`build_map` runs
-    on every map read from outside (map, decorated and forest records,
-    sampler exports, catalog files).  The enumeration, the sphere kernels
+    on every map read from outside (map and decorated records, sampler
+    exports, catalog files).  The enumeration, the sphere kernels
     (``unglue``, ``glue``, ``glue_partial``, ``glue_forest`` and
     ``contour_to_tree``) and the bubble kernels construct their maps
     directly, with tuple fields and sorted labels; the bubble kernels keep

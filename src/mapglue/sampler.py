@@ -22,7 +22,7 @@ from .bijection import (TreeDecoratedMap, _tree_contour,
                         check_tree_decoration, glue)
 from .counting import count_tree_decorated
 from .enumeration import get_catalog
-from .errors import DecorationNotATree, FormatError, UnknownFormat
+from .errors import DecorationNotATree, FormatError
 from .maps import (BoundaryMap, PlanarMap, _canonical, _cycles, _ints,
                    _record, build_map)
 from .trees import contour_to_tree, sample_dyck_uniform
@@ -78,30 +78,27 @@ class ChiSquareReport:
         return self.pvalue > 0.001
 
 
-def tree_marginal_test(spec: SampleSpec, draws: int | None = None,
-                       words: tuple[str, ...] | None = None,
+def tree_marginal_test(spec: SampleSpec,
                        drawn: list[TreeDecoratedMap] | None = None,
                        ) -> ChiSquareReport:
-    """Chi-square test of the tree marginal over the catalan(m) cells.
+    """Chi-square test of the tree marginal over the trees drawn.
 
-    The test takes draws 0..``draws``-1 of ``spec`` (all ``spec.count``
-    by default), or the decorated maps ``drawn`` when the caller already
-    has them.  With ``words`` the test restricts to draws whose tree falls
-    in that subset, which must stay uniform within the subset.
+    The test takes draws 0..``spec.count``-1 of ``spec``, or the decorated
+    maps ``drawn`` when the caller already has them.  Its cells are the
+    trees that occur, each expected equally often.
     """
     from scipy.stats import chisquare
 
     if drawn is None:
         pool = _catalog_maps(spec)
         drawn = (draw_tree_decorated(spec, i, pool)
-                 for i in range(spec.count if draws is None else draws))
+                 for i in range(spec.count))
     counts: dict[str, int] = {}
     for tdm in drawn:
         word = _tree_contour(tdm.map, tdm.tree_edges)[1].to_word()
         counts[word] = 1 + counts.get(word, 0)
-    if words is None:
-        words = tuple(sorted(counts))
-    observed = [counts.get(w, 0) for w in words]
+    words = sorted(counts)
+    observed = [counts[w] for w in words]
     total = sum(observed)
     if len(words) == 1:
         statistic, pvalue = 0.0, 1.0
@@ -113,7 +110,7 @@ def tree_marginal_test(spec: SampleSpec, draws: int | None = None,
 
 # -- structure export ----------------------------------------------------------
 
-def export_decorated(tdm: TreeDecoratedMap, format: str = "plain") -> str:
+def export_decorated(tdm: TreeDecoratedMap) -> str:
     """Deterministic adjacency-with-rotation text for a decorated map.
 
     The map is canonically relabelled first (so the root is dart 1); each
@@ -121,8 +118,6 @@ def export_decorated(tdm: TreeDecoratedMap, format: str = "plain") -> str:
     pairs, starting at its smallest dart, and the lines come in
     increasing order of that dart.
     """
-    if format != "plain":
-        raise UnknownFormat(f"unknown export format {format!r}")
     pmap = tdm.map
     code, image = _canonical(pmap.sigma, pmap.alpha, (pmap.root,))
     n = pmap.dart_count
@@ -144,7 +139,7 @@ _TWO_SLASHES = re.compile(r"/[^\s/]*/")
 
 
 def parse_decorated(text: str) -> TreeDecoratedMap:
-    """Inverse of :func:`export_decorated` for the plain format."""
+    """Inverse of :func:`export_decorated`."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     head = _record(lines[0] if lines else "", "decorated",
                    ("vertices", "edges", "root"))

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from mapglue.bijection import (ForestDecoratedMap, MultiBoundaryMap,
                                TreeDecoratedMap, _tree_contour,
                                check_tree_decoration, decorated_from_line,
-                               decorated_to_line, forest_from_line,
-                               forest_to_line, glue, glue_forest,
+                               decorated_to_line, glue, glue_forest,
                                glue_partial, unglue)
 from mapglue.bubbles import detect_wicked, glue_bridgeless, unglue_bubble
 from mapglue.enumeration import (enumerate_boundary_maps, enumerate_maps,
@@ -249,9 +248,6 @@ def test_glue_forest_two_boundaries():
     assert len(fdm.trees) == 2
     for edges in fdm.trees:
         check_tree_decoration(fdm.map, edges)
-    line = forest_to_line(fdm)
-    again = forest_from_line(line)
-    assert again.map == fdm.map and again.trees == fdm.trees
 
 
 def test_glue_forest_boundaries_must_be_vertex_disjoint():
@@ -421,24 +417,6 @@ def test_decorated_line_round_trip():
     with pytest.raises(FormatError):
         decorated_from_line(
             "map E=1 root=1 sigma=1,2 alpha=2,1 tree=5 tree=1")
-
-
-def test_forest_line_malformed():
-    head = "map E=1 root=1 sigma=1,2 alpha=2,1 trees="
-    for part in ("1", "x:1", "1:a", "1:1;2", "7:1"):
-        with pytest.raises(FormatError):
-            forest_from_line(head + part)
-    with pytest.raises(DecorationNotATree):
-        forest_from_line(head + "1:99")
-    with pytest.raises(DecorationNotATree):  # a loop is not a tree
-        forest_from_line("map E=1 root=1 sigma=2,1 alpha=2,1 trees=1:1")
-    with pytest.raises(DecorationNotATree):  # one tree twice
-        forest_from_line(head + "1:1;1:1")
-    # a path of two edges: its two edges share the middle vertex
-    path = "map E=2 root=1 sigma=1,3,2,4 alpha=2,1,4,3 trees="
-    assert len(forest_from_line(path + "1:1,3").trees) == 1
-    with pytest.raises(DecorationNotATree):
-        forest_from_line(path + "1:1;3:3")
 
 
 @pytest.mark.parametrize("size", [500, 2000])

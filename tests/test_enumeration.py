@@ -9,9 +9,8 @@ from mapglue.enumeration import (Catalog, CatalogFilter, _subtrees,
                                  brute_count_decorated,
                                  brute_count_forest, catalog_from_text,
                                  catalog_to_text, enumerate_boundary_maps,
-                                 enumerate_maps, get_catalog, load_catalog,
-                                 save_catalog, sphere_qangulations,
-                                 tree_submaps)
+                                 enumerate_maps, get_catalog,
+                                 sphere_qangulations, tree_submaps)
 from mapglue.errors import (CapExceeded, Disconnected, FormatError,
                             Infeasible, InternalMismatch)
 from mapglue.maps import BoundaryMap, PlanarMap, _canonical, build_map
@@ -543,26 +542,34 @@ def test_catalog_format_version_required():
         catalog_from_text(_with_header(text, head[:-1] + "2"))
 
 
-def test_catalog_disk_round_trip(tmp_path):
-    cat = enumerate_boundary_maps(q=3, f=2, perimeter=2, simple=True)
-    path = save_catalog(cat, str(tmp_path))
-    assert path.endswith(".cat")
-    again = load_catalog(cat.filter, str(tmp_path))
-    assert again == cat
-    assert load_catalog(CatalogFilter(q=9), str(tmp_path)) is None
+def test_catalog_disk_round_trip(tmp_path, monkeypatch):
+    # a missing file is built and saved as the catalog's text, and read
+    # back as the same catalog
+    from mapglue import enumeration
+    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
+    cat = get_catalog(3, 2, 2, simple=True)
+    target = tmp_path / "q3_f2_e0_p2_s1_b0.cat"
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == catalog_to_text(cat)
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
+    again = get_catalog(3, 2, 2, simple=True)
+    assert again == cat and again is not cat
 
 
 def test_save_catalog_failed_write_keeps_old_file(tmp_path, monkeypatch):
     from mapglue import enumeration
-    cat = enumerate_boundary_maps(q=4, f=1, perimeter=2, simple=True)
+    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
+    get_catalog(4, 1, 2, simple=True)
     target = tmp_path / "q4_f1_e0_p2_s1_b0.cat"
-    assert save_catalog(cat, str(tmp_path)) == str(target)
+    assert list(tmp_path.iterdir()) == [target]
     before = target.read_bytes()
-    # a lone surrogate cannot be encoded, so the write raises partway
+    # a lone surrogate cannot be encoded, so the next write raises partway
     monkeypatch.setattr(enumeration, "catalog_to_text",
                         lambda cat: before.decode()[:40] + "\udc80")
     with pytest.raises(UnicodeEncodeError):
-        save_catalog(cat, str(tmp_path))
+        get_catalog(4, 1, 4, simple=True)
     assert list(tmp_path.iterdir()) == [target]
     assert target.read_bytes() == before
 
@@ -591,21 +598,24 @@ def test_catalog_reordered_entries_detected():
         catalog_from_text("\n".join(lines) + "\n")
 
 
-def test_load_catalog_refuses_other_filter_and_old_checksum(tmp_path):
+def test_load_catalog_refuses_other_filter_and_old_checksum(tmp_path,
+                                                            monkeypatch):
     from mapglue import enumeration
+    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
     cat = enumerate_boundary_maps(q=4, f=1, perimeter=2, simple=True)
-    path = save_catalog(cat, str(tmp_path))
     other = CatalogFilter(q=4, f=1, perimeter=2)
     (tmp_path / enumeration._catalog_filename(other)).write_text(
         catalog_to_text(cat))
-    with pytest.raises(FormatError):
-        load_catalog(other, str(tmp_path))
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
+    with pytest.raises(FormatError, match="holds the catalog of"):
+        get_catalog(4, 1, 2)
     # a file with the earlier byte-sum checksum
     body = catalog_to_text(cat).rsplit("checksum=", 1)[0]
-    with open(path, "w") as fh:
-        fh.write(body + f"checksum={sum(body.encode()) & 0xFFFFFFFF:08x}\n")
-    with pytest.raises(FormatError):
-        load_catalog(cat.filter, str(tmp_path))
+    path = tmp_path / enumeration._catalog_filename(cat.filter)
+    path.write_text(body
+                    + f"checksum={sum(body.encode()) & 0xFFFFFFFF:08x}\n")
+    with pytest.raises(FormatError, match="checksum mismatch"):
+        get_catalog(4, 1, 2, simple=True)
 
 
 def test_cap_checked_on_warm_calls(monkeypatch):
@@ -616,8 +626,6 @@ def test_cap_checked_on_warm_calls(monkeypatch):
     with pytest.raises(CapExceeded):
         enumerate_boundary_maps(q=4, f=2, perimeter=4, simple=True, cap=3)
     assert enumerate_maps(6) is enumerate_maps(6)
-    with pytest.raises(CapExceeded):
-        enumerate_maps(6, cap=5)
 
 
 def test_catalog_maps_validated_on_first_call_only(tmp_path, monkeypatch):
@@ -635,15 +643,15 @@ def test_catalog_maps_validated_on_first_call_only(tmp_path, monkeypatch):
     assert second == first and second is not first
     second.clear()
     assert len(cat.maps()) == 378
-    built = get_catalog(e=4, perimeter=4)  # a miss: built and saved
-    assert len(built.maps()) == len(built) == 58
+    built = get_catalog(4, 2, 4)  # a miss: built and saved
+    assert len(built.maps()) == len(built) == 54
     assert calls == []
     monkeypatch.setattr(enumeration, "_CATALOGS", {})
-    loaded = get_catalog(e=4, perimeter=4)
-    assert len(calls) == len(loaded) == 58
+    loaded = get_catalog(4, 2, 4)
+    assert len(calls) == len(loaded) == 54
     assert loaded == built and loaded.maps() == built.maps()
-    assert get_catalog(e=4, perimeter=4) is loaded
-    assert len(calls) == 58
+    assert get_catalog(4, 2, 4) is loaded
+    assert len(calls) == 54
 
 
 def test_loaded_family_is_the_one_the_enumeration_returns(tmp_path,
@@ -652,7 +660,8 @@ def test_loaded_family_is_the_one_the_enumeration_returns(tmp_path,
     # its cell is never built
     from mapglue import enumeration
     monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
-    save_catalog(enumerate_boundary_maps(q=4, f=3, perimeter=4))
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
+    get_catalog(4, 3, 4)  # a miss: built and saved
     monkeypatch.setattr(enumeration, "_CATALOGS", {})
     calls = []
     monkeypatch.setattr(enumeration, "_cell_maps",
@@ -661,20 +670,6 @@ def test_loaded_family_is_the_one_the_enumeration_returns(tmp_path,
     assert enumerate_boundary_maps(q=4, f=3, perimeter=4) is loaded
     assert get_catalog(q=4, f=3, perimeter=4) is loaded
     assert len(loaded) == 378 and calls == []
-
-
-def test_loaded_level_is_the_enumerated_level(tmp_path, monkeypatch):
-    from mapglue import enumeration
-    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
-    save_catalog(enumerate_maps(5))
-    monkeypatch.setattr(enumeration, "_CATALOGS", {})
-    calls = []
-    for name in ("_root_chords", "_bridge"):
-        monkeypatch.setattr(enumeration, name,
-                            _counting(calls, getattr(enumeration, name)))
-    loaded = get_catalog(e=5)
-    assert enumerate_maps(5) is loaded
-    assert len(loaded) == 2916 and calls == []
 
 
 def test_general_boundary_family_built_once(monkeypatch):
@@ -689,7 +684,6 @@ def test_general_boundary_family_built_once(monkeypatch):
     level = enumerate_maps(4)
     assert len(calls) == len(level) == 378
     assert enumerate_boundary_maps(e=4, perimeter=4) is family
-    assert get_catalog(e=4, perimeter=4) is family
     assert len(calls) == 378 and len(family) == 58
     assert family.entries == tuple([c for c, pm in zip(level.entries,
                                                        level.maps())

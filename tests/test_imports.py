@@ -1,7 +1,7 @@
 """Every module of the package (but ``__init__.py``, which re-exports)
 and every test module uses each name it imports, every public definition
-of the package has a user outside the tests, and importing the package
-loads no heavy module."""
+and every defaulted parameter of the package has a user outside the
+tests, and importing the package loads no heavy module."""
 
 import ast
 import os
@@ -71,10 +71,6 @@ TEST_ONLY = {
                        "item 1)",
     "bubble_canonical_key": "criterion 7's rooted-anywhere oracle "
                             "(ROADMAP item 1)",
-    "forest_to_line": "the forest record, whose fate ROADMAP item 9 "
-                      "decides",
-    "forest_from_line": "the forest record, whose fate ROADMAP item 9 "
-                        "decides",
     "ChiSquareReport.passed": "criterion 10's uniformity threshold; the "
                               "library reports the p-value itself",
 }
@@ -130,6 +126,86 @@ def test_every_public_definition_has_a_user():
         "TEST_ONLY names a definition that is gone or has a user"
 
 
+# Defaulted parameters that only the tests pass, each kept for a reason.
+TEST_ONLY_PARAMETERS = {
+    "main.argv": "the tests drive the CLI in process",
+    "brute_count_decorated.e": "criterion 6's general-map oracle",
+    "bubble_canonical_key.cyclic": "criterion 7's rooted-anywhere oracle",
+    "tree_marginal_test.drawn": "criterion 10 reuses its draws",
+}
+
+
+def _defaulted(path: Path):
+    """``(function name, parameter name, positional index or None)`` for
+    each defaulted parameter of the public functions of ``path`` and the
+    public methods of its public classes.  The index counts the arguments
+    a call passes, so a method's ``self`` or ``cls`` is not counted (the
+    package has no static method)."""
+    for stmt in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(stmt, ast.FunctionDef):
+            funcs = [(stmt, 0)]
+        elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            funcs = [(n, 1) for n in stmt.body
+                     if isinstance(n, ast.FunctionDef)]
+        else:
+            continue
+        for fn, skip in funcs:
+            if fn.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield fn.name, arg.arg, i - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield fn.name, arg.arg, None
+
+
+def _callee(func: ast.expr) -> str | None:
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def _passed(tree: ast.Module) -> set[tuple[str, str | int]]:
+    """``(callee, keyword)`` and ``(callee, positional index)`` for each
+    argument a call in ``tree`` passes, ``"*"`` and ``"**"`` standing for
+    unpacked arguments; the bench's ``tr.call(name, fn, *args)`` is a call
+    of ``fn``."""
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _callee(node.func), node.args
+        if name == "call" and len(args) >= 2:
+            name, args = _callee(args[1]), args[2:]
+        for i, arg in enumerate(args):
+            out.add((name, "*" if isinstance(arg, ast.Starred) else i))
+        for kw in node.keywords:
+            out.add((name, kw.arg or "**"))
+    return out
+
+
+def test_every_defaulted_parameter_has_a_user():
+    """Each defaulted parameter of a public function or method of the
+    package is passed, by position or by keyword, by some call in the
+    package or the bench, unless TEST_ONLY_PARAMETERS names it.
+    Functions are matched by bare name, and a call that unpacks ``*args``
+    or ``**kwargs`` passes every parameter of its kind."""
+    passed = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        passed |= _passed(ast.parse(path.read_text(), str(path)))
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn, param, index in _defaulted(path):
+            keys = {param, "**"} | ({index, "*"} if index is not None
+                                    else set())
+            if not any((fn, k) in passed for k in keys):
+                unused.add(f"{fn}.{param}")
+    assert not sorted(unused - set(TEST_ONLY_PARAMETERS)), "never passed"
+    assert sorted(set(TEST_ONLY_PARAMETERS) - unused) == [], \
+        "TEST_ONLY_PARAMETERS names a parameter that is gone or passed"
+
+
 # Each of these adds megabytes to the resident memory of every process
 # that imports mapglue: hashlib loads OpenSSL, and scipy (with numpy) is
 # imported only inside tree_marginal_test.
@@ -144,3 +220,4 @@ def test_import_loads_no_heavy_module():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+

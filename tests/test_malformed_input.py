@@ -8,11 +8,11 @@ exception.
 import contextlib
 import io
 import re
+import time
 
 import pytest
 
-from mapglue.bijection import (MultiBoundaryMap, decorated_from_line,
-                               forest_from_line, forest_to_line, glue_forest)
+from mapglue.bijection import decorated_from_line
 from mapglue.cli import main
 from mapglue.enumeration import (EDGE_CAP, QANG_EDGE_CAP, Catalog,
                                  CatalogFilter, _catalog_filename,
@@ -23,7 +23,6 @@ from mapglue.errors import Disconnected, FormatError, MapGlueError, NonPlanar
 from mapglue.maps import CanonicalCode, build_map, map_from_line
 from mapglue.sampler import (SampleSpec, draw_tree_decorated,
                              export_decorated, parse_decorated)
-from mapglue.trees import DyckPath, contour_to_tree
 
 from relabelling import relabel
 
@@ -185,18 +184,6 @@ def test_export_mutations():
         _parses_or_refuses(parse_decorated, mutated)
 
 
-def test_forest_record_mutations():
-    # two digons joined by a bridge, each glued shut along a one-edge tree
-    host = build_map([3, 4, 1, 5, 2, 9, 6, 10, 7, 8],
-                     [2, 1, 4, 3, 6, 5, 8, 7, 10, 9], 1)
-    tree = contour_to_tree(DyckPath.from_word("UD"))
-    line = forest_to_line(glue_forest(MultiBoundaryMap(host, (1, 7)),
-                                      (tree, tree)))
-    assert len(forest_from_line(line).trees) == 2
-    for text in mutations(line):
-        _parses_or_refuses(forest_from_line, text)
-
-
 def test_catalog_mutations():
     text = catalog_to_text(enumerate_maps(2))
     body = text[:text.index("checksum=")]
@@ -271,22 +258,31 @@ def test_catalog_file_of_another_family_refused(tmp_path, monkeypatch,
     assert "FormatError" in err and "Traceback" not in err
 
 
+# the family that the sampler reads through get_catalog, at whose
+# filename the files of general families below are placed: the file is
+# checked before its header's filter is compared with the one requested
+SAMPLED = CatalogFilter(q=4, f=1, perimeter=2, simple=True)
+
+
+def _sampled_file_refused(tmp_path, monkeypatch, text, message):
+    from mapglue import enumeration
+    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
+    (tmp_path / _catalog_filename(SAMPLED)).write_text(text)
+    with pytest.raises(FormatError, match=message):
+        get_catalog(4, 1, 2, simple=True)
+
+
 def test_general_level_missing_a_map_refused(tmp_path, monkeypatch):
     # the checksum holds and every entry is a canonical map of the level:
     # only the number of rooted maps with 3 edges shows one is missing
-    from mapglue import enumeration
-    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
     level = enumerate_maps(3)
     assert len(level) == 54
     short = catalog_to_text(Catalog(level.filter, level.entries[1:], ()))
-    # the level is held in the store, which get_catalog would return
-    # without reading the file
-    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     with pytest.raises(FormatError, match="not the 54 rooted maps"):
         catalog_from_text(short)
-    (tmp_path / _catalog_filename(level.filter)).write_text(short)
-    with pytest.raises(FormatError, match="not the 54 rooted maps"):
-        get_catalog(e=3)
+    _sampled_file_refused(tmp_path, monkeypatch, short,
+                          "not the 54 rooted maps")
     assert catalog_from_text(catalog_to_text(level)).entries == level.entries
 
 
@@ -295,19 +291,51 @@ def test_general_boundary_family_missing_a_map_refused(tmp_path,
     # the checksum holds and every entry is a canonical map of the
     # family: only the number of rooted maps with 4 edges and a root face
     # of degree 4 shows one is missing
-    from mapglue import enumeration
-    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
     family = enumerate_boundary_maps(e=4, perimeter=4)
     assert len(family) == 58
     short = catalog_to_text(Catalog(family.filter, family.entries[:-1], ()))
-    monkeypatch.setattr(enumeration, "_CATALOGS", {})
     message = "not the 58 rooted maps with 4 edges and a root face of degree 4"
     with pytest.raises(FormatError, match=message):
         catalog_from_text(short)
-    (tmp_path / _catalog_filename(family.filter)).write_text(short)
-    with pytest.raises(FormatError, match=message):
-        get_catalog(e=4, perimeter=4)
+    _sampled_file_refused(tmp_path, monkeypatch, short, message)
     assert catalog_from_text(catalog_to_text(family)) == family
+
+
+@pytest.mark.parametrize("perimeter", [4, 0])
+def test_header_of_a_large_general_family_refused_at_once(
+        tmp_path, monkeypatch, perimeter):
+    # G(100, p) is at least Catalan(99) for 1 <= p <= 200, so an empty
+    # family of 100 edges is refused before the O(e^4) count table of
+    # its level is built, which takes seconds
+    body = (f"catalog q=0 f=0 e=100 perim={perimeter} simple=0 "
+            f"bridgeless=0 count=0 version=1\n")
+    text = body + _checksum_line(body) + "\n"
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="count 0 is impossible"):
+        catalog_from_text(text)
+    assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    _sampled_file_refused(tmp_path, monkeypatch, text,
+                          "count 0 is impossible")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_level_six_text_loads():
+    # the largest general level passes the header bound and its count
+    level = enumerate_maps(6)
+    assert catalog_from_text(catalog_to_text(level)) == level
+
+
+def test_header_above_the_largest_root_face_holds_no_map():
+    # no map with e edges has a root face of degree above 2e
+    body = ("catalog q=0 f=0 e=100 perim=201 simple=0 bridgeless=0 "
+            "count={} version=1\n")
+    empty = body.format(0)
+    assert len(catalog_from_text(empty + _checksum_line(empty) + "\n")) == 0
+    line = catalog_to_text(enumerate_maps(1)).splitlines()[1]
+    one = body.format(1) + line + "\n"
+    with pytest.raises(FormatError, match="count 1 is impossible"):
+        catalog_from_text(one + _checksum_line(one) + "\n")
 
 
 def test_record_fields_in_any_order():

@@ -1,7 +1,7 @@
 import pytest
 
 from mapglue.counting import count_tree_decorated
-from mapglue.errors import FormatError, Infeasible, UnknownFormat
+from mapglue.errors import FormatError, Infeasible
 from mapglue.sampler import (SampleSpec, draw_tree_decorated,
                              export_decorated, parse_decorated,
                              sample_tree_decorated, tree_marginal_test)
@@ -72,19 +72,9 @@ def test_tree_marginal_two_cells():
 def test_tree_marginal_takes_the_draws_given():
     spec = SampleSpec(q=4, f=2, m=2, seed=8, count=2000)
     drawn = sample_tree_decorated(spec)
-    assert (tree_marginal_test(spec, drawn=drawn[:1000])
-            == tree_marginal_test(spec, draws=1000))
     report = tree_marginal_test(spec, drawn=drawn)
     assert report == tree_marginal_test(spec)
     assert report.draws == 2000 and report.passed
-
-
-def test_tree_marginal_restricted_subset():
-    report = tree_marginal_test(SampleSpec(q=4, f=3, m=3, seed=5,
-                                           count=3000),
-                                words=("UUDDUD", "UDUUDD"))
-    assert len(report.cells) == 2
-    assert report.passed
 
 
 def test_export_parse_round_trip():
@@ -134,8 +124,6 @@ def test_export_golden():
 
 def test_export_errors():
     tdm = draw_tree_decorated(SampleSpec(q=4, f=1, m=1, seed=8, count=1), 0)
-    with pytest.raises(UnknownFormat):
-        export_decorated(tdm, format="json")
     with pytest.raises(FormatError):
         parse_decorated("nonsense")
     with pytest.raises(FormatError):
