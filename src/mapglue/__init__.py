@@ -3,7 +3,7 @@ planar maps."""
 
 __version__ = "0.1.0"
 
-from .maps import BoundaryMap, CanonicalCode, PlanarMap, build_map  # noqa: F401
+from .maps import BoundaryMap, PlanarMap, build_map  # noqa: F401
 from .trees import DyckPath, catalan, contour_to_tree, tree_to_contour  # noqa: F401
 from .bijection import (TreeDecoratedMap, glue, glue_forest,  # noqa: F401
                         glue_partial, unglue)

@@ -39,7 +39,7 @@ def _read_arg(value: str) -> str:
         try:
             with open(value[1:]) as fh:
                 return fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {value[1:]!r}: {exc}") from exc
     return value
 

@@ -7,11 +7,11 @@ or a chord of a map with e-1 edges, running from its root corner to one
 of the k+1 corners of its root face of degree k.  Deleting the root edge
 inverts both constructions, so each rooted map is built exactly once, and
 no deduplication is needed.  Each is canonicalised once, from its raw
-rotation arrays, for its code, which is split once into the sigma and
-alpha tuples that its catalog entry and its map share.  Canonical
-labelling makes the alpha arrays repetitive (73 distinct ones among the
-24,057 maps with 6 edges), and a catalog holds each distinct one once.
-Two checks guard the level: a short code (a disconnected construction)
+rotation arrays, and the catalog holds its canonical code, the map
+relabelled from its root, which becomes dart 1.  Canonical labelling
+makes the alpha arrays repetitive (73 distinct ones among the 24,057
+maps with 6 edges), and a catalog holds each distinct one once.  Two
+checks guard the level: a short code (a disconnected construction)
 raises :class:`Disconnected`, and two equal codes raise
 :class:`InternalMismatch`.
 
@@ -66,7 +66,7 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import combinations, pairwise
 from math import factorial, prod
 
 try:  # the builtin module, as random.py does: hashlib also loads OpenSSL
@@ -75,9 +75,9 @@ except ImportError:
     from hashlib import sha256
 
 from .errors import (CapExceeded, Disconnected, FormatError, Infeasible,
-                     InternalMismatch)
-from .maps import (BoundaryMap, CanonicalCode, PlanarMap, _canonical,
-                   _edge_ends, _ints, _is_tree, _record, build_map)
+                     InternalMismatch, MapGlueError)
+from .maps import (BoundaryMap, PlanarMap, _canonical, _edge_ends, _ints,
+                   _is_tree, _record, build_map)
 from .trees import catalan
 
 EDGE_CAP = 6        # general enumeration, by edge count
@@ -100,25 +100,24 @@ class CatalogFilter:
 
 @dataclass(frozen=True)
 class Catalog:
-    """Rooted maps sorted by code: their ``entries`` and, one per entry,
-    their maps, each in canonical form (rooted at dart 1).
+    """The rooted maps of a family, as ``entries``: each is its own
+    canonical code (:meth:`~mapglue.maps.PlanarMap.canonical_code`,
+    rooted at dart 1), in increasing order of ``sigma + alpha``.
 
-    Each map is held once: ``entries[i].sigma is maps()[i].sigma``, the
-    same for alpha, and equal alpha arrays are one tuple, whether the
-    catalog was built or read from text.
+    Equal alpha arrays are one tuple, whether the catalog was built or
+    read from text.
     """
 
     filter: CatalogFilter
-    entries: tuple[CanonicalCode, ...]
-    _maps: tuple[PlanarMap, ...] = field(repr=False, compare=False)
+    entries: tuple[PlanarMap, ...] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def maps(self) -> list[PlanarMap]:
-        """The maps, as a new list: built by the enumeration, or validated
-        by :func:`catalog_from_text` when read from text."""
-        return list(self._maps)
+    def maps(self) -> tuple[PlanarMap, ...]:
+        """The maps, :attr:`entries` itself: built by the enumeration, or
+        validated by :func:`catalog_from_text` when read from text."""
+        return self.entries
 
 
 def _check_cap(edges: int, default: int, cap: int | None = None) -> None:
@@ -193,9 +192,9 @@ def _bridge(m1: PlanarMap | None, m2: PlanarMap | None):
     return sigma, alpha + (r + 1, r)
 
 
-def _smaller(e: int) -> list[PlanarMap | None]:
-    """The maps with e edges; [None], the vertex map, when e is 0."""
-    return [None] if e == 0 else _family(CatalogFilter(e=e)).maps()
+def _smaller(e: int) -> tuple[PlanarMap | None, ...]:
+    """The maps with e edges; (None,), the vertex map, when e is 0."""
+    return (None,) if e == 0 else _family(CatalogFilter(e=e)).maps()
 
 
 def _root_edge_maps(e: int):
@@ -234,22 +233,21 @@ def _catalog(filt: CatalogFilter, built) -> Catalog:
     at dart ``len(sigma) - 1`` and each built once.
 
     Each map is canonicalised once, and its code split by
-    :func:`_halves` into the tuples that its entry and its map share.  A
-    short code (a disconnected construction) raises :class:`Disconnected`
-    and two equal codes raise :class:`InternalMismatch`.
+    :func:`_halves` into the canonical map's arrays.  A short code (a
+    disconnected construction) raises :class:`Disconnected` and two equal
+    codes raise :class:`InternalMismatch`.
     """
     shared: dict = {}
-    pairs = []
+    maps = []
     for sigma, alpha in built:
         code = _canonical(sigma, alpha, (len(sigma) - 1,))[0]
         if len(code) < 2 * len(sigma):
             raise Disconnected("the darts do not form a connected map")
-        pairs.append(_halves(code, shared))
-    pairs.sort()
-    if any(a == b for a, b in zip(pairs, pairs[1:])):
+        maps.append(PlanarMap(*_halves(code, shared), 1))
+    maps.sort(key=lambda m: (m.sigma, m.alpha))
+    if any(a == b for a, b in pairwise(maps)):
         raise InternalMismatch(f"a map of {filt} was built twice")
-    return Catalog(filt, tuple([CanonicalCode(s, a) for s, a in pairs]),
-                   tuple([PlanarMap(s, a, 1) for s, a in pairs]))
+    return Catalog(filt, tuple(maps))
 
 
 def _halves(code: tuple[int, ...], shared: dict) -> tuple[tuple, tuple]:
@@ -335,9 +333,8 @@ def _family(filt: CatalogFilter) -> Catalog:
         cat = _catalog(filt, _root_edge_maps(filt.e))
     else:
         level = _family(CatalogFilter(e=filt.e))
-        keep = [_in_family(pm, filt) for pm in level._maps]
-        cat = Catalog(filt, tuple(compress(level.entries, keep)),
-                      tuple(compress(level._maps, keep)))
+        cat = Catalog(filt, tuple([pm for pm in level.entries
+                                   if _in_family(pm, filt)]))
     _CATALOGS[filt] = cat
     return cat
 
@@ -408,7 +405,7 @@ def tree_submaps(pmap: PlanarMap, m: int,
     return [edges for edges, _ in _subtrees(pmap, m, through)]
 
 
-def sphere_qangulations(q: int, f: int) -> list[PlanarMap]:
+def sphere_qangulations(q: int, f: int) -> tuple[PlanarMap, ...]:
     """All rooted maps of the sphere whose f faces all have degree q,
     sorted by code.
 
@@ -521,7 +518,7 @@ def catalog_to_text(cat: Catalog) -> str:
         f"simple={int(filt.simple)} bridgeless={int(filt.bridgeless)} "
         f"count={len(cat.entries)} version={CATALOG_VERSION}"
     ]
-    lines.extend(",".join(str(v) for v in c.code) for c in cat.entries)
+    lines.extend(",".join(map(str, m.sigma + m.alpha)) for m in cat.entries)
     body = "".join(line + "\n" for line in lines)
     return body + _checksum_line(body) + "\n"
 
@@ -594,8 +591,7 @@ def catalog_from_text(text: str) -> Catalog:
         if count != expected:
             raise FormatError(f"catalog count {count} is not the "
                               f"{expected} rooted maps with {e} edges{face}")
-    return Catalog(filt, tuple([CanonicalCode(pm.sigma, pm.alpha)
-                                for pm in maps]), tuple(maps))
+    return Catalog(filt, tuple(maps))
 
 
 def _in_family(pm: PlanarMap, filt: CatalogFilter) -> bool:
@@ -622,7 +618,10 @@ def get_catalog(q: int, f: int, perimeter: int,
     store's, else the file of the MAPGLUE_CATALOG_DIR directory, which is
     stored, else built by :func:`_family` and saved there when that
     directory is set.  A family the process holds is neither read from
-    nor written to a file, and the cap is checked before either."""
+    nor written to a file, and the cap is checked before either.  A file
+    or directory that cannot be read or written raises
+    :class:`MapGlueError`, and a file that is not UTF-8 text
+    :class:`FormatError`, each naming the path."""
     _check_boundary_family(q, f, 0, perimeter)
     filt = CatalogFilter(q, f, perimeter=perimeter, simple=simple)
     directory = os.environ.get("MAPGLUE_CATALOG_DIR")
@@ -630,23 +629,32 @@ def get_catalog(q: int, f: int, perimeter: int,
         return _family(filt)
     path = os.path.join(directory, _catalog_filename(filt))
     if os.path.exists(path):
-        with open(path) as fh:
-            cat = catalog_from_text(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+        except OSError as exc:
+            raise MapGlueError(f"cannot read {path}: {exc}") from None
+        cat = catalog_from_text(text)
         if cat.filter != filt:
             raise FormatError(f"{path} holds the catalog of {cat.filter}, "
                               f"not of {filt}")
         _CATALOGS[filt] = cat
         return cat
     cat = _family(filt)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(catalog_to_text(cat))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(catalog_to_text(cat))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise MapGlueError(f"cannot save {path}: {exc}") from None
     return cat

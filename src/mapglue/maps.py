@@ -127,9 +127,8 @@ class PlanarMap:
     outputs through :func:`build_map` again.  Use :func:`build_map` for
     any other raw data.
 
-    A catalog map holds the same ``sigma`` and ``alpha`` tuples as its
-    :class:`CanonicalCode` entry, and shares equal alpha tuples with the
-    other maps of its catalog.
+    A catalog map is its own canonical code (:meth:`canonical_code`), and
+    shares equal alpha tuples with the other maps of its catalog.
     """
 
     sigma: Perm
@@ -204,10 +203,14 @@ class PlanarMap:
 
     # -- identity ---------------------------------------------------------
 
-    def canonical_code(self) -> "CanonicalCode":
+    def canonical_code(self) -> "PlanarMap":
+        """Relabelling-invariant identity: the map relabelled by
+        :func:`_canonical` from its root, which becomes dart 1, without
+        labels.  Two rooted maps are isomorphic exactly when their codes
+        are equal; a catalog orders its codes by ``sigma + alpha``."""
         code = _canonical(self.sigma, self.alpha, (self.root,))[0]
         n = len(self.sigma)
-        return CanonicalCode(code[:n], code[n:])
+        return PlanarMap(code[:n], code[n:], 1)
 
     def rerooted(self, root: int) -> "PlanarMap":
         """The same map rooted at dart ``root``, which must be one of its
@@ -276,25 +279,6 @@ def _connected_vertex_count(sigma: Perm, alpha: Perm) -> int | None:
                 stack.append(a)
             d = sigma[d - 1]
     return vertices if reached == len(sigma) else None
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class CanonicalCode:
-    """Relabelling-invariant identity of a rooted map: its sigma and alpha
-    relabelled by :func:`_canonical` from the root, which becomes dart 1.
-
-    Codes compare field by field, sigma first.  Among maps with the same
-    edge count, which covers every map of one catalog, that is exactly the
-    order of the concatenated :attr:`code`.
-    """
-
-    sigma: Perm
-    alpha: Perm
-
-    @property
-    def code(self) -> tuple[int, ...]:
-        """Sigma then alpha as one tuple, the catalog file's entry line."""
-        return self.sigma + self.alpha
 
 
 def build_map(sigma, alpha, root: int, labels=()) -> PlanarMap:

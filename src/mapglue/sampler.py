@@ -40,7 +40,7 @@ class SampleSpec:
     count: int
 
 
-def _catalog_maps(spec: SampleSpec) -> list[PlanarMap]:
+def _catalog_maps(spec: SampleSpec) -> tuple[PlanarMap, ...]:
     # raises Infeasible for bad (q, f, m) before touching the catalog
     count_tree_decorated(spec.q, spec.f, spec.m, root_mode="on-tree")
     cat = get_catalog(q=spec.q, f=spec.f, perimeter=2 * spec.m, simple=True)
@@ -48,7 +48,8 @@ def _catalog_maps(spec: SampleSpec) -> list[PlanarMap]:
 
 
 def draw_tree_decorated(spec: SampleSpec, index: int,
-                        pool: list[PlanarMap] | None = None) -> TreeDecoratedMap:
+                        pool: tuple[PlanarMap, ...] | None = None,
+                        ) -> TreeDecoratedMap:
     """Draw number ``index`` of the spec, independent of all other draws."""
     if pool is None:
         pool = _catalog_maps(spec)

@@ -108,12 +108,11 @@ def test_root_edge_levels_match_edge_insertion():
         if e > 1:
             codes = {c for pm in maps for c in _with_edge_inserted(pm)}
         level = enumerate_maps(e)
-        assert sorted(codes) == [c.code for c in level.entries]
+        assert sorted(codes) == [m.sigma + m.alpha for m in level.entries]
         # the level's maps are built unchecked: each is a valid map, the
         # one its code describes
-        maps = [build_map(c.code[:2 * e], c.code[2 * e:], 1)
-                for c in level.entries]
-        assert maps == level.maps()
+        maps = level.maps()
+        assert tuple([build_map(m.sigma, m.alpha, 1) for m in maps]) == maps
 
 
 def test_map_built_twice_raises(monkeypatch):
@@ -236,7 +235,7 @@ def test_qangulation_cells_match_growth(monkeypatch):
     assert len(cells) == 147
     for q, f, p in cells:
         cat = enumeration._family(CatalogFilter(q, f, perimeter=p))
-        assert [c.code for c in cat.entries] == \
+        assert [m.sigma + m.alpha for m in cat.entries] == \
             _grown_boundary_codes(q, f, p), (q, f, p)
 
 
@@ -354,13 +353,8 @@ def test_enumerate_maps_entries_are_canonical_and_distinct():
 
 def _distinct_shared_alphas(cat) -> int:
     """The number of distinct alpha arrays of ``cat``, after checking
-    that each entry holds its map's own sigma and alpha tuples and that
-    equal alpha arrays are one tuple."""
-    maps = cat.maps()
-    assert len(maps) == len(cat)
-    for entry, pm in zip(cat.entries, maps):
-        assert entry.sigma is pm.sigma and entry.alpha is pm.alpha
-    alphas = [pm.alpha for pm in maps]
+    that equal alpha arrays are one tuple."""
+    alphas = [pm.alpha for pm in cat.entries]
     assert len({id(a) for a in alphas}) == len(set(alphas))
     return len(set(alphas))
 
@@ -377,12 +371,21 @@ def test_catalog_holds_each_map_once():
 
 
 def test_entry_order_is_code_order():
-    # entries of one edge count compare as their concatenated codes
+    # entries strictly increase by their concatenated arrays, and sorting
+    # a shuffled copy by that key gives them back
     for e in (5, 6):
-        entries = list(enumerate_maps(e).entries)
+        entries = enumerate_maps(e).entries
+        codes = [m.sigma + m.alpha for m in entries]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
         shuffled = Random(e).sample(entries, len(entries))
-        assert sorted(shuffled) == sorted(shuffled, key=lambda c: c.code)
-        assert sorted(shuffled) == entries
+        assert tuple(sorted(shuffled, key=lambda m: m.sigma + m.alpha)) == \
+            entries
+
+
+def test_entries_are_their_own_canonical_codes():
+    for e in range(1, 6):
+        for pm in enumerate_maps(e).entries:
+            assert pm.root == 1 and pm.canonical_code() == pm
 
 
 def test_cap_exceeded():
@@ -438,8 +441,8 @@ def test_sphere_pools_match_filtered_level():
     assert (1, 2) in cases
     for q, f in cases:
         e = q * f // 2
-        direct = [pm for pm in enumerate_maps(e).maps()
-                  if is_q_angulation(pm, q)]
+        direct = tuple([pm for pm in enumerate_maps(e).maps()
+                        if is_q_angulation(pm, q)])
         assert sphere_qangulations(q, f) == direct, (q, f)
 
 
@@ -639,10 +642,9 @@ def test_catalog_maps_validated_on_first_call_only(tmp_path, monkeypatch):
                         _counting(calls, enumeration.build_map))
     cat = enumerate_maps(4)
     first = cat.maps()
-    second = cat.maps()
-    assert second == first and second is not first
-    second.clear()
-    assert len(cat.maps()) == 378
+    assert first is cat.entries and len(first) == 378
+    with pytest.raises(TypeError):
+        first[0] = None
     built = get_catalog(4, 2, 4)  # a miss: built and saved
     assert len(built.maps()) == len(built) == 54
     assert calls == []
@@ -685,6 +687,5 @@ def test_general_boundary_family_built_once(monkeypatch):
     assert len(calls) == len(level) == 378
     assert enumerate_boundary_maps(e=4, perimeter=4) is family
     assert len(calls) == 378 and len(family) == 58
-    assert family.entries == tuple([c for c, pm in zip(level.entries,
-                                                       level.maps())
+    assert family.entries == tuple([pm for pm in level.entries
                                     if len(pm.root_face()) == 4])

@@ -20,7 +20,7 @@ from mapglue.enumeration import (EDGE_CAP, QANG_EDGE_CAP, Catalog,
                                  catalog_to_text, enumerate_boundary_maps,
                                  enumerate_maps, get_catalog)
 from mapglue.errors import Disconnected, FormatError, MapGlueError, NonPlanar
-from mapglue.maps import CanonicalCode, build_map, map_from_line
+from mapglue.maps import PlanarMap, build_map, map_from_line
 from mapglue.sampler import (SampleSpec, draw_tree_decorated,
                              export_decorated, parse_decorated)
 
@@ -205,8 +205,7 @@ def test_catalog_file_with_an_invalid_map_refused(tmp_path, monkeypatch,
     monkeypatch.setattr(enumeration, "_CATALOGS", {})
     filt = CatalogFilter(q=4, f=1, perimeter=2, simple=True)
     (tmp_path / _catalog_filename(filt)).write_text(
-        catalog_to_text(Catalog(filt, (CanonicalCode(code[:4], code[4:]),),
-                                ())))
+        catalog_to_text(Catalog(filt, (PlanarMap(code[:4], code[4:], 1),))))
     with pytest.raises(error):
         get_catalog(q=4, f=1, perimeter=2, simple=True)
     status, out, err = run("sample", "--q", "4", "--faces", "1",
@@ -218,10 +217,7 @@ def test_catalog_file_with_an_invalid_map_refused(tmp_path, monkeypatch,
 def _relabelled(entry):
     """The code ``entry`` with darts 2 and 3 swapped: the same map, rooted
     at dart 1, under a labelling that is not the canonical one."""
-    n = len(entry.sigma)
-    pm = relabel(build_map(entry.sigma, entry.alpha, 1),
-                 [0, 1, 3, 2] + list(range(4, n + 1)))
-    return CanonicalCode(pm.sigma, pm.alpha)
+    return relabel(entry, [0, 1, 3, 2] + list(range(4, entry.dart_count + 1)))
 
 
 @pytest.mark.parametrize("entries, message", [
@@ -246,7 +242,7 @@ def test_catalog_file_of_another_family_refused(tmp_path, monkeypatch,
     monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(tmp_path))
     filt = CatalogFilter(q=4, f=1, perimeter=2, simple=True)
     (tmp_path / _catalog_filename(filt)).write_text(
-        catalog_to_text(Catalog(filt, tuple(entries()), ())))
+        catalog_to_text(Catalog(filt, tuple(entries()))))
     # entries() may hold the family in the store, which get_catalog
     # would return without reading the file
     monkeypatch.setattr(enumeration, "_CATALOGS", {})
@@ -273,12 +269,52 @@ def _sampled_file_refused(tmp_path, monkeypatch, text, message):
         get_catalog(4, 1, 2, simple=True)
 
 
+def _sampling_refused(monkeypatch, directory, kind, path):
+    # the sampler's family read through get_catalog from ``directory``
+    from mapglue import enumeration
+    monkeypatch.setenv("MAPGLUE_CATALOG_DIR", str(directory))
+    monkeypatch.setattr(enumeration, "_CATALOGS", {})
+    status, out, err = run("sample", "--q", "4", "--faces", "1",
+                           "--tree-edges", "1", "--seed", "1", "--count", "1")
+    assert status == 2 and out == ""
+    assert f"error: {kind}: " in err and str(path) in err
+    assert "Traceback" not in err
+
+
+def test_catalog_directory_that_is_a_file_refused(tmp_path, monkeypatch):
+    directory = tmp_path / "file"
+    directory.write_text("")
+    _sampling_refused(monkeypatch, directory, "MapGlueError",
+                      directory / _catalog_filename(SAMPLED))
+
+
+def test_directory_at_the_catalog_file_refused(tmp_path, monkeypatch):
+    path = tmp_path / _catalog_filename(SAMPLED)
+    path.mkdir()
+    _sampling_refused(monkeypatch, tmp_path, "MapGlueError", path)
+
+
+def test_catalog_file_that_is_not_utf8_refused(tmp_path, monkeypatch):
+    path = tmp_path / _catalog_filename(SAMPLED)
+    path.write_bytes(b"\xff\xfecatalog q=4\n")
+    _sampling_refused(monkeypatch, tmp_path, "FormatError", path)
+
+
+def test_at_file_that_is_not_utf8_refused(tmp_path):
+    path = tmp_path / "decorated.txt"
+    path.write_bytes(b"\xff\xfemap E=1\n")
+    status, out, err = run("unglue", "--decorated", f"@{path}")
+    assert status == 2 and out == ""
+    assert err.startswith(f"usage error: cannot read {str(path)!r}")
+    assert "Traceback" not in err
+
+
 def test_general_level_missing_a_map_refused(tmp_path, monkeypatch):
     # the checksum holds and every entry is a canonical map of the level:
     # only the number of rooted maps with 3 edges shows one is missing
     level = enumerate_maps(3)
     assert len(level) == 54
-    short = catalog_to_text(Catalog(level.filter, level.entries[1:], ()))
+    short = catalog_to_text(Catalog(level.filter, level.entries[1:]))
     with pytest.raises(FormatError, match="not the 54 rooted maps"):
         catalog_from_text(short)
     _sampled_file_refused(tmp_path, monkeypatch, short,
@@ -293,7 +329,7 @@ def test_general_boundary_family_missing_a_map_refused(tmp_path,
     # of degree 4 shows one is missing
     family = enumerate_boundary_maps(e=4, perimeter=4)
     assert len(family) == 58
-    short = catalog_to_text(Catalog(family.filter, family.entries[:-1], ()))
+    short = catalog_to_text(Catalog(family.filter, family.entries[:-1]))
     message = "not the 58 rooted maps with 4 edges and a root face of degree 4"
     with pytest.raises(FormatError, match=message):
         catalog_from_text(short)
