@@ -6,13 +6,15 @@ contour of the tree.  Gluing reverses this: the external face of a map with
 a simple boundary of perimeter 2m is sewn shut along the vertex equivalence
 induced by the contour of an m-edge tree.
 
-Ungluing reads the tree's contour in place, walking the tree darts of the
-map from its root (the same walk checks that the decoration is a tree),
-and returns the tree rebuilt from that contour by
+One walk, :func:`~mapglue.trees._contour_walk`, reads every tree contour.
+Ungluing runs it in place from the map root (the walk also checks that
+the decoration is a tree, as :func:`check_tree_decoration` does), and
+returns the tree rebuilt from that contour by
 :func:`~mapglue.trees.contour_to_tree`: dart ``i + 1`` of the tree is
 contour step ``i``, and trees of at most six edges are built once and
-shared.  Gluing takes one walk of each boundary, which decides simplicity
-and size and gives the darts to sew.
+shared.  Gluing reads the contour matching of the tree from it, and
+takes one walk of each boundary, which decides simplicity and size and
+gives the darts to sew.
 
 Both directions run through one kernel each, on flat arrays.  The cutting
 kernel :func:`_cut` doubles every dart of a closed walk (a tree contour, or
@@ -48,9 +50,9 @@ from .errors import (
     SizeMismatch,
     TreeTooLarge,
 )
-from .maps import (BoundaryMap, PlanarMap, _edge_ends, _ints, _is_tree,
-                   _map_record, map_to_line)
-from .trees import _MEMO_EDGES, DyckPath, class_starts, contour_to_tree
+from .maps import BoundaryMap, PlanarMap, _ints, _map_record, map_to_line
+from .trees import (_MEMO_EDGES, DyckPath, _contour_walk, class_starts,
+                    contour_to_tree)
 
 
 @dataclass(frozen=True)
@@ -83,103 +85,63 @@ class ForestDecoratedMap:
     tree_roots: tuple[int, ...]
 
 
-def check_tree_decoration(pmap: PlanarMap, tree_edges) -> set[int]:
-    """Raise DecorationNotATree unless the edges form a tree submap, and
-    return the tree's vertices, each named by its smallest dart."""
+def check_tree_decoration(pmap: PlanarMap, tree_edges) -> None:
+    """Raise DecorationNotATree unless the edges form a tree submap, which
+    the contour walk from the smallest one decides."""
     tree_edges = set(tree_edges)
-    n = pmap.dart_count
-    if not all(1 <= e <= n and e < pmap.alpha_of(e) for e in tree_edges):
-        raise DecorationNotATree("unknown edge ids in decoration")
-    verts = _is_tree(_edge_ends(pmap, tree_edges))
-    if verts is None:
+    if not tree_edges:
         raise DecorationNotATree("edge set is not a tree")
-    return verts
+    _decoration_walk(pmap, tree_edges, min(tree_edges))
+
+
+def _decoration_walk(pmap: PlanarMap, tree_edges, start: int):
+    """:func:`~mapglue.trees._contour_walk` of the decoration from
+    ``start``; DecorationNotATree when it is no set of edges of a tree."""
+    n, alpha = pmap.dart_count, pmap.alpha
+    for e in tree_edges:
+        if not (1 <= e <= n and e < alpha[e - 1]):
+            raise DecorationNotATree("unknown edge ids in decoration")
+    try:
+        return _contour_walk(pmap, tree_edges, start)
+    except NotDyck:
+        raise DecorationNotATree("edge set is not a tree") from None
 
 
 def _tree_contour(pmap: PlanarMap, tree_edges) -> tuple[list[int],
                                                      DyckPath]:
-    """The contour of the tree ``tree_edges`` read in place in ``pmap``,
-    whose root must be a tree dart: its darts in contour order from the
-    root, and its Dyck path (the first step along an edge goes up).
-
-    The dart after ``d`` is the first tree dart counterclockwise from
-    ``alpha(d)``, which is the face walk of the plane tree that restricting
-    the rotation of ``pmap`` to the tree darts gives.  The walk also checks
-    the decoration: DecorationNotATree unless every id names an edge and
-    the walk takes all 2|S| darts of the edges S.  The restricted rotation
-    is planar, so a face that holds every dart makes it a tree; on any
-    other edge set the walk returns to the root early.
-    """
-    sigma, alpha = pmap.sigma, pmap.alpha
-    n = len(sigma)
-    # 1: a tree dart whose edge the walk has not taken yet, 2: taken
-    state = [0] * (n + 1)
-    for e in tree_edges:
-        if not (1 <= e <= n and e < alpha[e - 1]):
-            raise DecorationNotATree("unknown edge ids in decoration")
-        state[e] = state[alpha[e - 1]] = 1
-    root = pmap.root
-    darts = []
-    steps = []
-    d = root
-    while True:
-        darts.append(d)
-        a = alpha[d - 1]
-        if state[d] == 1:
-            steps.append(1)
-            state[d] = state[a] = 2
-        else:
-            steps.append(-1)
-        d = sigma[a - 1]
-        while not state[d]:
-            d = sigma[d - 1]
-        if d == root:
-            break
-    # before the path is made: a cycle's walk is no Dyck path
-    if len(darts) != 2 * len(tree_edges):
-        raise DecorationNotATree("edge set is not a tree")
+    """The darts and Dyck path of the contour of the tree ``tree_edges``
+    read in place in ``pmap`` from its root.  Raises DecorationNotATree
+    unless the edges form a tree, then RootNotOnTree."""
+    if pmap.edge_of(pmap.root) not in tree_edges:
+        # a decoration that is no tree is refused as such first
+        check_tree_decoration(pmap, tree_edges)
+        raise RootNotOnTree("map root edge must belong to the decoration")
+    darts, steps = _decoration_walk(pmap, tree_edges, pmap.root)
     return darts, DyckPath(tuple(steps))
 
 
-def _contour_matching(tree: PlanarMap) -> tuple[int, ...]:
-    """match[i] = j when contour steps i and j traverse the same edge.
-    Raises NotDyck unless ``tree`` is a plane tree: its root face must
-    take every dart.  The matching of a tree with at most ``_MEMO_EDGES``
-    edges is computed once and shared, together with its contour classes
-    (:func:`_contour_tables`); a larger tree is never kept."""
-    if tree.dart_count <= 2 * _MEMO_EDGES:
-        return _memo_matching(tree)[0]
-    return _matching(tree)
-
-
 def _contour_tables(tree: PlanarMap):
-    """``(match, classes)``: :func:`_contour_matching` of ``tree``, and
-    :func:`~mapglue.trees.class_starts` of its contour; shared alike."""
+    """``(match, classes)`` from one contour walk of the plane tree
+    ``tree`` (NotDyck when it is none): ``match[i] = j`` when steps i and
+    j traverse the same edge, and :func:`~mapglue.trees.class_starts`.
+    The tables of a tree with at most ``_MEMO_EDGES`` edges are shared."""
     if tree.dart_count <= 2 * _MEMO_EDGES:
-        return _memo_matching(tree)
-    return _matching_and_classes(tree)
+        return _memo_tables(tree)
+    return _tables(tree)
 
 
-def _matching(tree: PlanarMap) -> tuple[int, ...]:
-    walk = tree.root_face()
-    if len(walk) != tree.dart_count:
-        raise NotDyck("map is not a plane tree (more than one face)")
+def _tables(tree: PlanarMap):
+    walk, steps = _contour_walk(tree)
     pos = [0] * (len(walk) + 1)
     for i, d in enumerate(walk):
         pos[d] = i
     alpha = tree.alpha
-    return tuple([pos[alpha[d - 1]] for d in walk])
-
-
-def _matching_and_classes(tree: PlanarMap):
-    match = _matching(tree)
-    # step i goes up exactly when match[i] > i
-    path = DyckPath(tuple([1 if j > i else -1 for i, j in enumerate(match)]))
-    return match, tuple(class_starts(path))
+    return (tuple([pos[alpha[d - 1]] for d in walk]),
+            tuple(class_starts(DyckPath(tuple(steps)))))
 
 
 # the same room as trees._memo_tree; a raise is never cached
-_memo_matching = lru_cache(maxsize=256)(_matching_and_classes)
+_memo_tables = lru_cache(maxsize=256)(_tables)
 
 
 def _cut(phi: list[int], alpha: list[int], walk):
@@ -217,10 +179,6 @@ def unglue(tdm: TreeDecoratedMap):
     are the faces of the input in degree-preserving correspondence.
     """
     pmap = tdm.map
-    if not tdm.root_on_tree:
-        # a decoration that is no tree is refused as such first
-        check_tree_decoration(pmap, tdm.tree_edges)
-        raise RootNotOnTree("map root edge must belong to the decoration")
     contour, path = _tree_contour(pmap, tdm.tree_edges)
     sigma, alpha = pmap.sigma, pmap.alpha
     phi = [sigma[a - 1] for a in alpha]
@@ -319,7 +277,7 @@ def _glue_prefix(pmap: PlanarMap, walk: list[int],
     the former boundary dart 2m when the walk is longer, and on the tree
     when the tree takes the whole boundary."""
     consumed = walk[: 2 * tree.edge_count]
-    sigma, alpha, index = _sew(pmap, consumed, _contour_matching(tree))
+    sigma, alpha, index = _sew(pmap, consumed, _contour_tables(tree)[0])
     root = (walk[len(consumed)] if len(consumed) < len(walk)
             else pmap.alpha_of(walk[0]))
     glued = _sewn_map(pmap, sigma, alpha, index, root)
@@ -355,7 +313,8 @@ def glue_forest(mmap: MultiBoundaryMap, forest) -> ForestDecoratedMap:
     consumed: list[int] = []
     matching: list[int] = []
     for walk, tree in zip(walks, forest):
-        matching.extend(len(consumed) + j for j in _contour_matching(tree))
+        match = _contour_tables(tree)[0]
+        matching.extend(len(consumed) + j for j in match)
         consumed.extend(walk)
     sigma, alpha, index = _sew(pmap, consumed, matching)
     glued = _sewn_map(pmap, sigma, alpha, index, pmap.alpha_of(consumed[0]))

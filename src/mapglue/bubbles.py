@@ -131,10 +131,6 @@ class BubbleMap:
         return self._offsets[-1]
 
     @property
-    def edge_count(self) -> int:
-        return self.dart_count // 2
-
-    @property
     def root(self) -> int:
         return self.spheres[0].root
 
@@ -152,9 +148,6 @@ class BubbleMap:
         if not 1 <= g <= self.dart_count:
             raise FormatError(f"dart {g} out of range")
         return self._table[1][g - 1]
-
-    def edge_of(self, g: int) -> int:
-        return min(g, self.alpha_of(g))
 
     def _corner_table(self) -> tuple[list, list[int]]:
         """``_corners``: the pinch-collapsed vertex and rotation position

@@ -347,10 +347,6 @@ class BoundaryMap:
         cyc = self.external_face
         return (cyc[0],) + tuple(reversed(cyc[1:]))
 
-    def boundary_vertices(self) -> list[int]:
-        """Tail vertex of each boundary dart, in walk order."""
-        return [self.map.vertex_of(d) for d in self.boundary_walk()]
-
     def is_bridgeless(self) -> bool:
         return self.bridgeless_walk() is not None
 
@@ -362,18 +358,20 @@ class BoundaryMap:
         return walk if len(edges) == len(walk) else None
 
     def is_vertex_simple(self) -> bool:
-        """Boundary walk visits no vertex twice (allows the bare-edge case)."""
-        verts = self.boundary_vertices()
-        return len(set(verts)) == len(verts)
+        """Boundary walk visits no vertex twice: the boundary is simple,
+        or the map is one edge.  A walk through both darts of an edge
+        meets an endpoint twice unless each dart follows the other, that
+        is unless both endpoints have degree 1."""
+        return self.map.edge_count == 1 or self.is_simple()
 
     def is_simple(self) -> bool:
         """Simple as a curve: no repeated vertex and no repeated edge."""
         return self.simple_walk() is not None
 
     def simple_walk(self) -> tuple[list[int], list[int]] | None:
-        """:meth:`boundary_walk` and :meth:`boundary_vertices` from one
-        walk of the external face, or None when the boundary is not
-        simple.
+        """:meth:`boundary_walk` and the tail vertex of each of its darts
+        (named as :meth:`PlanarMap.vertex_of` names it), from one walk of
+        the external face, or None when the boundary is not simple.
 
         The face is marked first; then the vertex cycle of each boundary
         dart is walked, and it fails as soon as it meets another marked

@@ -181,7 +181,8 @@ def parse_decorated(text: str) -> TreeDecoratedMap:
     for end, first in zip(ends, firsts):
         successors[end - 1] = first
     n = 2 * edges
-    if sorted(darts) != list(range(1, n + 1)):
+    # the count first: a large edges= must not build its range
+    if len(darts) != n or sorted(darts) != list(range(1, n + 1)):
         raise FormatError(f"the vertex lines do not list darts 1..{n} "
                           f"once each")
     sigma = [0] * n

@@ -79,9 +79,6 @@ class TruncatedSeries2:
                 and self.nx == other.nx and self.ny == other.ny
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.nx, self.ny, frozenset(self.coeffs.items())))
-
     def __repr__(self) -> str:
         terms = ", ".join(f"x^{i} y^{j}: {c}" for (i, j), c
                           in sorted(self.coeffs.items()))

@@ -6,6 +6,9 @@ going around the tree (left hand on the tree, starting along the root dart),
 which is the face walk of the map.  Two contour positions are the same
 vertex exactly when both achieve the minimum of the contour between them;
 that equivalence is what the gluing operations consume.
+
+One walk, :func:`_contour_walk`, reads every tree contour: of a plane
+tree, or of a tree submap in place in a larger map, which it also checks.
 """
 
 from __future__ import annotations
@@ -132,30 +135,58 @@ _memo_tree = lru_cache(maxsize=256)(_tree)
 
 
 def tree_to_contour(tree: PlanarMap) -> DyckPath:
-    """Contour function of a plane tree (read off the single face walk;
-    the first traversal of an edge is the up step).  The map is a tree
-    exactly when its root face takes every dart."""
+    """Contour function of a plane tree, read by :func:`_contour_walk`
+    (NotDyck when the map is no tree)."""
     if tree.edge_count == 0:
         raise EmptyTree("a tree must have at least one edge")
-    walk = tree.root_face()
-    if len(walk) != tree.dart_count:
-        raise NotDyck("map is not a plane tree (more than one face)")
-    return _walk_contour(map(tree.edge_of, walk))
+    return DyckPath(tuple(_contour_walk(tree)[1]))
 
 
-def _walk_contour(edges) -> DyckPath:
-    """Contour of a closed walk given by the edge of each step: the first
-    step along an edge goes up, every later one down.  Raises NotDyck
-    when the steps are no Dyck path."""
-    seen: set[int] = set()
+def _contour_walk(pmap: PlanarMap, tree_edges=None,
+                  start: int | None = None) -> tuple[list[int], list[int]]:
+    """The contour of a tree read in place in ``pmap``: its darts in
+    contour order from ``start`` (a tree dart, the root by default), and
+    its steps (+1 on the first traversal of an edge, -1 on the second).
+    ``tree_edges`` are edge ids; None takes the whole map as the tree.
+
+    The dart after ``d`` is the first tree dart counterclockwise from
+    ``alpha(d)``: the face walk of the rotation of ``pmap`` restricted to
+    the tree darts.  That rotation is planar, so a face that holds every
+    tree dart makes it a tree; on any other edge set the walk returns to
+    ``start`` early, and NotDyck is raised.
+    """
+    sigma, alpha = pmap.sigma, pmap.alpha
+    size = len(sigma)  # the number of tree darts
+    # 1: a tree dart whose edge the walk has not taken, 2: taken (the walk
+    # is one orbit, so it meets each dart once and marks only the partner)
+    if tree_edges is None:
+        state = [1] * (size + 1)
+    else:
+        state = [0] * (size + 1)
+        for e in tree_edges:
+            state[e] = state[alpha[e - 1]] = 1
+        size = 2 * len(tree_edges)
+    if start is None:
+        start = pmap.root
+    darts = []
     steps = []
-    for e in edges:
-        if e in seen:
-            steps.append(-1)
-        else:
-            seen.add(e)
+    d = start
+    while True:
+        darts.append(d)
+        a = alpha[d - 1]
+        if state[d] == 1:
             steps.append(1)
-    return DyckPath(tuple(steps))
+            state[a] = 2
+        else:
+            steps.append(-1)
+        d = sigma[a - 1]
+        while not state[d]:
+            d = sigma[d - 1]
+        if d == start:
+            break
+    if len(darts) != size:
+        raise NotDyck("not a plane tree: the contour walk misses a dart")
+    return darts, steps
 
 
 def enumerate_trees(m: int) -> list[DyckPath]:

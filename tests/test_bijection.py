@@ -19,9 +19,9 @@ from mapglue.errors import (BoundariesNotDisjoint, BoundaryNotSimple,
                             NotDyck, RootNotOnTree, SizeMismatch,
                             TreeTooLarge)
 from mapglue.maps import BoundaryMap, _edge_ends, _is_tree, build_map
-from mapglue.trees import (DyckPath, _memo_tree, catalan, contour_to_tree,
-                           enumerate_trees, sample_dyck_uniform,
-                           tree_to_contour)
+from mapglue.trees import (DyckPath, _contour_walk, _memo_tree, catalan,
+                           contour_to_tree, enumerate_trees,
+                           sample_dyck_uniform, tree_to_contour)
 
 from relabelling import canonical_relabelling
 
@@ -163,7 +163,7 @@ def test_tree_kernel_matches_dfs_on_every_edge_subset():
                     if expected:
                         trees.append(frozenset(combo))
                         assert len(verts) == m + 1
-                        assert check_tree_decoration(pmap, combo) == verts
+                        assert check_tree_decoration(pmap, combo) is None
                     else:
                         with pytest.raises(DecorationNotATree):
                             check_tree_decoration(pmap, combo)
@@ -189,9 +189,10 @@ def _restricted_tree(pmap, tree_edges):
 
 
 def test_tree_contour_matches_rotation_restriction():
-    """The contour read in place equals the contour of the restricted
-    rotation, dart for dart, on every decoration with at most 5 edges;
-    unglue returns the tree of that contour."""
+    """The contour read in place from any tree dart equals the contour of
+    the restricted rotation rooted there, dart for dart, on every
+    decoration with at most 5 edges; unglue returns the tree of the
+    contour from the root."""
     for e in range(1, 6):
         for pmap in enumerate_maps(e).maps():
             for tdm in _decorations(pmap):
@@ -202,6 +203,12 @@ def test_tree_contour_matches_rotation_restriction():
                 assert path == tree_to_contour(ref)
                 tree, _ = unglue(tdm)
                 assert tree == contour_to_tree(path)
+                for i, start in enumerate(to_ambient, 1):
+                    rerooted = ref.rerooted(i)
+                    darts, steps = _contour_walk(pmap, tdm.tree_edges, start)
+                    assert darts == [to_ambient[d - 1]
+                                     for d in rerooted.root_face()]
+                    assert DyckPath(tuple(steps)) == tree_to_contour(rerooted)
 
 
 def test_glue_partial_properties():
@@ -218,7 +225,7 @@ def test_glue_partial_properties():
         # the tree hangs at a single boundary vertex
         tree_verts = {tdm.map.vertex_of(d) for d in tdm.map.darts()
                       if tdm.map.edge_of(d) in tdm.tree_edges}
-        assert len(tree_verts & set(out.boundary_vertices())) == 1
+        assert len(tree_verts & set(out.simple_walk()[1])) == 1
         image = canonical_relabelling(tdm.map)
         canon_tree = frozenset(min(image[e], image[tdm.map.alpha_of(e)])
                                for e in tdm.tree_edges)
@@ -368,27 +375,31 @@ def test_gluing_refuses_a_tree_that_is_no_plane_tree():
 
 def test_contour_matching_shared_for_small_trees_only():
     from mapglue import bijection
-    bijection._memo_matching.cache_clear()
+    bijection._memo_tables.cache_clear()
     small = contour_to_tree(DyckPath((1, 1, -1, 1, -1, -1)))
-    match = bijection._contour_matching(small)
-    assert match == (5, 2, 1, 4, 3, 0)
-    assert bijection._contour_matching(small) is match
+    tables = bijection._contour_tables(small)
+    assert tables == ((5, 2, 1, 4, 3, 0), (0, 1, 2, 1, 4, 1, 0))
+    assert bijection._contour_tables(small) is tables
     # a 7-edge tree is matched afresh and never kept
     large = contour_to_tree(DyckPath((1, -1) * 7))
-    assert bijection._contour_matching(large) == tuple(
+    assert bijection._contour_tables(large)[0] == tuple(
         i + 1 if i % 2 == 0 else i - 1 for i in range(14))
     # a small map that is no tree raises on every call
     loop = build_map([2, 1], [2, 1], 1)
     for _ in range(2):
         with pytest.raises(NotDyck):
-            bijection._contour_matching(loop)
-    assert bijection._memo_matching.cache_info().currsize == 1
+            bijection._contour_tables(loop)
+    assert bijection._memo_tables.cache_info().currsize == 1
 
 
 def test_unglue_root_not_on_tree():
     triangle = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1)
     with pytest.raises(RootNotOnTree):
         unglue(TreeDecoratedMap(triangle, frozenset({2})))
+    # the contour reader that tree_marginal_test uses refuses it too
+    # instead of walking the tree forever in search of the root
+    with pytest.raises(RootNotOnTree):
+        _tree_contour(triangle, frozenset({2}))
 
 
 def test_unglue_refuses_decorations_that_are_no_tree():

@@ -18,11 +18,22 @@ from mapglue.errors import (BoundaryHasBridge, CircuitMissesPinch,
                             SizeMismatch)
 from mapglue.maps import (BoundaryMap, _cycles, _find, _union, build_map,
                           map_from_line)
-from mapglue.trees import (DyckPath, _walk_contour, class_starts,
-                           contour_to_tree, enumerate_trees,
-                           sample_dyck_uniform, tree_to_contour)
+from mapglue.trees import (DyckPath, class_starts, contour_to_tree,
+                           enumerate_trees, sample_dyck_uniform,
+                           tree_to_contour)
 
 from relabelling import canonical_relabelling, min_code, relabel
+
+def _walk_contour(edges) -> DyckPath:
+    """Reference contour of a closed walk given by the edge of each step:
+    the first step along an edge goes up, every later one down."""
+    seen: set[int] = set()
+    steps = []
+    for e in edges:
+        steps.append(-1 if e in seen else 1)
+        seen.add(e)
+    return DyckPath(tuple(steps))
+
 
 # two loops at one vertex, rooted so the external face has degree 2
 FIGURE_EIGHT = build_map([2, 3, 4, 1], [2, 1, 4, 3], 1)

@@ -3,6 +3,7 @@ import contextlib
 import os
 import subprocess
 import sys
+from hashlib import sha256
 
 import pytest
 
@@ -200,6 +201,36 @@ def test_sample_unknown_format():
     assert code == 2 and out == ""
     assert "unrecognized arguments: --format json" in err
     assert "Traceback" not in err
+
+
+# SHA-256 of the whole output of each command; the digests do not depend
+# on PYTHONHASHSEED.  test_catalog_bytes_unchanged pins enumerate's.
+PINNED_OUTPUTS = {
+    ("verify", "--suite", "roundtrip"):
+        "3e7f974b5314346d8027b117176e9dae40ee62a491f8a9591d3a35498ac255c4",
+    ("verify", "--suite", "counts"):
+        "dbf81979e1c5c9790eaeb31c9e8f96909f65a62e89cdf74bee9f4189a8e2dde0",
+    ("verify", "--suite", "series"):
+        "b8770dc21b882facba9ddbf7d53ce45afae94f6b2b899f3e4bbd9ccc5353465e",
+    ("verify", "--suite", "bubbles"):
+        "700a7ccd5612a2b37a139e7fc8dd483ad4b95e9c77235d905e982514534957bc",
+    ("verify", "--suite", "rerooting"):
+        "81c4a5932e22a52a9cc872ba5fb111a50cb3957d2b6eb28739b3c6adddb4bb3b",
+    ("verify", "--suite", "integrality"):
+        "b92f488dd040f76558549f93f4e6845c79f312c25986e2d6a4bd10d604e360e4",
+    ("sample", "--q", "4", "--faces", "3", "--tree-edges", "2",
+     "--seed", "5", "--count", "50"):
+        "8681fd35eaf5238c59297f654f60dc24525d401f2b17320638417a873625ab62",
+}
+
+
+def test_outputs_unchanged():
+    assert set(verify.SUITES) == {argv[2] for argv in PINNED_OUTPUTS
+                                  if argv[0] == "verify"}
+    for argv, digest in PINNED_OUTPUTS.items():
+        code, out, _ = run(*argv)
+        assert code == 0
+        assert sha256(out.encode()).hexdigest() == digest, argv
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))

@@ -105,7 +105,9 @@ def test_every_public_definition_has_a_user():
     public method and property of a public class, is used outside its own
     definition, in the package (``__init__.py`` counts, so an export is a
     use) or in the bench, unless TEST_ONLY names it.  A class using its own
-    name does not count; methods are matched by bare name."""
+    name does not count; methods are matched by bare name, so a method is
+    taken as used whenever a method of the same name on another class is
+    (``BubbleMap.alpha_of`` passes on ``PlanarMap.alpha_of``'s users)."""
     assert BENCH.is_dir()
     defined, reached = set(), set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):

@@ -184,6 +184,19 @@ def test_export_mutations():
         _parses_or_refuses(parse_decorated, mutated)
 
 
+def test_export_header_with_a_large_edge_count_refused_at_once():
+    # the dart count is compared with 2 * edges before the range of
+    # 1..2 * edges is built, which would take terabytes here
+    spec = SampleSpec(q=4, f=2, m=1, seed=3, count=1)
+    text = export_decorated(draw_tree_decorated(spec, 0))
+    head, _, rest = text.partition("\n")
+    head = re.sub(r"edges=\d+", f"edges={10 ** 12}", head)
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="do not list darts"):
+        parse_decorated(head + "\n" + rest)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_catalog_mutations():
     text = catalog_to_text(enumerate_maps(2))
     body = text[:text.index("checksum=")]

@@ -122,22 +122,26 @@ def test_rerooted_refuses_darts_outside_the_map():
 
 
 def test_simple_walk_matches_the_boundary_reads():
-    """One walk gives what boundary_walk, boundary_vertices,
-    is_vertex_simple and is_bridgeless give, from every root of every map
-    with at most 4 edges."""
-    simple = 0
+    """One walk gives what boundary_walk, vertex_of, is_vertex_simple and
+    is_bridgeless give, from every root of every map with at most 4 edges;
+    is_vertex_simple agrees with a count of the boundary's vertices."""
+    simple = vertex_simple = 0
     for e in range(1, 5):
         for pmap in enumerate_maps(e).maps():
             for d in pmap.darts():
                 b = BoundaryMap(pmap.rerooted(d))
+                walk = b.boundary_walk()
+                verts = [pmap.vertex_of(x) for x in walk]
+                assert b.is_vertex_simple() == (len(set(verts))
+                                                == len(verts))
+                vertex_simple += b.is_vertex_simple()
                 found = b.simple_walk()
                 assert b.is_simple() == (found is not None) == (
                     b.is_vertex_simple() and b.is_bridgeless())
                 if found is not None:
                     simple += 1
-                    assert found == (list(b.boundary_walk()),
-                                     b.boundary_vertices())
-    assert simple > 500
+                    assert found == (list(walk), verts)
+    assert vertex_simple > simple > 500
 
 
 def test_canonical_code_is_relabelling_invariant():
