@@ -25,8 +25,9 @@ kernels build their maps directly and check only what can fail: a
 single-sphere gluing checks that it is connected (it is not on the inputs
 of ``bench/README.md``'s known defect 1), the spheres of a pinched gluing
 are its connected components, each a disc sewn along a non-crossing
-pairing, and ungluing checks that the cut map is connected and planar,
-which a crossing circuit is not.
+pairing, and ungluing checks that the cut map is connected and planar.
+Some crossing circuits pass that check, and gluing their cut gives back
+another bubble-map (known defect 4, ``ROADMAP.md`` item 1).
 
 A circuit checks itself once, when it is made: its darts are in range,
 heads chain onto tails and every support edge is traversed twice, once in
@@ -40,14 +41,6 @@ At a pinch vertex the positions list the pinched copies in sphere order;
 the verdicts depend on that order, which reports a crossing on some exact
 round trips through a pinch vertex (``bench/README.md``, known defect 2).
 
-The canonical key numbers the darts with one breadth-first search over the
-global dart table: from the root through the root sphere, then from the
-first circuit dart that enters each sphere not yet reached, in circuit
-order.  The circuit fixes where every sphere is entered, so no rooting of
-a sphere is searched over; the key up to rotation of the circuit is the
-smallest key over its rotations.  Rotations that enter every sphere at the
-same darts share one labelling, so each group of them is labelled once.
-
 Boundaries with bridges are refused: two bridges identified by the tree
 would force the circuit through the same oriented edge twice, and the
 gluing cannot be reversed.
@@ -55,7 +48,6 @@ gluing cannot be reversed.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -69,9 +61,9 @@ from .errors import (
     MalformedCircuit,
     SizeMismatch,
 )
-from .maps import (BoundaryMap, PlanarMap, _canonical,
-                   _connected_vertex_count, _find, _ints, _on_sphere,
-                   _record, _union, _vertex_ids, map_from_line, map_to_line)
+from .maps import (BoundaryMap, PlanarMap, _connected_vertex_count, _find,
+                   _ints, _on_sphere, _record, _union, _vertex_ids,
+                   map_from_line, map_to_line)
 from .trees import DyckPath, contour_to_tree
 from .bijection import _contour_tables, _cut, _sew
 
@@ -123,9 +115,6 @@ class BubbleMap:
 
     # -- global dart addressing -------------------------------------------
 
-    def offsets(self) -> list[int]:
-        return list(self._offsets)
-
     @property
     def dart_count(self) -> int:
         return self._offsets[-1]
@@ -133,21 +122,6 @@ class BubbleMap:
     @property
     def root(self) -> int:
         return self.spheres[0].root
-
-    def to_local(self, g: int) -> tuple[int, int]:
-        if not 1 <= g <= self.dart_count:
-            raise FormatError(f"dart {g} out of range")
-        offs = self._offsets
-        k = bisect_left(offs, g, 1) - 1
-        return k, g - offs[k]
-
-    def to_global(self, sphere: int, d: int) -> int:
-        return self._offsets[sphere] + d
-
-    def alpha_of(self, g: int) -> int:
-        if not 1 <= g <= self.dart_count:
-            raise FormatError(f"dart {g} out of range")
-        return self._table[1][g - 1]
 
     def _corner_table(self) -> tuple[list, list[int]]:
         """``_corners``: the pinch-collapsed vertex and rotation position
@@ -181,16 +155,6 @@ class BubbleMap:
                     d = sigma[d - 1]
                 size[v] = i
         return rep, rank
-
-    def vertex_of(self, g: int) -> tuple[int, int]:
-        """(sphere, local vertex id) of the tail of ``g``, pinch-collapsed:
-        pinched copies share one representative."""
-        if not 1 <= g <= self.dart_count:
-            raise FormatError(f"dart {g} out of range")
-        return self._corners[0][g]
-
-    def darts(self) -> range:
-        return range(1, self.dart_count + 1)
 
 
 _TWICE = ("every support edge must be traversed exactly twice, once in "
@@ -452,8 +416,10 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
     reverse circuit order, and pinch vertices regain thickness because the
     duplicated darts all join that face.  A circuit takes every support
     edge once in each direction, so the cut is always a rotation system;
-    only its connectivity and genus are checked (a crossing circuit cuts
-    a map of higher genus, NonPlanar).
+    only its connectivity and genus are checked (NonPlanar for a cut of
+    higher genus).  Some crossing circuits cut a connected planar map and
+    are accepted, although gluing that cut gives another bubble-map
+    (known defect 4, ``ROADMAP.md`` item 1).
     """
     if circuit.bubble is not bubble and circuit.bubble != bubble:
         raise MalformedCircuit("the circuit belongs to another bubble-map")
@@ -475,104 +441,6 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
     bmap = BoundaryMap(_on_sphere(PlanarMap(tuple(sigma), tuple(alpha),
                                             root)))
     return contour_to_tree(circuit_to_contour(circuit)), bmap
-
-
-# -- rerooting and canonical keys ---------------------------------------------
-
-def bubble_rerooted(bubble: BubbleMap, g: int):
-    """Move the root to global dart ``g``; returns (bubble, dart mapping)."""
-    k, d = bubble.to_local(g)
-    if k == 0:
-        out = BubbleMap((bubble.spheres[0].rerooted(d),)
-                        + bubble.spheres[1:], bubble.pinches)
-        return out, {x: x for x in bubble.darts()}
-    perm = [k] + [i for i in range(len(bubble.spheres)) if i != k]
-    inv = {old: new for new, old in enumerate(perm)}
-    spheres = []
-    for new, old in enumerate(perm):
-        s = bubble.spheres[old]
-        spheres.append(s.rerooted(d) if old == k else s)
-    pinches = tuple(sorted((inv[a], va, inv[b], vb) if inv[a] <= inv[b]
-                           else (inv[b], vb, inv[a], va)
-                           for a, va, b, vb in bubble.pinches))
-    out = BubbleMap(tuple(spheres), pinches)
-    old_offs = bubble.offsets()
-    new_offs = out.offsets()
-    mapping = {}
-    for old in range(len(bubble.spheres)):
-        for x in bubble.spheres[old].darts():
-            mapping[old_offs[old] + x] = new_offs[inv[old]] + x
-    return out, mapping
-
-
-def bubble_canonical_key(bubble: BubbleMap, circuit: Circuit,
-                         cyclic: bool = False):
-    """Relabelling-invariant identity of a circuit-decorated bubble-map.
-
-    With ``cyclic`` the circuit is compared up to rotation (root anywhere);
-    otherwise its starting point is part of the identity.  A cyclic key is
-    the smallest key of :func:`_labelled_key` over the rotations of the
-    circuit, one labelling for each group of rotations that enter every
-    sphere at the same darts.
-    """
-    if circuit.bubble is not bubble and circuit.bubble != bubble:
-        raise MalformedCircuit("the circuit belongs to another bubble-map")
-    darts = circuit.darts
-    sphere_of = [k for k, s in enumerate(bubble.spheres) for _ in s.darts()]
-    # a rotation's labelling depends only on the first circuit dart that
-    # enters each non-root sphere, so rotations are grouped by those darts
-    met: dict[int, int] = {}
-    for g in darts:
-        met.setdefault(sphere_of[g - 1], g)
-    order = list(met.items())  # (sphere, first dart in it), as met from 0
-    if not cyclic:
-        return _labelled_key(bubble, darts, _entries(order), (0,))
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i in reversed(range(len(darts))):
-        # met from i: the order met from i + 1, with the sphere of
-        # darts[i] moved to the front and entered at darts[i]
-        g = darts[i]
-        k = sphere_of[g - 1]
-        order = [(k, g)] + [x for x in order if x[0] != k]
-        groups.setdefault(_entries(order), []).append(i)
-    return min(_labelled_key(bubble, darts, seeds, starts)
-               for seeds, starts in groups.items())
-
-
-def _entries(met) -> tuple[int, ...]:
-    """The entry darts of the non-root spheres among ``(sphere, dart)``
-    pairs, in order."""
-    return tuple(g for k, g in met if k)
-
-
-def _labelled_key(bubble: BubbleMap, darts, seeds, starts):
-    """``(code, pinches, circuit)`` under one breadth-first labelling of
-    the global darts: the root sphere from the root, then each other
-    sphere from its seed, in seed order.
-
-    ``code`` is the relabelled global sigma then alpha, ``pinches`` the
-    sorted pinch pairs with each vertex labelled by the smallest label
-    among its darts, and ``circuit`` the smallest relabelled rotation of
-    ``darts`` that starts at one of ``starts``.
-    """
-    sigma, alpha = bubble._table
-    code, image = _canonical(sigma, alpha, (bubble.root,) + seeds)
-    if len(code) != 2 * len(sigma):
-        raise MalformedCircuit("the circuit does not enter every sphere")
-
-    def vertex_label(k: int, v: int) -> int:
-        g = d = bubble.to_global(k, v)
-        low = image[g]
-        while (d := sigma[d - 1]) != g:
-            low = min(low, image[d])
-        return low
-
-    pinches = tuple(sorted(
-        tuple(sorted((vertex_label(a, va), vertex_label(b, vb))))
-        for a, va, b, vb in bubble.pinches))
-    circ = [image[g] for g in darts]
-    return (code, pinches,
-            min(tuple(circ[i:] + circ[:i]) for i in starts))
 
 
 # -- text serialization -------------------------------------------------------

@@ -3,8 +3,9 @@
 Each suite is a generator ``suite(cap)`` that yields ``(line, ok)``
 records: ``line`` is the text ``mapglue verify`` prints and ``ok`` says
 whether the checks behind that line passed.  A suite passes when every
-record is ok.  ``cap`` bounds the edge count of the exhaustive sweeps
-(``roundtrip`` and ``bubbles``); the other suites have fixed ranges.
+record is ok.  ``cap`` bounds the edge count of the exhaustive sweeps:
+``roundtrip``, and ``bubbles``, which glues up to 4 edges and counts up
+to the cap.  The other suites have fixed ranges.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from .bijection import TreeDecoratedMap, glue, unglue
 from .bubbles import circuit_to_contour, glue_bridgeless, unglue_bubble
 from .counting import (catalan_ext, count_boundary_decorated,
-                       count_boundary_decorated_tri_printed, count_forest,
-                       count_forest_printed, count_spanning,
+                       count_boundary_decorated_tri_printed, count_bubble,
+                       count_forest, count_forest_printed, count_spanning,
                        count_spanning_forest, count_spanning_forest_printed,
                        count_spanning_tri_printed, count_tree_decorated,
                        mullin_count, reroot_check, verify_integrality)
@@ -21,7 +22,8 @@ from .enumeration import (brute_count_decorated, enumerate_boundary_maps,
                           enumerate_maps, tree_submaps)
 from .maps import BoundaryMap
 from .series import TruncatedSeries2, series_B, series_B1, series_S
-from .trees import contour_to_tree, enumerate_trees, tree_to_contour
+from .trees import (catalan, contour_to_tree, enumerate_trees,
+                    tree_to_contour)
 
 
 def _marked(line: str, ok: bool):
@@ -177,15 +179,27 @@ def integrality(cap: int):
 
 
 def bubbles(cap: int):
-    """Bridgeless gluing and bubble ungluing are inverse, up to 4 edges."""
-    cap = min(cap, 4)
+    """Bridgeless gluing and bubble ungluing are inverse up to 4 edges, and
+    ``count_bubble`` counts the gluings up to ``cap`` edges.
+
+    Gluing sends the (boundary map, tree) pairs of cell (e, m), a
+    bridgeless root face of degree 2m with e more edges, to the bubble-maps
+    of that cell rooted on their circuit; rooting anywhere multiplies by
+    2(e + m) / 2m.  So inputs * (e + m) = count_bubble(e, m) * m.
+    """
+    glued = min(cap, 4)
     checked = multi = failures = 0
-    for e in range(1, cap + 1):
-        for pm in enumerate_maps(e).maps():
+    faces: dict[tuple[int, int], int] = {}  # bridgeless root faces by (E, m)
+    for n in range(1, cap + 1):
+        for pm in enumerate_maps(n).maps():
             bm = BoundaryMap(pm)
             if bm.perimeter % 2 or not bm.is_bridgeless():
                 continue
-            for path in enumerate_trees(bm.perimeter // 2):
+            m = bm.perimeter // 2
+            faces[n, m] = faces.get((n, m), 0) + 1
+            if n > glued:
+                continue
+            for path in enumerate_trees(m):
                 tree = contour_to_tree(path)
                 bubble, circuit = glue_bridgeless(bm, tree)
                 checked += 1
@@ -196,8 +210,16 @@ def bubbles(cap: int):
                         or tree_to_contour(tree2) != path
                         or bm2.map.canonical_code() != pm.canonical_code()):
                     failures += 1
-    yield (f"bridgeless round trips, <= {cap} edges: {checked} cases "
+    yield (f"bridgeless round trips, <= {glued} edges: {checked} cases "
            f"({multi} multi-sphere), {failures} failures", failures == 0)
+    for n in range(2, cap + 1):
+        for m in range(1, n // 2 + 1):
+            e = n - 2 * m
+            inputs = faces.get((n, m), 0) * catalan(m)
+            count = count_bubble(e, m)
+            yield _verdict(f"count_bubble({e},{m}) = {count} from {inputs} "
+                           f"gluing inputs x {e + m}/{m}: ",
+                           inputs * (e + m) == count * m)
 
 
 SUITES = {

@@ -123,6 +123,24 @@ def test_glue_bridgeless_round_trip(tmp_path):
     assert out.splitlines()[0] == "tree=UD"
 
 
+def test_known_defect_4_pinned():
+    """The crossing circuit 1,3,2,4 of the figure eight cuts a connected
+    planar map, so unglue accepts it, and gluing the cut back gives another
+    bubble-map (alpha=4,3,2,1): ROADMAP item 1, known defect 4."""
+    code, out, _ = run("unglue", "--bridgeless", "--decorated",
+                       "bubble spheres=1\n"
+                       "map E=2 root=1 sigma=2,3,4,1 alpha=2,1,4,3\n"
+                       "pinch=\ncircuit=1,3,2,4")
+    cut = "map E=4 root=5 sigma=8,7,5,6,3,2,1,4 alpha=5,6,7,8,1,2,3,4"
+    assert code == 0 and out == f"tree=UUDD\n{cut}\n"
+    code, out, _ = run("glue", "--bridgeless", "--boundary", cut,
+                       "--tree", "UUDD")
+    assert code == 0
+    assert out == ("bubble spheres=1\n"
+                   "map E=2 root=1 sigma=4,1,2,3 alpha=4,3,2,1\n"
+                   "pinch=\ncircuit=1,3,2,4\n")
+
+
 def test_glue_input_errors():
     code, _, err = run("glue", "--boundary", "nonsense", "--tree", "UD")
     assert code == 2 and "error" in err
@@ -213,7 +231,7 @@ PINNED_OUTPUTS = {
     ("verify", "--suite", "series"):
         "b8770dc21b882facba9ddbf7d53ce45afae94f6b2b899f3e4bbd9ccc5353465e",
     ("verify", "--suite", "bubbles"):
-        "700a7ccd5612a2b37a139e7fc8dd483ad4b95e9c77235d905e982514534957bc",
+        "0eb17cdf2cbea30a8a230ac37a0e326a325e4ce737c4087463b24bf7f05f19ca",
     ("verify", "--suite", "rerooting"):
         "81c4a5932e22a52a9cc872ba5fb111a50cb3957d2b6eb28739b3c6adddb4bb3b",
     ("verify", "--suite", "integrality"):

@@ -67,10 +67,6 @@ def test_no_unused_import(path):
 TEST_ONLY = {
     "brute_count_forest": "the count_forest oracle; the counts suite is "
                           "to call it (ROADMAP item 10)",
-    "bubble_rerooted": "criterion 7's rooted-anywhere oracle (ROADMAP "
-                       "item 1)",
-    "bubble_canonical_key": "criterion 7's rooted-anywhere oracle "
-                            "(ROADMAP item 1)",
     "ChiSquareReport.passed": "criterion 10's uniformity threshold; the "
                               "library reports the p-value itself",
 }
@@ -107,7 +103,8 @@ def test_every_public_definition_has_a_user():
     use) or in the bench, unless TEST_ONLY names it.  A class using its own
     name does not count; methods are matched by bare name, so a method is
     taken as used whenever a method of the same name on another class is
-    (``BubbleMap.alpha_of`` passes on ``PlanarMap.alpha_of``'s users)."""
+    (``BubbleMap.dart_count`` passes on ``PlanarMap.dart_count``'s users;
+    SHARED_NAMES lists each such name with a user of every definition)."""
     assert BENCH.is_dir()
     defined, reached = set(), set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
@@ -128,11 +125,50 @@ def test_every_public_definition_has_a_user():
         "TEST_ONLY names a definition that is gone or has a user"
 
 
+# The public method and property names that two or more public classes
+# define, each with a user in the package of every class's definition, as
+# ``module.function`` or ``module.Class.method``: the test above matches
+# methods by bare name, so it cannot tell these definitions apart.
+SHARED_NAMES = {
+    "dart_count": {"PlanarMap": "sampler.export_decorated",
+                   "BubbleMap": "bubbles.Circuit.__post_init__"},
+}
+
+
+def _definition(dotted: str) -> ast.AST:
+    module, *names = dotted.split(".")
+    node = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for name in names:
+        node = next(n for n in node.body if getattr(n, "name", None) == name)
+    return node
+
+
+def test_shared_member_names_are_reviewed():
+    """Every method or property name that two public classes of the
+    package define is in SHARED_NAMES, with the classes that define it,
+    and each user named there reads the name."""
+    shared: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(stmt, ast.ClassDef)
+                    and not stmt.name.startswith("_")):
+                for n in stmt.body:
+                    if (isinstance(n, ast.FunctionDef)
+                            and not n.name.startswith("_")):
+                        shared.setdefault(n.name, set()).add(stmt.name)
+    assert {name: classes for name, classes in shared.items()
+            if len(classes) > 1} == {name: set(users) for name, users
+                                     in SHARED_NAMES.items()}
+    for name, users in SHARED_NAMES.items():
+        for user in users.values():
+            assert name in {n.attr for n in ast.walk(_definition(user))
+                            if isinstance(n, ast.Attribute)}, user
+
+
 # Defaulted parameters that only the tests pass, each kept for a reason.
 TEST_ONLY_PARAMETERS = {
     "main.argv": "the tests drive the CLI in process",
     "brute_count_decorated.e": "criterion 6's general-map oracle",
-    "bubble_canonical_key.cyclic": "criterion 7's rooted-anywhere oracle",
     "tree_marginal_test.drawn": "criterion 10 reuses its draws",
 }
 

@@ -1,10 +1,12 @@
 import pytest
 
+from mapglue.bijection import unglue
 from mapglue.counting import count_tree_decorated
 from mapglue.errors import FormatError, Infeasible
 from mapglue.sampler import (SampleSpec, draw_tree_decorated,
                              export_decorated, parse_decorated,
                              sample_tree_decorated, tree_marginal_test)
+from mapglue.trees import tree_to_contour
 
 from relabelling import canonical_relabelling, relabel
 
@@ -75,6 +77,19 @@ def test_tree_marginal_takes_the_draws_given():
     report = tree_marginal_test(spec, drawn=drawn)
     assert report == tree_marginal_test(spec)
     assert report.draws == 2000 and report.passed
+
+
+def test_tree_marginal_rejects_a_biased_sample():
+    """Each UUDD draw counted twice makes that tree twice as likely as
+    UDUD: 1,000 draws against 2,000 no longer pass as uniform."""
+    spec = SampleSpec(q=4, f=2, m=2, seed=3, count=2000)
+    drawn = sample_tree_decorated(spec)
+    assert tree_marginal_test(spec, drawn=drawn).passed
+    biased = drawn + [tdm for tdm in drawn
+                      if tree_to_contour(unglue(tdm)[0]).to_word() == "UUDD"]
+    report = tree_marginal_test(spec, drawn=biased)
+    assert dict(report.cells) == {"UDUD": 1000, "UUDD": 2000}
+    assert report.pvalue < 1e-70 and not report.passed
 
 
 def test_export_parse_round_trip():
