@@ -14,7 +14,9 @@ returns the tree rebuilt from that contour by
 contour step ``i``, and trees of at most six edges are built once and
 shared.  Gluing reads the contour matching of the tree from it, and
 takes one walk of each boundary, which decides simplicity and size and
-gives the darts to sew.
+gives the darts to sew.  The boundary map that ungluing returns already
+holds that walk: its cut lays the new face out in contour order, so a
+round trip walks no boundary.
 
 Both directions run through one kernel each, on flat arrays.  The cutting
 kernel :func:`_cut` doubles every dart of a closed walk (a tree contour, or
@@ -39,6 +41,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .errors import (
     BoundariesNotDisjoint,
@@ -50,9 +53,9 @@ from .errors import (
     SizeMismatch,
     TreeTooLarge,
 )
-from .maps import BoundaryMap, PlanarMap, _ints, _map_record, map_to_line
-from .trees import (_MEMO_EDGES, DyckPath, _contour_walk, class_starts,
-                    contour_to_tree)
+from .maps import (BoundaryMap, PlanarMap, _ints, _map_record, _vertex_ids,
+                   map_to_line)
+from .trees import _MEMO_EDGES, _contour_walk, _tree_of, class_starts
 
 
 @dataclass(frozen=True)
@@ -108,64 +111,82 @@ def _decoration_walk(pmap: PlanarMap, tree_edges, start: int):
 
 
 def _tree_contour(pmap: PlanarMap, tree_edges) -> tuple[list[int],
-                                                     DyckPath]:
-    """The darts and Dyck path of the contour of the tree ``tree_edges``
-    read in place in ``pmap`` from its root.  Raises DecorationNotATree
-    unless the edges form a tree, then RootNotOnTree."""
+                                                     list[int]]:
+    """The darts and steps of the contour of the tree ``tree_edges`` read
+    in place in ``pmap`` from its root; the steps are those of a Dyck
+    path.  Raises DecorationNotATree unless the edges form a tree, then
+    RootNotOnTree."""
     if pmap.edge_of(pmap.root) not in tree_edges:
         # a decoration that is no tree is refused as such first
         check_tree_decoration(pmap, tree_edges)
         raise RootNotOnTree("map root edge must belong to the decoration")
-    darts, steps = _decoration_walk(pmap, tree_edges, pmap.root)
-    return darts, DyckPath(tuple(steps))
+    return _decoration_walk(pmap, tree_edges, pmap.root)
 
 
 def _contour_tables(tree: PlanarMap):
     """``(match, classes)`` from one contour walk of the plane tree
     ``tree`` (NotDyck when it is none): ``match[i] = j`` when steps i and
     j traverse the same edge, and :func:`~mapglue.trees.class_starts`.
-    The tables of a tree with at most ``_MEMO_EDGES`` edges are shared."""
+    The tables of a tree with at most ``_MEMO_EDGES`` edges are shared;
+    only the bubble kernels read the classes."""
     if tree.dart_count <= 2 * _MEMO_EDGES:
         return _memo_tables(tree)
     return _tables(tree)
 
 
+def _contour_match(tree: PlanarMap) -> Sequence[int]:
+    """The ``match`` of :func:`_contour_tables`, from the shared tables of
+    a small tree, else from one contour walk that reads no classes."""
+    if tree.dart_count <= 2 * _MEMO_EDGES:
+        return _memo_tables(tree)[0]
+    return _matching(tree, _contour_walk(tree)[0])
+
+
 def _tables(tree: PlanarMap):
     walk, steps = _contour_walk(tree)
+    return _matching(tree, walk), tuple(class_starts(steps))
+
+
+def _matching(tree: PlanarMap, walk: list[int]) -> tuple[int, ...]:
     pos = [0] * (len(walk) + 1)
     for i, d in enumerate(walk):
         pos[d] = i
     alpha = tree.alpha
-    return (tuple([pos[alpha[d - 1]] for d in walk]),
-            tuple(class_starts(DyckPath(tuple(steps)))))
+    return tuple([pos[alpha[d - 1]] for d in walk])
 
 
 # the same room as trees._memo_tree; a raise is never cached
 _memo_tables = lru_cache(maxsize=256)(_tables)
 
 
-def _cut(phi: list[int], alpha: list[int], walk):
-    """Cut a map open along the closed walk ``walk``.
+def _cut(sigma, alpha, walk):
+    """Cut a map open along the closed walk ``walk`` of distinct darts.
 
-    ``phi`` and ``alpha`` are the face and edge permutations as flat image
-    lists (dart d at index d - 1).  Every walk dart gets a new twin, labelled
-    after the old darts in increasing order of the dart it doubles; the
-    twins form one new face whose orbit runs against the walk (phi sends the
-    twin of step i+1 to the twin of step i), which splits every vertex the
-    walk passes into its corners.  Returns ``(sigma, alpha, root)`` with the
-    twin of the first step as root.
+    ``sigma`` and ``alpha`` are the vertex and edge permutations as flat
+    image sequences (dart d at index d - 1).  Every walk dart gets a new
+    twin, labelled after the old darts in increasing order of the dart it
+    doubles; the twins form one new face whose orbit runs against the walk
+    (phi sends the twin of step i+1 to the twin of step i), which splits
+    every vertex the walk passes into its corners.  Every old dart keeps
+    its face, so the rotation changes only at the walk darts and their
+    twins, each read from ``sigma = phi o alpha``: a walk dart is followed
+    by the twin of the step before it, and the twin of d by phi(d).
+    Returns ``(sigma, alpha, twins)`` as lists, the twins in walk order:
+    rooted at the first twin, they are the boundary walk of the new face
+    (:meth:`~mapglue.maps.BoundaryMap.boundary_walk`).
     """
-    n = len(phi)
-    twin = {d: n + 1 + k for k, d in enumerate(sorted(walk))}
-    phi = phi + [0] * len(walk)
-    alpha = alpha + [0] * len(walk)
-    for d, t in twin.items():
-        alpha[d - 1] = t
-        alpha[t - 1] = d
-    for d, e in zip(walk, walk[1:] + walk[:1]):
-        phi[twin[e] - 1] = twin[d]
-    sigma = [phi[a - 1] for a in alpha]
-    return sigma, alpha, twin[walk[0]]
+    n = len(sigma)
+    order = sorted(walk)
+    twin = [0] * (n + 1)
+    for t, d in enumerate(order, n + 1):
+        twin[d] = t
+    twins = [twin[d] for d in walk]
+    new_sigma = [*sigma, *[sigma[alpha[d - 1] - 1] for d in order]]
+    new_alpha = [*alpha, *order]
+    for d, t, before in zip(walk, twins, twins[-1:] + twins[:-1]):
+        new_sigma[d - 1] = before
+        new_alpha[d - 1] = t
+    return new_sigma, new_alpha, twins
 
 
 def unglue(tdm: TreeDecoratedMap):
@@ -176,15 +197,16 @@ def unglue(tdm: TreeDecoratedMap):
     ``i + 1`` is contour step ``i``; trees of at most six edges are shared,
     see :func:`~mapglue.trees.contour_to_tree`), and ``bmap`` a map with a
     simple boundary of perimeter twice the tree size, whose internal faces
-    are the faces of the input in degree-preserving correspondence.
+    are the faces of the input in degree-preserving correspondence.  The
+    cut lays out that boundary's walk, so ``bmap`` holds it as its
+    :meth:`~mapglue.maps.BoundaryMap.simple_walk`.
     """
     pmap = tdm.map
-    contour, path = _tree_contour(pmap, tdm.tree_edges)
-    sigma, alpha = pmap.sigma, pmap.alpha
-    phi = [sigma[a - 1] for a in alpha]
-    sigma, alpha, root = _cut(phi, list(alpha), contour)
-    return (contour_to_tree(path), BoundaryMap(
-        PlanarMap(tuple(sigma), tuple(alpha), root, pmap.labels)))
+    contour, steps = _tree_contour(pmap, tdm.tree_edges)
+    sigma, alpha, twins = _cut(pmap.sigma, pmap.alpha, contour)
+    return _tree_of(tuple(steps)), BoundaryMap._walked(
+        PlanarMap(tuple(sigma), tuple(alpha), twins[0], pmap.labels),
+        tuple(twins))
 
 
 def _sew(pmap: PlanarMap, consumed: list[int], matching: Sequence[int]):
@@ -194,40 +216,43 @@ def _sew(pmap: PlanarMap, consumed: list[int], matching: Sequence[int]):
     Surviving darts keep their order and are relabelled 1..n; each one's
     face successor is the next surviving dart along its old face, so a face
     that loses some darts keeps the rest as one cycle.  Returns
-    ``(sigma, alpha, index)`` where ``index[d]`` is the new label of dart
-    ``d`` (0 for a consumed dart).
+    ``(sigma, alpha, index, ends)`` where ``index[d]`` is the new label of
+    dart ``d`` (0 for a consumed dart) and ``ends[i]`` that of the
+    alpha-partner of ``consumed[i]``: the sewn edges pair ``ends[i]`` with
+    ``ends[matching[i]]``.
     """
     old_sigma, old_alpha = pmap.sigma, pmap.alpha
-    dead = set(consumed)
-    survivors = [d for d in pmap.darts() if d not in dead]
-    index = [0] * (pmap.dart_count + 1)
+    index = [1] * (len(old_sigma) + 1)  # first whether each dart survives
+    index[0] = 0
+    for d in consumed:
+        index[d] = 0
+    survivors = list(compress(range(len(index)), index))
     for k, d in enumerate(survivors, 1):
         index[d] = k
-    phi = []
-    alpha = []
-    for d in survivors:
-        e = old_sigma[old_alpha[d - 1] - 1]
-        while not index[e]:
-            e = old_sigma[old_alpha[e - 1] - 1]
-        phi.append(index[e])
-        alpha.append(index[old_alpha[d - 1]])
-    for i, j in enumerate(matching):
-        alpha[index[old_alpha[consumed[i] - 1]] - 1] = \
-            index[old_alpha[consumed[j] - 1]]
+    phi = [index[old_sigma[old_alpha[d - 1] - 1]] for d in survivors]
+    if 0 in phi:  # a face lost some darts: its survivors skip them
+        for k, d in enumerate(survivors):
+            e = old_sigma[old_alpha[d - 1] - 1]
+            while not index[e]:
+                e = old_sigma[old_alpha[e - 1] - 1]
+            phi[k] = index[e]
+    alpha = [index[old_alpha[d - 1]] for d in survivors]
+    ends = [index[old_alpha[b - 1]] for b in consumed]
+    for d, j in zip(ends, matching):
+        alpha[d - 1] = ends[j]
     sigma = [phi[a - 1] for a in alpha]
-    return sigma, alpha, index
+    return sigma, alpha, index, ends
 
 
 def _sewn_map(pmap: PlanarMap, sigma, alpha, index, root: int):
-    """The map :func:`_sew` produced, rooted at the image of ``root`` and
+    """The map :func:`_sew` produced, rooted at the new dart ``root`` and
     keeping the labels of surviving darts (survivors keep their order, so
     the labels stay sorted)."""
     labels = tuple((index[d], v) for d, v in pmap.labels if index[d])
-    return PlanarMap(tuple(sigma), tuple(alpha), index[root], labels)
+    return PlanarMap(tuple(sigma), tuple(alpha), root, labels)
 
 
-def _simple_walk(bmap: BoundaryMap, what: str) -> tuple[list[int],
-                                                         list[int]]:
+def _simple_walk(bmap: BoundaryMap, what: str) -> tuple[int, ...]:
     """:meth:`BoundaryMap.simple_walk`, raising BoundaryNotSimple with the
     message ``what`` when the boundary is not simple."""
     found = bmap.simple_walk()
@@ -243,7 +268,7 @@ def glue(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
     steps i and j traverse the same tree edge, so the identified edges form
     a copy of the tree; the result is rooted on that tree.
     """
-    walk, _ = _simple_walk(bmap, "gluing needs a simple boundary")
+    walk = _simple_walk(bmap, "gluing needs a simple boundary")
     m = tree.edge_count
     if m == 0:
         raise EmptyTree("cannot glue a tree without edges")
@@ -260,7 +285,7 @@ def glue_partial(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
     is decorated by a tree that meets the boundary only at its root vertex.
     A full-size tree is glued as :func:`glue` glues it.
     """
-    walk, _ = _simple_walk(bmap, "partial gluing needs a simple boundary")
+    walk = _simple_walk(bmap, "partial gluing needs a simple boundary")
     m2 = tree.edge_count
     if m2 == 0:
         raise EmptyTree("cannot glue a tree without edges")
@@ -270,20 +295,19 @@ def glue_partial(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
     return _glue_prefix(bmap.map, walk, tree)
 
 
-def _glue_prefix(pmap: PlanarMap, walk: list[int],
+def _glue_prefix(pmap: PlanarMap, walk: tuple[int, ...],
                  tree: PlanarMap) -> TreeDecoratedMap:
     """Sew the first 2m darts of the boundary walk ``walk`` of ``pmap``
     shut along the contour of the m-edge ``tree``.  The result is rooted at
     the former boundary dart 2m when the walk is longer, and on the tree
     when the tree takes the whole boundary."""
     consumed = walk[: 2 * tree.edge_count]
-    sigma, alpha, index = _sew(pmap, consumed, _contour_tables(tree)[0])
-    root = (walk[len(consumed)] if len(consumed) < len(walk)
-            else pmap.alpha_of(walk[0]))
-    glued = _sewn_map(pmap, sigma, alpha, index, root)
-    tree_edges = frozenset(
-        glued.edge_of(index[pmap.alpha_of(b)]) for b in consumed)
-    return TreeDecoratedMap(glued, tree_edges)
+    sigma, alpha, index, ends = _sew(pmap, consumed, _contour_match(tree))
+    root = (index[walk[len(consumed)]] if len(consumed) < len(walk)
+            else ends[0])
+    # the sewn darts are the tree's, so each edge id is the smaller one
+    return TreeDecoratedMap(_sewn_map(pmap, sigma, alpha, index, root),
+                            frozenset([d for d in ends if d < alpha[d - 1]]))
 
 
 def glue_forest(mmap: MultiBoundaryMap, forest) -> ForestDecoratedMap:
@@ -296,15 +320,16 @@ def glue_forest(mmap: MultiBoundaryMap, forest) -> ForestDecoratedMap:
         raise SizeMismatch("one tree per boundary required")
     # rerooting refuses a root outside 1..2E before any face is walked
     boundaries = [mmap.boundary(i) for i in range(len(forest))]
+    vertex = _vertex_ids(pmap.sigma)
     walks = []
     seen_vertices: set[int] = set()
     for i, b in enumerate(boundaries):
-        walk, verts = _simple_walk(b, f"boundary {i + 1} is not simple")
+        walk = _simple_walk(b, f"boundary {i + 1} is not simple")
         if len(walk) != 2 * forest[i].edge_count:
             raise SizeMismatch(
                 f"boundary {i + 1}: perimeter {len(walk)} != "
                 f"2*{forest[i].edge_count}")
-        verts = set(verts)
+        verts = {vertex[d] for d in walk}
         if verts & seen_vertices:
             raise BoundariesNotDisjoint(
                 f"boundary {i + 1} shares a vertex with an earlier boundary")
@@ -313,17 +338,18 @@ def glue_forest(mmap: MultiBoundaryMap, forest) -> ForestDecoratedMap:
     consumed: list[int] = []
     matching: list[int] = []
     for walk, tree in zip(walks, forest):
-        match = _contour_tables(tree)[0]
-        matching.extend(len(consumed) + j for j in match)
+        matching.extend(len(consumed) + j for j in _contour_match(tree))
         consumed.extend(walk)
-    sigma, alpha, index = _sew(pmap, consumed, matching)
-    glued = _sewn_map(pmap, sigma, alpha, index, pmap.alpha_of(consumed[0]))
+    sigma, alpha, index, ends = _sew(pmap, consumed, matching)
+    glued = _sewn_map(pmap, sigma, alpha, index, ends[0])
     trees = []
     roots = []
+    start = 0
     for walk in walks:
-        trees.append(frozenset(
-            glued.edge_of(index[pmap.alpha_of(b)]) for b in walk))
-        roots.append(index[pmap.alpha_of(walk[0])])
+        part = ends[start:start + len(walk)]
+        trees.append(frozenset([d for d in part if d < alpha[d - 1]]))
+        roots.append(part[0])
+        start += len(walk)
     return ForestDecoratedMap(glued, tuple(trees), tuple(roots))
 
 

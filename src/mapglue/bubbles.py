@@ -337,12 +337,10 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
         raise SizeMismatch(f"perimeter {len(walk)} != 2*{m} tree edges")
     pmap = bmap.map
     match, classes = _contour_tables(tree)
-    sigma, alpha, index = _sew(pmap, walk, match)
-    n = len(sigma)
     # circuit step p is the image of contour step p: the survivor partner
     # of the boundary dart at label p (so the circuit starts at the root)
-    old_alpha = pmap.alpha
-    circuit_raw = [index[old_alpha[b - 1]] for b in walk]
+    sigma, alpha, _, circuit_raw = _sew(pmap, walk, match)
+    n = len(sigma)
     root_new = circuit_raw[0]
 
     cuts = _wicked_cuts(pmap, walk, classes)
@@ -436,10 +434,9 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
     if root not in darts and alpha[root - 1] not in darts:
         raise MalformedCircuit("circuit does not contain the root edge")
 
-    phi = [sigma[a - 1] for a in alpha]
-    sigma, alpha, root = _cut(phi, alpha, darts)
+    sigma, alpha, twins = _cut(sigma, alpha, darts)
     bmap = BoundaryMap(_on_sphere(PlanarMap(tuple(sigma), tuple(alpha),
-                                            root)))
+                                            twins[0])))
     return contour_to_tree(circuit_to_contour(circuit)), bmap
 
 

@@ -21,7 +21,7 @@ from .counting import (catalan_ext, count_boundary_decorated, count_bubble,
                        count_forest, count_spanning, count_spanning_forest,
                        count_tree_decorated, mullin_count)
 from .enumeration import EDGE_CAP, catalog_to_text, enumerate_boundary_maps
-from .errors import MapGlueError
+from .errors import CapExceeded, MapGlueError
 from .maps import BoundaryMap, map_from_line, map_to_line
 from .sampler import SampleSpec, export_decorated, sample_tree_decorated
 from .series import format_series, series_B, series_B1, series_S
@@ -105,7 +105,18 @@ def _cmd_count(args) -> int:
 
 # -- series --------------------------------------------------------------------
 
+# The largest value each series order flag accepts.  The largest accepted
+# command, ``series --which S --max-x 90 --max-z 20``, takes about 2 s, and
+# ``--which B --max-x 90 --max-y 180`` about 1.6 s (series_B grows as the
+# fourth power of --max-x; a root face of e edges has at most 2e darts).
+SERIES_BOUNDS = {"max-x": 90, "max-y": 180, "max-z": 20}
+
+
 def _cmd_series(args) -> int:
+    for name, bound in SERIES_BOUNDS.items():
+        order = getattr(args, name.replace("-", "_"))
+        if order is not None and order > bound:
+            raise CapExceeded(f"--{name} {order} exceeds the bound {bound}")
     if args.which == "B":
         _need(args, "max-x", "max-y")
         print(format_series(series_B(args.max_x, args.max_y), yname="y"))

@@ -36,6 +36,14 @@ size cap is checked before the store is consulted, so a warm call refuses
 exactly what a cold call refuses.  The same decomposition counts the maps
 with e edges by root face degree k: G(e, k) of :func:`_root_face_counts`.
 
+The brute-force decorated counts and the round-trip oracle find tree
+submaps by testing edge subsets on vertex bit masks: each edge is the
+mask of its two end vertices, computed once per map, since the callers
+take every tree size of one map in turn (:func:`_edge_masks`).  m edges
+form a tree when their masks span m + 1 vertices and a sweep from the
+first edge reaches all of them (:func:`_trees_among`), and the trees of a
+forest are vertex-disjoint when their masks share no bit.
+
 A catalog prints as text (:func:`catalog_to_text`, the output of
 ``mapglue enumerate``), and :func:`get_catalog`, the one code that opens a
 catalog file, caches q-angulation families as such text in the directory
@@ -66,8 +74,10 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, pairwise
+from functools import lru_cache, reduce
+from itertools import combinations, pairwise, repeat, starmap
 from math import factorial, prod
+from operator import eq, or_
 
 try:  # the builtin module, as random.py does: hashlib also loads OpenSSL
     from _sha256 import sha256
@@ -76,8 +86,8 @@ except ImportError:
 
 from .errors import (CapExceeded, Disconnected, FormatError, Infeasible,
                      InternalMismatch, MapGlueError)
-from .maps import (BoundaryMap, PlanarMap, _canonical, _edge_ends, _ints,
-                   _is_tree, _record, build_map)
+from .maps import (BoundaryMap, PlanarMap, _canonical, _ints, _record,
+                   _vertex_ids, build_map)
 from .trees import catalan
 
 EDGE_CAP = 6        # general enumeration, by edge count
@@ -233,21 +243,24 @@ def _catalog(filt: CatalogFilter, built) -> Catalog:
     at dart ``len(sigma) - 1`` and each built once.
 
     Each map is canonicalised once, and its code split by
-    :func:`_halves` into the canonical map's arrays.  A short code (a
-    disconnected construction) raises :class:`Disconnected` and two equal
-    codes raise :class:`InternalMismatch`.
+    :func:`_halves` into the canonical map's arrays.  The array pairs are
+    sorted and compared with their neighbours before each map is built,
+    once.  A short code (a disconnected construction) raises
+    :class:`Disconnected` and two equal codes raise
+    :class:`InternalMismatch`.
     """
     shared: dict = {}
-    maps = []
+    codes = []
     for sigma, alpha in built:
         code = _canonical(sigma, alpha, (len(sigma) - 1,))[0]
         if len(code) < 2 * len(sigma):
             raise Disconnected("the darts do not form a connected map")
-        maps.append(PlanarMap(*_halves(code, shared), 1))
-    maps.sort(key=lambda m: (m.sigma, m.alpha))
-    if any(a == b for a, b in pairwise(maps)):
+        codes.append(_halves(code, shared))
+    codes.sort()
+    if any(starmap(eq, pairwise(codes))):
         raise InternalMismatch(f"a map of {filt} was built twice")
-    return Catalog(filt, tuple(maps))
+    return Catalog(filt, tuple([PlanarMap(sigma, alpha, 1)
+                                for sigma, alpha in codes]))
 
 
 def _halves(code: tuple[int, ...], shared: dict) -> tuple[tuple, tuple]:
@@ -372,30 +385,60 @@ def enumerate_boundary_maps(q: int = 0, f: int = 0, e: int = 0,
 
 # -- decorated brute-force counts -----------------------------------------------
 
+@lru_cache(maxsize=1)  # the callers take every tree size of one map in turn
+def _edge_masks(pmap: PlanarMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The edge ids of ``pmap`` in increasing order, and the mask of each:
+    bit v is set for each end vertex v, named as
+    :meth:`~mapglue.maps.PlanarMap.vertex_of` names it."""
+    vid = _vertex_ids(pmap.sigma)
+    alpha = pmap.alpha
+    edges = tuple(pmap.edges())
+    return edges, tuple([1 << vid[e] | 1 << vid[alpha[e - 1]]
+                         for e in edges])
+
+
+def _without(edges: tuple, masks: tuple, edge: int):
+    """``edges`` and their ``masks`` without ``edge``, and its mask."""
+    i = edges.index(edge)
+    return edges[:i] + edges[i + 1:], masks[:i] + masks[i + 1:], masks[i]
+
+
 def _subtrees(pmap: PlanarMap, m: int, through: int | None = None):
     """``(edges, vertices)`` of every m-edge tree submap, the edges as a
-    frozenset of edge ids; only the trees holding the edge ``through``
-    when it is given."""
-    edges = pmap.edges()
-    return _trees_among(dict(zip(edges, _edge_ends(pmap, edges))), m, through)
+    frozenset of edge ids and the vertices as a mask (bit v for vertex
+    v); only the trees holding the edge ``through`` when it is given."""
+    return _trees_among(*_edge_masks(pmap), m, through)
 
 
-def _trees_among(ends: dict[int, tuple[int, int]], m: int,
-                 through: int | None):
-    """:func:`_subtrees` over the edges ``ends``, an edge -> (tail, head)
-    table; ``through`` is joined to each (m-1)-subset of the others."""
-    if through is None:
-        combos = combinations(ends, m)
-    elif m < 1:
-        return
-    else:
-        rest = list(ends)
-        rest.remove(through)
-        combos = map((through,).__add__, combinations(rest, m - 1))
-    for combo in combos:
-        verts = _is_tree([ends[e] for e in combo])
-        if verts is not None:
-            yield frozenset(combo), verts
+def _trees_among(edges: tuple, masks: tuple, m: int, through: int | None):
+    """:func:`_subtrees` over ``edges`` with the vertex masks ``masks``
+    (:func:`_edge_masks`), in the order of :func:`itertools.combinations`;
+    ``through`` is joined to each (m-1)-subset of the others.
+
+    m edges form a tree exactly when they are connected and span m + 1
+    vertices: their masks have m + 1 bits between them, and a sweep from
+    the first edge, repeated while it grows, reaches all of those bits.
+    The masks of every subset are joined in C, so only the subsets that
+    span m + 1 vertices are swept.
+    """
+    head, first, k = (), 0, m
+    if through is not None:
+        if m < 1:
+            return
+        edges, masks, first = _without(edges, masks, through)
+        head, k = (through,), m - 1
+    spans = map(reduce, repeat(or_), combinations(masks, k), repeat(first))
+    for combo, ends, verts in zip(combinations(edges, k),
+                                  combinations(masks, k), spans):
+        if verts.bit_count() == m + 1:
+            reach, last = first or ends[0], 0
+            while reach != last and reach != verts:
+                last = reach
+                for x in ends:
+                    if x & reach:
+                        reach |= x
+            if reach == verts:
+                yield frozenset(head + combo), verts
 
 
 def tree_submaps(pmap: PlanarMap, m: int,
@@ -435,30 +478,30 @@ def _forests(pool, sizes: list[int], rooted_labeled: bool) -> int:
     distinct, so a forest is one tuple per order of its equal-size trees.
     """
 
-    def tuples(choices, used=frozenset()) -> int:
-        # one vertex set from each list, pairwise disjoint and from used
+    def tuples(choices, used=0) -> int:
+        # one vertex mask from each list, pairwise disjoint and from used
         if len(choices) == 1:
-            return sum(map(used.isdisjoint, choices[0]))
+            return list(map(used.__and__, choices[0])).count(0)
         rest = choices[1:]
         return sum(tuples(rest, used | verts) for verts in choices[0]
-                   if used.isdisjoint(verts))
+                   if not used & verts)
 
     rooted = rooted_labeled and bool(sizes)
     others = sizes[1:] if rooted else sizes
     total = 0
     for pm in pool:
-        edges = pm.edges()
-        ends = dict(zip(edges, _edge_ends(pm, edges)))
+        edges, masks = _edge_masks(pm)
         choices = []
         if rooted:
             root_edge = pm.edge_of(pm.root)
-            choices.append([v for _, v in _trees_among(ends, sizes[0],
+            choices.append([v for _, v in _trees_among(edges, masks, sizes[0],
                                                        root_edge)])
-            del ends[root_edge]
+            edges, masks, _ = _without(edges, masks, root_edge)
         lists = {}
         for m in others:
             if m not in lists:
-                lists[m] = [v for _, v in _trees_among(ends, m, None)]
+                lists[m] = [v for _, v in _trees_among(edges, masks, m,
+                                                       None)]
             choices.append(lists[m])
         total += tuples(choices) if choices else 1
     if rooted_labeled:

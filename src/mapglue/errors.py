@@ -73,7 +73,8 @@ class CircuitMissesPinch(MapGlueError):
 # -- enumeration, counting, series, sampling ----------------------------------
 
 class CapExceeded(MapGlueError):
-    """Requested size is above the configured enumeration cap."""
+    """Requested size is above a configured cap: an enumeration cap or a
+    series order bound."""
 
 
 class Infeasible(MapGlueError):

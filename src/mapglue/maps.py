@@ -89,28 +89,6 @@ def _vertex_ids(sigma: Perm) -> list[int]:
     return vid
 
 
-def _edge_ends(pmap: "PlanarMap", edges) -> list[tuple[int, int]]:
-    """The (tail, head) vertex ids of each edge of ``edges`` (given by a
-    dart), as :meth:`PlanarMap.vertex_of` names them."""
-    vid = _vertex_ids(pmap.sigma)
-    alpha = pmap.alpha
-    return [(vid[e], vid[alpha[e - 1]]) for e in edges]
-
-
-def _is_tree(pairs) -> set | None:
-    """The vertices of the tree that the edges ``pairs`` (a list of vertex
-    pairs) form, or None when they form no tree: they must span one more
-    vertex than there are edges, and no edge may close a cycle."""
-    verts = {v for pair in pairs for v in pair}
-    if len(verts) != len(pairs) + 1:
-        return None
-    parent: dict = {}
-    for u, v in pairs:
-        if not _union(parent, u, v):
-            return None
-    return verts
-
-
 @dataclass(frozen=True, slots=True)
 class PlanarMap:
     """Immutable rooted planar map.
@@ -323,15 +301,39 @@ def _on_sphere(pmap: PlanarMap) -> PlanarMap:
     return pmap
 
 
+_UNWALKED = object()  # a boundary map whose simple walk is not known yet
+
+
 class BoundaryMap:
-    """A planar map read with its root face as external face."""
+    """A planar map read with its root face as external face.
+
+    The map is read-only, and :meth:`simple_walk` is computed at most once
+    per boundary map and kept.  ``unglue`` seeds it with the walk of the
+    face its cut lays out (:meth:`_walked`), so gluing the pair it returns
+    walks no boundary.
+    """
+
+    __slots__ = ("_map", "_walk")
 
     def __init__(self, pmap: PlanarMap):
-        self.map = pmap
+        self._map = pmap
+        self._walk = _UNWALKED
+
+    @classmethod
+    def _walked(cls, pmap: PlanarMap, walk: tuple[int, ...]) -> "BoundaryMap":
+        """The boundary map of ``pmap`` whose :meth:`simple_walk` is
+        ``walk``, which must be the boundary walk of a simple root face."""
+        bmap = cls(pmap)
+        bmap._walk = walk
+        return bmap
+
+    @property
+    def map(self) -> PlanarMap:
+        return self._map
 
     @property
     def external_face(self) -> tuple[int, ...]:
-        return self.map.root_face()
+        return self._map.root_face()
 
     @property
     def perimeter(self) -> int:
@@ -353,7 +355,7 @@ class BoundaryMap:
     def bridgeless_walk(self) -> tuple[int, ...] | None:
         """:meth:`boundary_walk`, or None when it takes an edge twice."""
         walk = self.boundary_walk()
-        alpha = self.map.alpha
+        alpha = self._map.alpha
         edges = {d if d < alpha[d - 1] else alpha[d - 1] for d in walk}
         return walk if len(edges) == len(walk) else None
 
@@ -362,16 +364,16 @@ class BoundaryMap:
         or the map is one edge.  A walk through both darts of an edge
         meets an endpoint twice unless each dart follows the other, that
         is unless both endpoints have degree 1."""
-        return self.map.edge_count == 1 or self.is_simple()
+        return self._map.edge_count == 1 or self.is_simple()
 
     def is_simple(self) -> bool:
         """Simple as a curve: no repeated vertex and no repeated edge."""
         return self.simple_walk() is not None
 
-    def simple_walk(self) -> tuple[list[int], list[int]] | None:
-        """:meth:`boundary_walk` and the tail vertex of each of its darts
-        (named as :meth:`PlanarMap.vertex_of` names it), from one walk of
-        the external face, or None when the boundary is not simple.
+    def simple_walk(self) -> tuple[int, ...] | None:
+        """:meth:`boundary_walk`, or None when the boundary is not simple,
+        from one walk of the external face, made on the first call and
+        kept (or seeded by ``unglue``).
 
         The face is marked first; then the vertex cycle of each boundary
         dart is walked, and it fails as soon as it meets another marked
@@ -380,30 +382,30 @@ class BoundaryMap:
         walked once, so the cost is the face plus the degrees of its
         vertices.
         """
-        sigma, alpha = self.map.sigma, self.map.alpha
-        root = self.map.root
-        on = [False] * (len(sigma) + 1)
-        cyc = []
-        d = root
-        while not on[d]:
-            on[d] = True
-            cyc.append(d)
-            d = sigma[alpha[d - 1] - 1]
-        walk = cyc[:1] + cyc[:0:-1]
-        verts = []
-        for d in walk:
-            if on[alpha[d - 1]]:
+        if self._walk is _UNWALKED:
+            self._walk = _simple_face_walk(self._map)
+        return self._walk
+
+
+def _simple_face_walk(pmap: PlanarMap) -> tuple[int, ...] | None:
+    """:meth:`BoundaryMap.simple_walk` of ``pmap``, computed."""
+    sigma, alpha = pmap.sigma, pmap.alpha
+    on = [False] * (len(sigma) + 1)
+    cyc = []
+    d = pmap.root
+    while not on[d]:
+        on[d] = True
+        cyc.append(d)
+        d = sigma[alpha[d - 1] - 1]
+    for d in cyc:
+        if on[alpha[d - 1]]:
+            return None
+        e = sigma[d - 1]
+        while e != d:
+            if on[e]:
                 return None
-            m = d
-            e = sigma[d - 1]
-            while e != d:
-                if on[e]:
-                    return None
-                if e < m:
-                    m = e
-                e = sigma[e - 1]
-            verts.append(m)
-        return walk, verts
+            e = sigma[e - 1]
+    return (cyc[0], *cyc[:0:-1])
 
 
 # -- text serialization -------------------------------------------------------

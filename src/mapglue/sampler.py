@@ -25,7 +25,7 @@ from .enumeration import get_catalog
 from .errors import DecorationNotATree, FormatError
 from .maps import (BoundaryMap, PlanarMap, _canonical, _cycles, _ints,
                    _record, build_map)
-from .trees import contour_to_tree, sample_dyck_uniform
+from .trees import DyckPath, contour_to_tree, sample_dyck_uniform
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,13 @@ def tree_marginal_test(spec: SampleSpec,
         pool = _catalog_maps(spec)
         drawn = (draw_tree_decorated(spec, i, pool)
                  for i in range(spec.count))
-    counts: dict[str, int] = {}
+    counts: dict[tuple[int, ...], int] = {}
     for tdm in drawn:
-        word = _tree_contour(tdm.map, tdm.tree_edges)[1].to_word()
-        counts[word] = 1 + counts.get(word, 0)
-    words = sorted(counts)
-    observed = [counts[w] for w in words]
+        steps = tuple(_tree_contour(tdm.map, tdm.tree_edges)[1])
+        counts[steps] = 1 + counts.get(steps, 0)
+    paths = sorted(counts)  # -1 before 1, as D before U: the words ascend
+    words = [DyckPath(p).to_word() for p in paths]
+    observed = [counts[p] for p in paths]
     total = sum(observed)
     if len(words) == 1:
         statistic, pvalue = 0.0, 1.0

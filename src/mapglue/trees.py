@@ -71,8 +71,9 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def class_starts(path: DyckPath) -> list[int]:
-    """First position of the contour class of each position 0..2m.
+def class_starts(steps) -> list[int]:
+    """First position of the contour class of each position 0..2m of the
+    Dyck path with the steps ``steps``.
 
     Positions i <= j are one vertex when C(i) = C(j) = min C on [i, j].
     One scan keeps the first position of each vertex on the way back to
@@ -81,7 +82,7 @@ def class_starts(path: DyckPath) -> list[int]:
     """
     starts = [0]
     stack = [0]
-    for j, s in enumerate(path.steps, 1):
+    for j, s in enumerate(steps, 1):
         if s == 1:
             stack.append(j)
         else:
@@ -100,16 +101,22 @@ def contour_to_tree(path: DyckPath) -> PlanarMap:
     """
     if path.m == 0:
         raise EmptyTree("a tree must have at least one edge")
-    if path.m <= _MEMO_EDGES:
-        return _memo_tree(path)
-    return _tree(path)
+    return _tree_of(path.steps)
 
 
-def _tree(path: DyckPath) -> PlanarMap:
-    n = 2 * path.m
+def _tree_of(steps: tuple[int, ...]) -> PlanarMap:
+    """:func:`contour_to_tree` of the steps of a nonempty Dyck path, which
+    are not checked again."""
+    if len(steps) <= 2 * _MEMO_EDGES:
+        return _memo_tree(steps)
+    return _tree(steps)
+
+
+def _tree(steps: tuple[int, ...]) -> PlanarMap:
+    n = len(steps)
     alpha = [0] * n
     stack: list[int] = []
-    for i, s in enumerate(path.steps):
+    for i, s in enumerate(steps):
         if s == 1:
             stack.append(i)
         else:
@@ -121,7 +128,7 @@ def _tree(path: DyckPath) -> PlanarMap:
     # wraps round to the first, which names the class
     sigma = [0] * n
     last = list(range(n))  # the last position seen of each class
-    for p, c in zip(range(n), class_starts(path)):
+    for p, c in zip(range(n), class_starts(steps)):
         sigma[last[c]] = p + 1
         last[c] = p
         sigma[p] = c + 1

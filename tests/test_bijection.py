@@ -12,13 +12,13 @@ from mapglue.bijection import (ForestDecoratedMap, MultiBoundaryMap,
                                decorated_to_line, glue, glue_forest,
                                glue_partial, unglue)
 from mapglue.bubbles import detect_wicked, glue_bridgeless, unglue_bubble
-from mapglue.enumeration import (enumerate_boundary_maps, enumerate_maps,
-                                 tree_submaps)
+from mapglue.enumeration import (_subtrees, enumerate_boundary_maps,
+                                 enumerate_maps, tree_submaps)
 from mapglue.errors import (BoundariesNotDisjoint, BoundaryNotSimple,
                             DecorationNotATree, EmptyTree, FormatError,
                             NotDyck, RootNotOnTree, SizeMismatch,
                             TreeTooLarge)
-from mapglue.maps import BoundaryMap, _edge_ends, _is_tree, build_map
+from mapglue.maps import BoundaryMap, build_map
 from mapglue.trees import (DyckPath, _contour_walk, _memo_tree, catalan,
                            contour_to_tree, enumerate_trees,
                            sample_dyck_uniform, tree_to_contour)
@@ -62,6 +62,23 @@ def test_round_trip_exact_small():
                 # exact on dart ids, not just up to isomorphism
                 assert back.map == tdm.map
                 assert back.tree_edges == tdm.tree_edges
+
+
+def test_unglue_seeds_the_walk_a_fresh_boundary_map_computes():
+    """On every decorated map with at most 4 edges, the boundary map that
+    unglue returns already holds its simple walk, the one its cut laid
+    out, and it is the walk that a fresh BoundaryMap of the same map
+    computes.  The map cannot be replaced under the kept walk."""
+    for e in range(1, 5):
+        for pmap in enumerate_maps(e).maps():
+            for tdm in _decorations(pmap):
+                _, bmap = unglue(tdm)
+                seeded = bmap._walk
+                fresh = BoundaryMap(bmap.map)
+                assert seeded == fresh.simple_walk() == fresh.boundary_walk()
+                assert bmap.simple_walk() is seeded
+                with pytest.raises(AttributeError):
+                    bmap.map = pmap
 
 
 def test_round_trip_pairs_small():
@@ -128,11 +145,12 @@ def test_check_tree_decoration_errors():
     check_tree_decoration(tri, set(list(tri.edges())[:2]))
 
 
-def _dfs_is_tree(pmap, edges) -> bool:
-    """Reference tree test: a nonempty edge set whose ends span one more
-    vertex than there are edges, all reached by a depth-first search."""
+def _dfs_tree_vertices(pmap, edges) -> set | None:
+    """Reference tree test: the vertices of a nonempty edge set whose ends
+    span one more vertex than there are edges, all reached by a
+    depth-first search; None for any other edge set."""
     if not edges:
-        return False
+        return None
     adj = {}
     for e in edges:
         u, w = pmap.vertex_of(e), pmap.vertex_of(pmap.alpha_of(e))
@@ -145,30 +163,30 @@ def _dfs_is_tree(pmap, edges) -> bool:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(adj) == len(edges) + 1
+    return seen if len(seen) == len(adj) == len(edges) + 1 else None
 
 
 def test_tree_kernel_matches_dfs_on_every_edge_subset():
-    """_is_tree, check_tree_decoration and tree_submaps against the
-    reference on every edge subset of every map with at most 4 edges."""
+    """The mask kernel (_subtrees), check_tree_decoration and tree_submaps
+    against the reference on every edge subset of every map with at most
+    4 edges: the trees are the subsets the reference accepts, in
+    combination order, each with the mask of the reference's vertices."""
     for e in range(1, 5):
         for pmap in enumerate_maps(e).maps():
             edges = pmap.edges()
             for m in range(len(edges) + 1):
-                trees = []
+                masks = {}
                 for combo in combinations(edges, m):
-                    expected = _dfs_is_tree(pmap, combo)
-                    verts = _is_tree(_edge_ends(pmap, combo))
-                    assert (verts is not None) == expected
-                    if expected:
-                        trees.append(frozenset(combo))
-                        assert len(verts) == m + 1
+                    verts = _dfs_tree_vertices(pmap, combo)
+                    if verts is not None:
+                        masks[frozenset(combo)] = sum(1 << v for v in verts)
                         assert check_tree_decoration(pmap, combo) is None
                     else:
                         with pytest.raises(DecorationNotATree):
                             check_tree_decoration(pmap, combo)
+                assert list(_subtrees(pmap, m)) == list(masks.items())
                 if m:
-                    assert tree_submaps(pmap, m) == trees
+                    assert tree_submaps(pmap, m) == list(masks)
 
 
 def _restricted_tree(pmap, tree_edges):
@@ -198,7 +216,8 @@ def test_tree_contour_matches_rotation_restriction():
             for tdm in _decorations(pmap):
                 ref, to_ambient = _restricted_tree(pmap, tdm.tree_edges)
                 assert ref.face_count == 1
-                darts, path = _tree_contour(pmap, tdm.tree_edges)
+                darts, steps = _tree_contour(pmap, tdm.tree_edges)
+                path = DyckPath(tuple(steps))
                 assert darts == [to_ambient[d - 1] for d in ref.root_face()]
                 assert path == tree_to_contour(ref)
                 tree, _ = unglue(tdm)
@@ -225,7 +244,8 @@ def test_glue_partial_properties():
         # the tree hangs at a single boundary vertex
         tree_verts = {tdm.map.vertex_of(d) for d in tdm.map.darts()
                       if tdm.map.edge_of(d) in tdm.tree_edges}
-        assert len(tree_verts & set(out.simple_walk()[1])) == 1
+        assert len(tree_verts & {tdm.map.vertex_of(d)
+                                 for d in out.simple_walk()}) == 1
         image = canonical_relabelling(tdm.map)
         canon_tree = frozenset(min(image[e], image[tdm.map.alpha_of(e)])
                                for e in tdm.tree_edges)

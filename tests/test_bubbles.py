@@ -406,7 +406,8 @@ def _scanned_groups(bmap, tree):
     one scan of all positions per distinct vertex."""
     walk = bmap.boundary_walk()
     bv = [bmap.map.vertex_of(bmap.map.alpha_of(d)) for d in walk]
-    cls_of = class_starts(tree_to_contour(tree))  # classes by first position
+    # classes by first position
+    cls_of = class_starts(tree_to_contour(tree).steps)
     out = []
     for v in sorted(set(bv)):
         byclass = {}

@@ -288,9 +288,17 @@ def test_usage_exit_codes():
         assert code == 2 and out == "" and "--cap" in err
     for argv in (("--which", "S", "--max-x", "-1", "--max-z", "2"),
                  ("--which", "B1", "--max-x", "-1"),
-                 ("--which", "B", "--max-x", "0", "--max-y", "-1")):
+                 ("--which", "B", "--max-x", "0", "--max-y", "-1"),
+                 ("--which", "S", "--max-x", "91", "--max-z", "2"),
+                 ("--which", "B1", "--max-x", "91"),
+                 ("--which", "B", "--max-x", "2", "--max-y", "181"),
+                 ("--which", "S", "--max-x", "2", "--max-z", "21")):
         code, out, err = run("series", *argv)
         assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+    for argv in (("--which", "S", "--max-x", "90", "--max-z", "1"),
+                 ("--which", "B", "--max-x", "1", "--max-y", "180"),
+                 ("--which", "S", "--max-x", "1", "--max-z", "20")):
+        assert run("series", *argv)[0] == 0, argv
     for sizes in (",", "1,,2", "2,", "", "1,x"):
         code, out, err = run("count", "--family", "forest", "--q", "4",
                              "--faces", "2", "--sizes", sizes)

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from mapglue.bijection import decorated_from_line
-from mapglue.cli import main
+from mapglue.cli import SERIES_BOUNDS, main
 from mapglue.enumeration import (EDGE_CAP, QANG_EDGE_CAP, Catalog,
                                  CatalogFilter, _catalog_filename,
                                  _checksum_line, catalog_from_text,
@@ -64,7 +64,7 @@ def _cli_survives(*argv):
 
 # Each flag-only subcommand with small valid arguments, and its numeric
 # flags, each with the first value above its cap or domain (None where the
-# flag has no cap, as a series order or a draw count).
+# flag has no cap, as a draw count).
 FLAG_SWEEP = [
     (("count", "--family", "decorated", "--q", "4", "--faces", "2",
       "--tree-edges", "1"),
@@ -86,10 +86,13 @@ FLAG_SWEEP = [
     (("count", "--family", "catalan", "--m", "2", "--n", "2"),
      {"--m": None, "--n": None}),
     (("series", "--which", "B", "--max-x", "2", "--max-y", "2"),
-     {"--max-x": None, "--max-y": None}),
-    (("series", "--which", "B1", "--max-x", "2"), {"--max-x": None}),
+     {"--max-x": SERIES_BOUNDS["max-x"] + 1,
+      "--max-y": SERIES_BOUNDS["max-y"] + 1}),
+    (("series", "--which", "B1", "--max-x", "2"),
+     {"--max-x": SERIES_BOUNDS["max-x"] + 1}),
     (("series", "--which", "S", "--max-x", "2", "--max-z", "2"),
-     {"--max-x": None, "--max-z": None}),
+     {"--max-x": SERIES_BOUNDS["max-x"] + 1,
+      "--max-z": SERIES_BOUNDS["max-z"] + 1}),
     (("enumerate", "--edges", "2"),
      {"--q": None, "--faces": None, "--edges": EDGE_CAP + 1,
       "--perimeter": None, "--cap": EDGE_CAP + 1}),

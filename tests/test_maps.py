@@ -122,7 +122,7 @@ def test_rerooted_refuses_darts_outside_the_map():
 
 
 def test_simple_walk_matches_the_boundary_reads():
-    """One walk gives what boundary_walk, vertex_of, is_vertex_simple and
+    """One walk gives what boundary_walk, is_vertex_simple and
     is_bridgeless give, from every root of every map with at most 4 edges;
     is_vertex_simple agrees with a count of the boundary's vertices."""
     simple = vertex_simple = 0
@@ -140,7 +140,7 @@ def test_simple_walk_matches_the_boundary_reads():
                     b.is_vertex_simple() and b.is_bridgeless())
                 if found is not None:
                     simple += 1
-                    assert found == (list(walk), verts)
+                    assert found == walk
     assert vertex_simple > simple > 500
 
 

@@ -50,7 +50,7 @@ def test_contour_round_trip():
 
 def test_contour_classes_partition():
     path = DyckPath.from_word("UUDD")
-    starts = class_starts(path)
+    starts = class_starts(path.steps)
     # every position lies in one class, named by its first position
     assert len(starts) == 2 * path.m + 1
     assert all(starts[s] == s <= p for p, s in enumerate(starts))
@@ -60,7 +60,7 @@ def test_contour_classes_partition():
 
 def test_contour_classes_identifications():
     # UDUD: positions 0, 2, 4 all sit at height 0 on the same vertex
-    starts = class_starts(DyckPath.from_word("UDUD"))
+    starts = class_starts(DyckPath.from_word("UDUD").steps)
     assert [p for p, s in enumerate(starts) if s == 0] == [0, 2, 4]
 
 
@@ -75,7 +75,7 @@ def test_contour_classes_match_the_definition():
             starts = [min(i for i in range(j + 1)
                           if c[i] == c[j] == min(c[i:j + 1]))
                       for j in range(2 * m + 1)]
-            assert class_starts(path) == starts
+            assert class_starts(path.steps) == starts
             assert len(set(starts)) == m + 1
             tree = contour_to_tree(path)
             for p in range(2 * m):
@@ -107,6 +107,6 @@ def test_small_trees_are_shared():
         for path in enumerate_trees(m)[:20]:
             tree = contour_to_tree(path)
             again = contour_to_tree(DyckPath(path.steps))
-            assert again == tree == trees._tree(path)
+            assert again == tree == trees._tree(path.steps)
             assert (again is tree) == (m <= 6)
     assert trees._memo_tree.cache_info().currsize == 1 + 20
