@@ -21,13 +21,19 @@ round trip walks no boundary.
 Both directions run through one kernel each, on flat arrays.  The cutting
 kernel :func:`_cut` doubles every dart of a closed walk (a tree contour, or
 a bubble-map circuit) and lets the new darts form one face running against
-the walk; every other face is carried over unchanged.  The sewing kernel
-:func:`_sew` deletes a set of boundary darts and pairs their alpha-partners
-along a contour matching; each surviving dart's face successor is the next
-surviving dart along its old face, skipping deleted ones, so whatever is
-left of a partly consumed boundary stays one face.  Both rebuild the
-rotation system as ``sigma = phi o alpha``, and the round trip is exact on
-dart ids (up to the final canonical relabelling of the glued map).
+the walk; every other face is carried over unchanged.  Sewing runs in two
+stages.  :func:`_frame` deletes a set of boundary darts and fixes all that
+does not depend on the tree: the survivors and their new labels, each
+survivor's face successor (the next surviving dart along its old face,
+skipping deleted ones, so whatever is left of a partly consumed boundary
+stays one face), the partner table, the survivors' labels, and the
+``ends``, the alpha-partners of the deleted darts.  :func:`_sew` then
+pairs the ends along a contour matching.  ``glue``, ``glue_partial``,
+``glue_forest`` and ``glue_bridgeless`` run both stages; the sampler keeps
+one frame per catalog map and runs only the second for each draw.  Both
+kernels rebuild the rotation system as ``sigma = phi o alpha``, and the
+round trip is exact on dart ids (up to the final canonical relabelling of
+the glued map).
 
 The maps that ungluing and gluing return are built directly, without
 :func:`~mapglue.maps.build_map`'s checks: cutting a planar map open along a
@@ -209,17 +215,30 @@ def unglue(tdm: TreeDecoratedMap):
         tuple(twins))
 
 
-def _sew(pmap: PlanarMap, consumed: list[int], matching: Sequence[int]):
-    """Delete the ``consumed`` darts and pair the alpha-partners of
-    ``consumed[i]`` and ``consumed[matching[i]]``.
+class _Frame:
+    """What sewing shut a set of consumed darts fixes before any matching
+    is chosen (:func:`_frame`).  It is only read: :func:`_sew` pairs the
+    ends in a copy of ``alpha``, so one frame serves every matching."""
+
+    __slots__ = ("index", "phi", "alpha", "ends", "labels")
+
+    def __init__(self, index: list[int], phi: list[int], alpha: list[int],
+                 ends: list[int], labels: tuple[tuple[int, str], ...]):
+        self.index = index  # new label of each old dart, 0 if consumed
+        self.phi = phi  # face successor of each survivor
+        self.alpha = alpha  # partner of each survivor, before sewing
+        self.ends = ends  # new label of each consumed dart's partner
+        self.labels = labels  # the survivors', relabelled
+
+
+def _frame(pmap: PlanarMap, consumed: Sequence[int]) -> _Frame:
+    """The frame for deleting the ``consumed`` darts of ``pmap``.
 
     Surviving darts keep their order and are relabelled 1..n; each one's
     face successor is the next surviving dart along its old face, so a face
-    that loses some darts keeps the rest as one cycle.  Returns
-    ``(sigma, alpha, index, ends)`` where ``index[d]`` is the new label of
-    dart ``d`` (0 for a consumed dart) and ``ends[i]`` that of the
-    alpha-partner of ``consumed[i]``: the sewn edges pair ``ends[i]`` with
-    ``ends[matching[i]]``.
+    that loses some darts keeps the rest as one cycle.  ``ends[i]`` is the
+    new label of the alpha-partner of ``consumed[i]``: :func:`_sew` pairs
+    those ends along a contour matching.
     """
     old_sigma, old_alpha = pmap.sigma, pmap.alpha
     index = [1] * (len(old_sigma) + 1)  # first whether each dart survives
@@ -236,20 +255,32 @@ def _sew(pmap: PlanarMap, consumed: list[int], matching: Sequence[int]):
             while not index[e]:
                 e = old_sigma[old_alpha[e - 1] - 1]
             phi[k] = index[e]
-    alpha = [index[old_alpha[d - 1]] for d in survivors]
-    ends = [index[old_alpha[b - 1]] for b in consumed]
+    # survivors keep their order, so the labels stay sorted
+    return _Frame(index, phi, [index[old_alpha[d - 1]] for d in survivors],
+                  [index[old_alpha[b - 1]] for b in consumed],
+                  tuple([(index[d], v) for d, v in pmap.labels if index[d]]))
+
+
+def _sew(frame: _Frame, matching: Sequence[int]):
+    """Pair ``frame.ends[i]`` with ``frame.ends[matching[i]]`` and return
+    the sewn ``(sigma, alpha)`` as lists, with ``sigma = phi o alpha``."""
+    alpha = frame.alpha.copy()
+    ends = frame.ends
     for d, j in zip(ends, matching):
         alpha[d - 1] = ends[j]
-    sigma = [phi[a - 1] for a in alpha]
-    return sigma, alpha, index, ends
+    phi = frame.phi
+    return [phi[a - 1] for a in alpha], alpha
 
 
-def _sewn_map(pmap: PlanarMap, sigma, alpha, index, root: int):
-    """The map :func:`_sew` produced, rooted at the new dart ``root`` and
-    keeping the labels of surviving darts (survivors keep their order, so
-    the labels stay sorted)."""
-    labels = tuple((index[d], v) for d, v in pmap.labels if index[d])
-    return PlanarMap(tuple(sigma), tuple(alpha), root, labels)
+def _decorated(frame: _Frame, matching: Sequence[int],
+               root: int) -> TreeDecoratedMap:
+    """The map :func:`_sew` makes of ``frame``, rooted at the new dart
+    ``root`` and keeping the survivors' labels, decorated by the sewn
+    edges: they are the tree's, so each edge id is the smaller dart."""
+    sigma, alpha = _sew(frame, matching)
+    return TreeDecoratedMap(
+        PlanarMap(tuple(sigma), tuple(alpha), root, frame.labels),
+        frozenset([d for d in frame.ends if d < alpha[d - 1]]))
 
 
 def _simple_walk(bmap: BoundaryMap, what: str) -> tuple[int, ...]:
@@ -268,13 +299,19 @@ def glue(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
     steps i and j traverse the same tree edge, so the identified edges form
     a copy of the tree; the result is rooted on that tree.
     """
+    frame = _glue_frame(bmap, tree.edge_count)
+    return _decorated(frame, _contour_match(tree), frame.ends[0])
+
+
+def _glue_frame(bmap: BoundaryMap, m: int) -> _Frame:
+    """The frame of :func:`glue` for an m-edge tree, which consumes the
+    whole simple boundary of ``bmap``; :func:`glue`'s errors otherwise."""
     walk = _simple_walk(bmap, "gluing needs a simple boundary")
-    m = tree.edge_count
     if m == 0:
         raise EmptyTree("cannot glue a tree without edges")
     if len(walk) != 2 * m:
         raise SizeMismatch(f"perimeter {len(walk)} != 2*{m} tree edges")
-    return _glue_prefix(bmap.map, walk, tree)
+    return _frame(bmap.map, walk)
 
 
 def glue_partial(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
@@ -292,22 +329,10 @@ def glue_partial(bmap: BoundaryMap, tree: PlanarMap) -> TreeDecoratedMap:
     if 2 * m2 > len(walk):
         raise TreeTooLarge(
             f"tree contour 2*{m2} exceeds perimeter {len(walk)}")
-    return _glue_prefix(bmap.map, walk, tree)
-
-
-def _glue_prefix(pmap: PlanarMap, walk: tuple[int, ...],
-                 tree: PlanarMap) -> TreeDecoratedMap:
-    """Sew the first 2m darts of the boundary walk ``walk`` of ``pmap``
-    shut along the contour of the m-edge ``tree``.  The result is rooted at
-    the former boundary dart 2m when the walk is longer, and on the tree
-    when the tree takes the whole boundary."""
-    consumed = walk[: 2 * tree.edge_count]
-    sigma, alpha, index, ends = _sew(pmap, consumed, _contour_match(tree))
-    root = (index[walk[len(consumed)]] if len(consumed) < len(walk)
-            else ends[0])
-    # the sewn darts are the tree's, so each edge id is the smaller one
-    return TreeDecoratedMap(_sewn_map(pmap, sigma, alpha, index, root),
-                            frozenset([d for d in ends if d < alpha[d - 1]]))
+    frame = _frame(bmap.map, walk[:2 * m2])
+    root = (frame.index[walk[2 * m2]] if 2 * m2 < len(walk)
+            else frame.ends[0])
+    return _decorated(frame, _contour_match(tree), root)
 
 
 def glue_forest(mmap: MultiBoundaryMap, forest) -> ForestDecoratedMap:
@@ -340,8 +365,10 @@ def glue_forest(mmap: MultiBoundaryMap, forest) -> ForestDecoratedMap:
     for walk, tree in zip(walks, forest):
         matching.extend(len(consumed) + j for j in _contour_match(tree))
         consumed.extend(walk)
-    sigma, alpha, index, ends = _sew(pmap, consumed, matching)
-    glued = _sewn_map(pmap, sigma, alpha, index, ends[0])
+    frame = _frame(pmap, consumed)
+    sigma, alpha = _sew(frame, matching)
+    ends = frame.ends
+    glued = PlanarMap(tuple(sigma), tuple(alpha), ends[0], frame.labels)
     trees = []
     roots = []
     start = 0

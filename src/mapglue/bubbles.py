@@ -65,7 +65,7 @@ from .maps import (BoundaryMap, PlanarMap, _connected_vertex_count, _find,
                    _ints, _on_sphere, _record, _union, _vertex_ids,
                    map_from_line, map_to_line)
 from .trees import DyckPath, contour_to_tree
-from .bijection import _contour_tables, _cut, _sew
+from .bijection import _contour_tables, _cut, _frame, _sew
 
 
 @dataclass(frozen=True)
@@ -339,7 +339,9 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     match, classes = _contour_tables(tree)
     # circuit step p is the image of contour step p: the survivor partner
     # of the boundary dart at label p (so the circuit starts at the root)
-    sigma, alpha, _, circuit_raw = _sew(pmap, walk, match)
+    frame = _frame(pmap, walk)
+    sigma, alpha = _sew(frame, match)
+    circuit_raw = frame.ends
     n = len(sigma)
     root_new = circuit_raw[0]
 

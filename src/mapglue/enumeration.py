@@ -331,8 +331,11 @@ def _family(filt: CatalogFilter) -> Catalog:
     general level from :func:`_root_edge_maps`; a q-angulation family
     from the cell (``filt.f``, ``filt.perimeter``) of :func:`_cell_maps`,
     canonicalising only the raw maps that pass the ``simple`` and
-    ``bridgeless`` tests; any other general family as the subsequence of
-    its level that :func:`_in_family` keeps, so its entries stay sorted.
+    ``bridgeless`` tests; the general families of one root face degree
+    of a level all at once, in one pass over the level; any other general
+    family as the subsequence of its root face degree's family (or of its
+    level, with no degree) that :func:`_in_family` keeps.  Each keeps its
+    level's order, so its entries stay sorted.
     """
     if filt in _CATALOGS:
         return _CATALOGS[filt]
@@ -344,9 +347,22 @@ def _family(filt: CatalogFilter) -> Catalog:
             and (not filt.bridgeless or BoundaryMap(m).is_bridgeless())])
     elif filt == CatalogFilter(e=filt.e):
         cat = _catalog(filt, _root_edge_maps(filt.e))
+    elif filt == CatalogFilter(e=filt.e, perimeter=filt.perimeter):
+        # one pass stores the level's maps of every root face degree (no
+        # map has a root face longer than 2e)
+        if filt.perimeter <= 2 * filt.e:
+            buckets: dict[int, list[PlanarMap]] = {
+                p: [] for p in range(1, 2 * filt.e + 1)}
+            for pm in _family(CatalogFilter(e=filt.e)).entries:
+                buckets[len(pm.root_face())].append(pm)
+            for p, maps in buckets.items():
+                bucket = CatalogFilter(e=filt.e, perimeter=p)
+                _CATALOGS[bucket] = Catalog(bucket, tuple(maps))
+        cat = _CATALOGS.get(filt, Catalog(filt, ()))
     else:
-        level = _family(CatalogFilter(e=filt.e))
-        cat = Catalog(filt, tuple([pm for pm in level.entries
+        # the maps of its root face degree, or its level, filtered
+        base = _family(CatalogFilter(e=filt.e, perimeter=filt.perimeter))
+        cat = Catalog(filt, tuple([pm for pm in base.entries
                                    if _in_family(pm, filt)]))
     _CATALOGS[filt] = cat
     return cat

@@ -1,31 +1,42 @@
 """Exact-uniform sampling of tree-decorated q-angulations.
 
-A uniform decorated map is a uniform pair pushed through the gluing: draw
-a uniform simple-boundary q-angulation from the exhaustive catalog and an
-independent uniform tree by the cycle lemma, then glue.  Uniformity is
-structural (uniform x uniform through a bijection); the chi-square test on
-the tree marginal exists only to catch implementation faults.
+A uniform decorated map is a uniform pair pushed through the gluing: a
+uniform simple-boundary q-angulation from the exhaustive catalog and a
+uniform tree, glued.  Uniformity is structural (uniform pair through a
+bijection); the chi-square test on the tree marginal exists only to
+catch implementation faults.
 
-Draws are indexed: draw ``i`` of seed ``s`` uses its own generator seeded
-with ``"s:i"``, so parallel generation produces the same multiset as
+A draw is one rank r, uniform in [0, N) with N = |pool| * Catalan(m),
+decoded as catalog map ``r // Catalan(m)`` and tree ``r % Catalan(m)`` in
+the order of :func:`~mapglue.trees.enumerate_trees`.  Distinct ranks
+decode to distinct pairs, so a uniform r gives a uniform pair.  Draw ``i``
+of seed ``s`` takes r from the SHA-256 digest of ``"s:i:k"``, for k = 0,
+1, ... until the 256-bit digest falls below the largest multiple of N,
+and r is the digest mod N: exactly uniform whenever the digest bits are,
+which is what ``random.Random`` assumes when it seeds from a string.
+Draws are indexed, so parallel generation produces the same multiset as
 serial generation and a fixed spec is byte-reproducible.
+
+Each pool map is sewn through its frame (:func:`~mapglue.bijection._frame`),
+built the first time the map is drawn and kept while the same pool is
+drawn from, so a draw only pairs the m sewn edges.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
-from random import Random
+from functools import lru_cache
+from itertools import accumulate, count
 
-from .bijection import (TreeDecoratedMap, _tree_contour,
-                        check_tree_decoration, glue)
+from .bijection import (TreeDecoratedMap, _contour_match, _decorated,
+                        _glue_frame, _tree_contour, check_tree_decoration)
 from .counting import count_tree_decorated
-from .enumeration import get_catalog
+from .enumeration import get_catalog, sha256
 from .errors import DecorationNotATree, FormatError
 from .maps import (BoundaryMap, PlanarMap, _canonical, _cycles, _ints,
                    _record, build_map)
-from .trees import DyckPath, contour_to_tree, sample_dyck_uniform
+from .trees import DyckPath, catalan, contour_to_tree, enumerate_trees
 
 
 @dataclass(frozen=True)
@@ -47,16 +58,63 @@ def _catalog_maps(spec: SampleSpec) -> tuple[PlanarMap, ...]:
     return cat.maps()
 
 
+@lru_cache(maxsize=None)
+def _matchings(m: int) -> tuple[tuple[int, ...], ...]:
+    """The contour matching of each m-edge tree, in the order of
+    :func:`~mapglue.trees.enumerate_trees`: the tree of rank t is
+    ``_matchings(m)[t]``."""
+    return tuple([tuple(_contour_match(contour_to_tree(path)))
+                  for path in enumerate_trees(m)])
+
+
+def _rank(key: str, n: int) -> int:
+    """Uniform in [0, n) from the SHA-256 digests of ``key:k``: the first
+    below the largest multiple of n, mod n."""
+    limit = (1 << 256) // n * n
+    for k in count():
+        r = int.from_bytes(sha256(f"{key}:{k}".encode()).digest(), "big")
+        if r < limit:
+            return r % n
+
+
+# the pool last drawn from, its m, and one frame (or None) per map: the
+# pool itself is held, so that no other pool can take its identity
+_pool_frames: tuple = (None, 0, [])
+
+
+def _pool_frame(pool: tuple[PlanarMap, ...], m: int, k: int):
+    """The frame of ``pool[k]`` for m-edge trees, built on its first draw
+    with :func:`~mapglue.bijection.glue`'s checks."""
+    global _pool_frames
+    held, held_m, frames = _pool_frames
+    if held is not pool or held_m != m:
+        frames = [None] * len(pool)
+        _pool_frames = pool, m, frames
+    frame = frames[k]
+    if frame is None:
+        frame = frames[k] = _glue_frame(BoundaryMap(pool[k]), m)
+    return frame
+
+
 def draw_tree_decorated(spec: SampleSpec, index: int,
                         pool: tuple[PlanarMap, ...] | None = None,
                         ) -> TreeDecoratedMap:
-    """Draw number ``index`` of the spec, independent of all other draws."""
+    """Draw number ``index`` of the spec, independent of all other draws:
+    the pair of rank r in [0, |pool| * Catalan(m)) glued, r taken from the
+    digests of ``"seed:index:k"`` (see the module docstring)."""
     if pool is None:
         pool = _catalog_maps(spec)
-    rng = Random(f"{spec.seed}:{index}")
-    pm = pool[rng.randrange(len(pool))]
-    path = sample_dyck_uniform(spec.m, rng)
-    return glue(BoundaryMap(pm), contour_to_tree(path))
+    r = _rank(f"{spec.seed}:{index}", len(pool) * catalan(spec.m))
+    return _decoded(pool, spec.m, r)
+
+
+def _decoded(pool: tuple[PlanarMap, ...], m: int,
+             r: int) -> TreeDecoratedMap:
+    """The pair of rank r glued: ``pool[r // Catalan(m)]`` and the m-edge
+    tree of rank ``r % Catalan(m)``, sewn through the map's frame."""
+    k, t = divmod(r, catalan(m))
+    frame = _pool_frame(pool, m, k)
+    return _decorated(frame, _matchings(m)[t], frame.ends[0])
 
 
 def sample_tree_decorated(spec: SampleSpec) -> list[TreeDecoratedMap]:

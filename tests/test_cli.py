@@ -238,7 +238,7 @@ PINNED_OUTPUTS = {
         "b92f488dd040f76558549f93f4e6845c79f312c25986e2d6a4bd10d604e360e4",
     ("sample", "--q", "4", "--faces", "3", "--tree-edges", "2",
      "--seed", "5", "--count", "50"):
-        "8681fd35eaf5238c59297f654f60dc24525d401f2b17320638417a873625ab62",
+        "cf17077ce82d1c10a9a9e9e31880f8513b6806b8b52d3fbe50391a3c42b42597",
 }
 
 

@@ -675,17 +675,27 @@ def test_loaded_family_is_the_one_the_enumeration_returns(tmp_path,
 
 
 def test_general_boundary_family_built_once(monkeypatch):
-    # a perimeter-only general family is filtered from its level once
+    # one pass over a level stores its family of every root face degree,
+    # and a simple family filters only the maps of its degree
     from mapglue import enumeration
     monkeypatch.delenv("MAPGLUE_CATALOG_DIR", raising=False)
     monkeypatch.setattr(enumeration, "_CATALOGS", {})
-    calls = []
+    level = enumerate_maps(4)
+    calls, walks = [], []
     monkeypatch.setattr(enumeration, "_in_family",
                         _counting(calls, enumeration._in_family))
+    monkeypatch.setattr(PlanarMap, "root_face",
+                        _counting(walks, PlanarMap.root_face))
     family = enumerate_boundary_maps(e=4, perimeter=4)
-    level = enumerate_maps(4)
-    assert len(calls) == len(level) == 378
-    assert enumerate_boundary_maps(e=4, perimeter=4) is family
-    assert len(calls) == 378 and len(family) == 58
-    assert family.entries == tuple([pm for pm in level.entries
-                                    if len(pm.root_face()) == 4])
+    assert calls == [] and len(walks) == len(level) == 378
+    families = [enumerate_boundary_maps(e=4, perimeter=p)
+                for p in range(1, 10)]
+    assert families[3] is family and len(walks) == 378
+    for p, fam in enumerate(families, 1):
+        assert fam.entries == tuple([pm for pm in level.entries
+                                     if len(pm.root_face()) == p])
+    assert len(family) == 58 and sum(map(len, families)) == 378
+    simple = enumerate_boundary_maps(e=4, perimeter=4, simple=True)
+    assert len(calls) == 58
+    assert simple.entries == tuple([pm for pm in family.entries
+                                    if BoundaryMap(pm).is_simple()])

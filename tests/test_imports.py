@@ -259,3 +259,20 @@ def test_import_loads_no_heavy_module():
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
+
+def test_a_sample_draw_loads_no_hashlib():
+    """The sampler's digests come from the builtin ``_sha256``: one
+    ``sample`` draw leaves hashlib (and OpenSSL) unloaded."""
+    code = ("import io, sys\n"
+            "import mapglue, mapglue.cli\n"
+            "sys.stdout = io.StringIO()\n"
+            "code = mapglue.cli.main(['sample', '--q', '4', '--faces', '1', "
+            "'--tree-edges', '1', '--seed', '1', '--count', '1'])\n"
+            "text, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
+            "print(code, text.startswith('decorated '), sorted(m for m in "
+            "('hashlib', '_hashlib') if m in sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    env.pop("MAPGLUE_CATALOG_DIR", None)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0 True []"

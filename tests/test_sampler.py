@@ -1,12 +1,16 @@
+from itertools import count
+
 import pytest
 
-from mapglue.bijection import unglue
+from mapglue.bijection import glue, unglue
 from mapglue.counting import count_tree_decorated
+from mapglue.enumeration import get_catalog
 from mapglue.errors import FormatError, Infeasible
-from mapglue.sampler import (SampleSpec, draw_tree_decorated,
+from mapglue.maps import BoundaryMap
+from mapglue.sampler import (SampleSpec, _decoded, draw_tree_decorated,
                              export_decorated, parse_decorated,
                              sample_tree_decorated, tree_marginal_test)
-from mapglue.trees import tree_to_contour
+from mapglue.trees import contour_to_tree, enumerate_trees, tree_to_contour
 
 from relabelling import canonical_relabelling, relabel
 
@@ -81,15 +85,41 @@ def test_tree_marginal_takes_the_draws_given():
 
 def test_tree_marginal_rejects_a_biased_sample():
     """Each UUDD draw counted twice makes that tree twice as likely as
-    UDUD: 1,000 draws against 2,000 no longer pass as uniform."""
+    UDUD: 1,000 draws against 2,000 no longer pass as uniform.  The first
+    1,000 draws of each tree are taken, however many draws that needs."""
     spec = SampleSpec(q=4, f=2, m=2, seed=3, count=2000)
     drawn = sample_tree_decorated(spec)
     assert tree_marginal_test(spec, drawn=drawn).passed
-    biased = drawn + [tdm for tdm in drawn
-                      if tree_to_contour(unglue(tdm)[0]).to_word() == "UUDD"]
+    first: dict[str, list] = {"UDUD": [], "UUDD": []}
+    for i in count():
+        if all(len(tdms) == 1000 for tdms in first.values()):
+            break
+        tdm = drawn[i] if i < len(drawn) else draw_tree_decorated(spec, i)
+        tdms = first[tree_to_contour(unglue(tdm)[0]).to_word()]
+        if len(tdms) < 1000:
+            tdms.append(tdm)
+    biased = first["UDUD"] + 2 * first["UUDD"]
     report = tree_marginal_test(spec, drawn=biased)
     assert dict(report.cells) == {"UDUD": 1000, "UUDD": 2000}
     assert report.pvalue < 1e-70 and not report.passed
+
+
+@pytest.mark.parametrize("q, f, m", [(4, 1, 1), (3, 2, 1), (4, 2, 2),
+                                     (4, 4, 2)])
+def test_every_rank_decodes_to_its_own_decorated_map(q, f, m):
+    """The decoding of the ranks 0..N-1, N the number of decorated maps,
+    is a bijection onto them: N distinct exports, each rank giving its
+    catalog map glued with its tree, dart for dart."""
+    n = count_tree_decorated(q, f, m, "on-tree")
+    pool = get_catalog(q=q, f=f, perimeter=2 * m, simple=True).maps()
+    trees = enumerate_trees(m)
+    texts = set()
+    for r in range(n):
+        tdm = _decoded(pool, m, r)
+        assert tdm == glue(BoundaryMap(pool[r // len(trees)]),
+                           contour_to_tree(trees[r % len(trees)])), r
+        texts.add(export_decorated(tdm))
+    assert len(texts) == n
 
 
 def test_export_parse_round_trip():
