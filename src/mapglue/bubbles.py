@@ -29,14 +29,17 @@ pairing, and ungluing checks that the cut map is connected and planar.
 Some crossing circuits pass that check, and gluing their cut gives back
 another bubble-map (known defect 4, ``ROADMAP.md`` item 1).
 
-A circuit checks itself once, when it is made: its darts are in range,
-heads chain onto tails and every support edge is traversed twice, once in
-each direction, so that cutting along it always gives a rotation system.
-The walk that checks it records its contour.  The circuit kernels (the
-non-crossing test and the pinch check of ungluing) then index the
-bubble-map's global dart tables directly.  The non-crossing test walks
-each sphere's vertex cycles once to give every dart its rotation
-position, then runs a stack check of the corner chords at each vertex.
+A bubble-map and a circuit are checked once, where they enter the
+library.  A circuit's check (darts in range, heads chained onto tails,
+every support edge traversed once in each direction, so that cutting
+along it always gives a rotation system) records its contour.
+:func:`glue_bridgeless` skips both checks (``BubbleMap._built``,
+``Circuit._traced``): it hands over its sewn tables, or its component
+relabelling, as the global dart tables, and the tree's Dyck path as the
+contour.  The circuit kernels (the non-crossing test and the pinch check
+of ungluing) index those tables directly.  The non-crossing test walks
+the vertex cycles once to give every dart its rotation position, then
+runs a stack check of the corner chords at each vertex.
 At a pinch vertex the positions list the pinched copies in sphere order;
 the verdicts depend on that order, which reports a crossing on some exact
 round trips through a pinch vertex (``bench/README.md``, known defect 2).
@@ -76,7 +79,8 @@ class BubbleMap:
     each sphere's 1-based darts by the total dart count of the earlier
     spheres.  A pinch ``(a, va, b, vb)`` identifies vertex ``va`` of sphere
     ``a`` with vertex ``vb`` of sphere ``b`` (vertices are named by their
-    smallest local dart).
+    smallest local dart).  The constructor checks that the pinches join
+    the spheres into a tree and name vertices; :meth:`_built` does not.
     """
 
     spheres: tuple[PlanarMap, ...]
@@ -99,7 +103,6 @@ class BubbleMap:
                 if not (1 <= v <= s.dart_count and s.vertex_of(v) == v):
                     raise FormatError(f"pinch names no vertex {v} of "
                                       f"sphere {j}")
-        # the global tables, built once here: the map is immutable
         offsets = [0]
         sigma: list[int] = []
         alpha: list[int] = []
@@ -108,10 +111,30 @@ class BubbleMap:
             sigma += [off + x for x in s.sigma]
             alpha += [off + a for a in s.alpha]
             offsets.append(off + len(s.sigma))
-        object.__setattr__(self, "_offsets", tuple(offsets))
-        # global sigma and alpha as flat image lists (dart g at index g - 1)
+        self._lay_out(tuple(offsets), tuple(sigma), tuple(alpha))
+
+    @classmethod
+    def _built(cls, spheres: tuple[PlanarMap, ...], pinches, offsets,
+               sigma, alpha) -> "BubbleMap":
+        """The bubble-map of ``spheres`` and ``pinches``, trusted to form
+        one, with the global ``offsets`` and tables ``sigma`` and
+        ``alpha`` that the constructor would lay out."""
+        bubble = object.__new__(cls)
+        object.__setattr__(bubble, "spheres", spheres)
+        object.__setattr__(bubble, "pinches", pinches)
+        bubble._lay_out(offsets, sigma, alpha)
+        return bubble
+
+    def _lay_out(self, offsets: tuple[int, ...], sigma, alpha) -> None:
+        """Keep the global tables, built once: the map is immutable.
+        ``_offsets[k]`` counts the darts of the spheres before sphere k
+        (the last entry counts them all), ``_table`` holds the global
+        sigma and alpha as flat image sequences (dart g at index g - 1)
+        and ``_corners`` is :func:`_corner_table` of them."""
+        object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_table", (sigma, alpha))
-        object.__setattr__(self, "_corners", self._corner_table())
+        object.__setattr__(self, "_corners",
+                           _corner_table(sigma, offsets, self.pinches))
 
     # -- global dart addressing -------------------------------------------
 
@@ -123,38 +146,37 @@ class BubbleMap:
     def root(self) -> int:
         return self.spheres[0].root
 
-    def _corner_table(self) -> tuple[list, list[int]]:
-        """``_corners``: the pinch-collapsed vertex and rotation position
-        of every global dart (index 0 unused), from one walk over each
-        sphere's vertex cycles.
 
-        The positions of a vertex list the sigma cycles of its pinched
-        copies one after another: by sphere index, then in
-        :meth:`~mapglue.maps.PlanarMap.vertices` order, each cycle from its
-        smallest dart.
-        """
-        parent: dict = {}  # identifies the pinched vertex copies
-        for a, va, b, vb in self.pinches:
-            _union(parent, (a, va), (b, vb))
-        rep: list = [None] * (self.dart_count + 1)
-        rank = [0] * (self.dart_count + 1)
-        size: dict = {}
-        for k, (off, s) in enumerate(zip(self._offsets, self.spheres)):
-            sigma = s.sigma
-            for start in range(1, len(sigma) + 1):
-                if rep[off + start] is not None:
-                    continue
-                # a cycle is first met at its smallest dart
-                v = _find(parent, (k, start))
-                i = size.get(v, 0)
-                d = start
-                while rep[off + d] is None:
-                    rep[off + d] = v
-                    rank[off + d] = i
-                    i += 1
-                    d = sigma[d - 1]
-                size[v] = i
-        return rep, rank
+def _corner_table(sigma, offsets, pinches) -> tuple[list[int], list[int]]:
+    """``BubbleMap._corners``: the pinch-collapsed vertex and the rotation
+    position of every global dart (index 0 unused), from one walk over the
+    cycles of the global ``sigma``.
+
+    A vertex is named by its smallest pinched copy, as the global dart
+    that names that copy.  Its positions list the sigma cycles of its
+    copies one after another: each cycle is first met at its smallest
+    dart, so they come by sphere index, then in
+    :meth:`~mapglue.maps.PlanarMap.vertices` order.
+    """
+    parent: dict = {}  # identifies the pinched vertex copies
+    for a, va, b, vb in pinches:
+        _union(parent, offsets[a] + va, offsets[b] + vb)
+    rep = [0] * (len(sigma) + 1)
+    rank = [0] * (len(sigma) + 1)
+    size = [0] * (len(sigma) + 1)  # the positions taken at each vertex
+    for start in range(1, len(sigma) + 1):
+        if rep[start]:
+            continue
+        v = _find(parent, start)
+        i = size[v]
+        d = start
+        while not rep[d]:
+            rep[d] = v
+            rank[d] = i
+            i += 1
+            d = sigma[d - 1]
+        size[v] = i
+    return rep, rank
 
 
 _TWICE = ("every support edge must be traversed exactly twice, once in "
@@ -171,7 +193,9 @@ class Circuit:
     direction.  The walk that checks the last two also records the
     contour, read by :func:`circuit_to_contour`: the first traversal of an
     edge goes up, the second down, which is a Dyck path once every edge is
-    taken twice.  The kernels that take a circuit trust it.
+    taken twice.  The kernels that take a circuit trust it, and
+    :func:`glue_bridgeless` makes its circuits with :meth:`_traced`, which
+    checks nothing.
     """
 
     bubble: BubbleMap
@@ -207,6 +231,17 @@ class Circuit:
             raise MalformedCircuit(_TWICE)
         object.__setattr__(self, "_contour", DyckPath(tuple(steps)))
 
+    @classmethod
+    def _traced(cls, bubble: BubbleMap, darts: tuple[int, ...],
+                contour: DyckPath) -> "Circuit":
+        """The circuit ``darts`` of ``bubble``, trusted to be one, whose
+        contour is ``contour``."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "bubble", bubble)
+        object.__setattr__(circuit, "darts", darts)
+        object.__setattr__(circuit, "_contour", contour)
+        return circuit
+
     def is_non_crossing(self) -> bool:
         """No interleaved visit pattern at any vertex.
 
@@ -224,7 +259,7 @@ class Circuit:
         darts = self.darts
         rep, rank = self.bubble._corners
         alpha = self.bubble._table[1]
-        chords: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        chords: dict[int, list[tuple[int, int]]] = {}
         for prev, g in zip(darts[-1:] + darts[:-1], darts):
             chords.setdefault(rep[g], []).append((rank[alpha[prev - 1]],
                                                   rank[g]))
@@ -317,7 +352,7 @@ def _wicked_cuts(pmap: PlanarMap, walk, classes):
     :func:`_boundary_groups`)."""
     cuts = [(a, b, v) for v, ps in _boundary_groups(pmap, walk, classes)
             for a, b in zip(ps, ps[1:])]
-    if not _nested((a, b) for a, b, _ in cuts):
+    if cuts and not _nested((a, b) for a, b, _ in cuts):
         raise InternalMismatch("wicked cuts cross")
     return cuts
 
@@ -338,12 +373,13 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     pmap = bmap.map
     match, classes = _contour_tables(tree)
     # circuit step p is the image of contour step p: the survivor partner
-    # of the boundary dart at label p (so the circuit starts at the root)
+    # of the boundary dart at label p (so the circuit starts at the root),
+    # and it goes up exactly when it takes its edge first
     frame = _frame(pmap, walk)
     sigma, alpha = _sew(frame, match)
-    circuit_raw = frame.ends
-    n = len(sigma)
-    root_new = circuit_raw[0]
+    ends = frame.ends
+    contour = DyckPath(tuple([1 if j > i else -1
+                              for i, j in enumerate(match)]))
 
     cuts = _wicked_cuts(pmap, walk, classes)
     if not cuts:
@@ -353,9 +389,10 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
         # defect 1)
         if _connected_vertex_count(sigma, alpha) is None:
             raise Disconnected("the darts do not form a connected map")
-        bubble = BubbleMap((PlanarMap(tuple(sigma), tuple(alpha),
-                                      root_new),))
-        return bubble, Circuit(bubble, tuple(circuit_raw))
+        glued = PlanarMap(tuple(sigma), tuple(alpha), ends[0])
+        bubble = BubbleMap._built((glued,), (), (0, len(sigma)),
+                                  glued.sigma, glued.alpha)
+        return bubble, Circuit._traced(bubble, tuple(ends), contour)
 
     # rebuilding sigma from the internal faces separates the rotation at
     # every pinch vertex on its own (the two sides of a wicked
@@ -364,9 +401,10 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     # then by smallest dart, each with its darts in increasing order.  A
     # component is connected by construction, and a disc sewn along a
     # non-crossing pairing is a sphere, so each is built directly
+    n = len(sigma)
     sphere = [-1] * (n + 1)
     comps: list[list[int]] = []
-    for start in (root_new, *range(1, n + 1)):
+    for start in (ends[0], *range(1, n + 1)):
         if sphere[start] >= 0:
             continue
         sphere[start] = k = len(comps)
@@ -380,32 +418,41 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     if len(comps) != len(cuts) + 1:
         raise InternalMismatch("component count does not match the wicked "
                                "identifications")
-    local = [0] * (n + 1)  # the label of each dart within its sphere
+    # the global label of each dart: the components' darts one after
+    # another, as the bubble-map addresses them
+    order = [d for ds in comps for d in ds]
+    label = [0] * (n + 1)
+    for g, d in enumerate(order, 1):
+        label[d] = g
+    global_sigma = tuple([label[sigma[d - 1]] for d in order])
+    global_alpha = tuple([label[alpha[d - 1]] for d in order])
+    offsets = [0]
     spheres = []
-    for k, ds in enumerate(comps):
-        for i, d in enumerate(ds, 1):
-            local[d] = i
-        spheres.append(PlanarMap(tuple([local[sigma[d - 1]] for d in ds]),
-                                 tuple([local[alpha[d - 1]] for d in ds]),
-                                 local[root_new] if k == 0 else 1))
+    for ds in comps:
+        lo = offsets[-1]
+        offsets.append(hi := lo + len(ds))
+        spheres.append(PlanarMap(
+            tuple([g - lo for g in global_sigma[lo:hi]]),
+            tuple([g - lo for g in global_alpha[lo:hi]]),
+            label[ends[0]] if lo == 0 else 1))
 
     pinches = []
     for a, b, v in cuts:
         # the cut pinches the component carrying boundary edge a onto the
         # one carrying boundary edge b; both circuit darts start at the
         # pinch vertex
-        da, db = circuit_raw[a], circuit_raw[b]
+        da, db = ends[a], ends[b]
         ka, kb = sphere[da], sphere[db]
         if ka == kb:
             raise InternalMismatch("wicked identification did not "
                                    "disconnect the spheres")
-        pinches.append((ka, spheres[ka].vertex_of(local[da]),
-                        kb, spheres[kb].vertex_of(local[db])))
+        pinches.append((ka, spheres[ka].vertex_of(label[da] - offsets[ka]),
+                        kb, spheres[kb].vertex_of(label[db] - offsets[kb])))
 
-    bubble = BubbleMap(tuple(spheres), tuple(sorted(pinches)))
-    offs = bubble._offsets
-    circuit = tuple(offs[sphere[d]] + local[d] for d in circuit_raw)
-    return bubble, Circuit(bubble, circuit)
+    bubble = BubbleMap._built(tuple(spheres), tuple(sorted(pinches)),
+                              tuple(offsets), global_sigma, global_alpha)
+    return bubble, Circuit._traced(bubble, tuple([label[d] for d in ends]),
+                                   contour)
 
 
 def unglue_bubble(bubble: BubbleMap, circuit: Circuit):

@@ -242,34 +242,24 @@ def _catalog(filt: CatalogFilter, built) -> Catalog:
     """The catalog of ``built``, raw ``(sigma, alpha)`` pairs each rooted
     at dart ``len(sigma) - 1`` and each built once.
 
-    Each map is canonicalised once, and its code split by
-    :func:`_halves` into the canonical map's arrays.  The array pairs are
-    sorted and compared with their neighbours before each map is built,
-    once.  A short code (a disconnected construction) raises
-    :class:`Disconnected` and two equal codes raise
-    :class:`InternalMismatch`.
+    Each map is canonicalised once, into the canonical map's arrays; equal
+    alpha arrays are kept once per catalog.  The array pairs are sorted
+    and compared with their neighbours before each map is built, once.  A
+    short code (a disconnected construction) raises :class:`Disconnected`
+    and two equal codes raise :class:`InternalMismatch`.
     """
-    shared: dict = {}
+    shared: dict = {}  # alpha -> alpha, so that each is held once
     codes = []
     for sigma, alpha in built:
-        code = _canonical(sigma, alpha, (len(sigma) - 1,))[0]
-        if len(code) < 2 * len(sigma):
+        code_sigma, code_alpha, _ = _canonical(sigma, alpha, len(sigma) - 1)
+        if len(code_sigma) < len(sigma):
             raise Disconnected("the darts do not form a connected map")
-        codes.append(_halves(code, shared))
+        codes.append((code_sigma, shared.setdefault(code_alpha, code_alpha)))
     codes.sort()
     if any(starmap(eq, pairwise(codes))):
         raise InternalMismatch(f"a map of {filt} was built twice")
     return Catalog(filt, tuple([PlanarMap(sigma, alpha, 1)
                                 for sigma, alpha in codes]))
-
-
-def _halves(code: tuple[int, ...], shared: dict) -> tuple[tuple, tuple]:
-    """The sigma and alpha halves of ``code``, the alpha taken from
-    ``shared`` (an alpha -> alpha memo for one catalog) when an equal one
-    is there, so that each catalog holds each distinct alpha once."""
-    n = len(code) // 2
-    alpha = code[n:]
-    return code[:n], shared.setdefault(alpha, alpha)
 
 
 def enumerate_maps(e: int) -> Catalog:
@@ -631,14 +621,16 @@ def catalog_from_text(text: str) -> Catalog:
         raise FormatError(f"catalog count {count} is impossible for rooted "
                           f"maps with {e} edges{face}")
     # the one place where a code becomes a map, so every map is validated
-    shared: dict = {}
+    shared: dict = {}  # alpha -> alpha, as in _catalog
     maps, last = [], ()
     for line in lines[1:-1]:
         code = tuple(_ints(line))
         if last >= code:
             raise FormatError("catalog entries are not strictly increasing")
-        pm = build_map(*_halves(code, shared), 1)
-        if _canonical(pm.sigma, pm.alpha, (1,))[0] != code:
+        half = len(code) // 2
+        alpha = code[half:]
+        pm = build_map(code[:half], shared.setdefault(alpha, alpha), 1)
+        if _canonical(pm.sigma, pm.alpha, 1)[:2] != (pm.sigma, pm.alpha):
             raise FormatError(f"catalog entry {code} is not a canonical code")
         if not _in_family(pm, filt):
             raise FormatError(f"catalog entry {code} is not a map of {filt}")

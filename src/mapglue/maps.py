@@ -101,12 +101,16 @@ class PlanarMap:
     directly, with tuple fields and sorted labels; the bubble kernels keep
     only the checks that can fail on a valid input (a connectivity check
     in ``glue_bridgeless``, and connectivity and genus in
-    ``unglue_bubble``, whose circuit may cross).  The tests run all these
-    outputs through :func:`build_map` again.  Use :func:`build_map` for
-    any other raw data.
+    ``unglue_bubble``, whose circuit may cross), and ``glue_bridgeless``
+    hands its bubble-map and circuit the tables and contour it computed,
+    so neither is checked again.  The tests run all these outputs through
+    :func:`build_map` (and the bubble-maps and circuits through their
+    checking constructors) again.  Use :func:`build_map` for any other
+    raw data.
 
     A catalog map is its own canonical code (:meth:`canonical_code`), and
-    shares equal alpha tuples with the other maps of its catalog.
+    shares equal alpha tuples with the other maps of its catalog.  One
+    kernel, :func:`_canonical`, writes every canonical code and export.
     """
 
     sigma: Perm
@@ -186,9 +190,8 @@ class PlanarMap:
         :func:`_canonical` from its root, which becomes dart 1, without
         labels.  Two rooted maps are isomorphic exactly when their codes
         are equal; a catalog orders its codes by ``sigma + alpha``."""
-        code = _canonical(self.sigma, self.alpha, (self.root,))[0]
-        n = len(self.sigma)
-        return PlanarMap(code[:n], code[n:], 1)
+        sigma, alpha, _ = _canonical(self.sigma, self.alpha, self.root)
+        return PlanarMap(sigma, alpha, 1)
 
     def rerooted(self, root: int) -> "PlanarMap":
         """The same map rooted at dart ``root``, which must be one of its
@@ -199,39 +202,38 @@ class PlanarMap:
 
 
 def _canonical(sigma: Perm, alpha: Perm,
-               seeds) -> tuple[tuple[int, ...], list[int]]:
-    """The one breadth-first labelling behind every canonical code, key and
-    export: from the first seed, sigma before alpha; when the queue runs
-    dry it continues from the next seed that has no label yet.
+               root: int) -> tuple[Perm, Perm, list[int]]:
+    """The one breadth-first labelling behind every canonical code and
+    export: from ``root``, which becomes dart 1, sigma before alpha.
 
-    Returns ``(code, image)``: ``code`` is the relabelled sigma then alpha
-    as one tuple (darts that no seed reaches are left out, so it is
-    shorter than the arrays), and ``image[d]`` is the new label of dart
-    ``d`` (index 0 unused, 0 for a dart no seed reaches).
+    Returns ``(sigma_code, alpha_code, image)``: the relabelled sigma and
+    alpha, and ``image[d]``, the new label of dart ``d`` (index 0 unused,
+    0 for a dart the root does not reach; the codes leave those out, so
+    they are shorter than the arrays).  The codes are written while the
+    darts are labelled: the dart dequeued i-th has label i, and the labels
+    of its sigma and alpha images are known by the time it is dequeued.
     """
     image = [0] * (len(sigma) + 1)
-    order: list[int] = []
-    n = 0
-    for seed in seeds:
-        if image[seed]:
-            continue
-        n += 1
-        image[seed] = n
-        queue = [seed]
-        for d in queue:  # also visits the darts appended while it runs
-            e = sigma[d - 1]
-            if not image[e]:
-                n += 1
-                image[e] = n
-                queue.append(e)
-            e = alpha[d - 1]
-            if not image[e]:
-                n += 1
-                image[e] = n
-                queue.append(e)
-        order += queue
-    return (tuple([image[sigma[d - 1]] for d in order]
-                  + [image[alpha[d - 1]] for d in order]), image)
+    image[root] = n = 1
+    queue = [root]
+    sigma_code: list[int] = []
+    alpha_code: list[int] = []
+    for d in queue:  # also visits the darts appended while it runs
+        e = sigma[d - 1]
+        i = image[e]
+        if not i:
+            n += 1
+            image[e] = i = n
+            queue.append(e)
+        sigma_code.append(i)
+        e = alpha[d - 1]
+        i = image[e]
+        if not i:
+            n += 1
+            image[e] = i = n
+            queue.append(e)
+        alpha_code.append(i)
+    return tuple(sigma_code), tuple(alpha_code), image
 
 
 def _connected_vertex_count(sigma: Perm, alpha: Perm) -> int | None:

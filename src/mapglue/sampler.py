@@ -34,8 +34,8 @@ from .bijection import (TreeDecoratedMap, _contour_match, _decorated,
 from .counting import count_tree_decorated
 from .enumeration import get_catalog, sha256
 from .errors import DecorationNotATree, FormatError
-from .maps import (BoundaryMap, PlanarMap, _canonical, _cycles, _ints,
-                   _record, build_map)
+from .maps import (BoundaryMap, PlanarMap, _canonical, _ints, _record,
+                   build_map)
 from .trees import DyckPath, catalan, contour_to_tree, enumerate_trees
 
 
@@ -176,22 +176,29 @@ def export_decorated(tdm: TreeDecoratedMap) -> str:
     The map is canonically relabelled first (so the root is dart 1); each
     vertex line lists its darts in rotation order as ``dart/partner``
     pairs, starting at its smallest dart, and the lines come in
-    increasing order of that dart.
+    increasing order of that dart.  Each line is written while its cycle
+    is walked in the relabelled map, first met at its smallest dart.
     """
     pmap = tdm.map
-    code, image = _canonical(pmap.sigma, pmap.alpha, (pmap.root,))
-    n = pmap.dart_count
-    alpha = code[n:]
-    # each cycle starts at its smallest dart, in increasing order
-    vertices = _cycles(code[:n])
+    sigma, alpha, image = _canonical(pmap.sigma, pmap.alpha, pmap.root)
+    n = len(sigma)
+    seen = [False] * (n + 1)
+    lines = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        pairs = []
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            pairs.append(f"{d}/{alpha[d - 1]}")
+            d = sigma[d - 1]
+        lines.append(f"vertex {start}: " + " ".join(pairs))
     tree = sorted(min(image[e], image[pmap.alpha[e - 1]])
                   for e in tdm.tree_edges)
-    lines = [f"decorated vertices={len(vertices)} edges={n // 2} root=1"]
-    for cyc in vertices:
-        pairs = " ".join(f"{d}/{alpha[d - 1]}" for d in cyc)
-        lines.append(f"vertex {cyc[0]}: {pairs}")
-    lines.append("tree: " + ",".join(str(e) for e in tree))
-    return "\n".join(lines) + "\n"
+    return "\n".join([
+        f"decorated vertices={len(lines)} edges={n // 2} root=1", *lines,
+        "tree: " + ",".join(str(e) for e in tree), ""])
 
 
 # two "/" in one word of a vertex line

@@ -1,10 +1,15 @@
 """Reference tools for circuit-decorated bubble-maps, for the tests: global
-dart addressing, rerooting, and a canonical key that searches every
-rooting of each attached sphere.  The library needs none of them."""
+dart addressing, rerooting, a canonical key that searches every rooting
+of each attached sphere, and seeded pinched inputs.  The library needs
+none of them."""
 
 from bisect import bisect_left
+from random import Random
 
 from mapglue.bubbles import BubbleMap
+from mapglue.enumeration import enumerate_maps
+from mapglue.maps import BoundaryMap, _vertex_ids, build_map
+from mapglue.trees import DyckPath, sample_dyck_uniform
 
 from relabelling import canonical_relabelling, relabel
 
@@ -91,3 +96,47 @@ def _assembled_key(bubble, images, order, circuit_darts, cyclic):
     if cyclic:
         circ = min(circ[i:] + circ[:i] for i in range(len(circ)))
     return tuple(codes), pinches, tuple(circ)
+
+
+def _rotation_pred(sigma, d):
+    e = d
+    while sigma[e - 1] != d:
+        e = sigma[e - 1]
+    return e
+
+
+def joined_disc(k, seed, pieces=None):
+    """k simple-boundary maps joined at their root vertices, and a tree
+    whose contour puts every occurrence of the join vertex in one contour
+    class, so the gluing pinches it into k spheres.  The maps are drawn
+    from ``pieces``, by default the 5-edge maps with a simple boundary of
+    even perimeter."""
+    rng = Random(seed)
+    if pieces is None:
+        pieces = [pm for pm in enumerate_maps(5).maps()
+                  if BoundaryMap(pm).is_simple()
+                  and BoundaryMap(pm).perimeter % 2 == 0]
+    sigma, alpha, roots = [], [], []
+    for pm in (rng.choice(pieces) for _ in range(k)):
+        off = len(sigma)
+        sigma += [off + x for x in pm.sigma]
+        alpha += [off + a for a in pm.alpha]
+        roots.append(off + pm.root)
+    # splice each later rotation into the corner before the first root
+    before = _rotation_pred(sigma, roots[0])
+    for r in roots[1:]:
+        last = _rotation_pred(sigma, r)
+        sigma[before - 1], sigma[last - 1] = r, roots[0]
+        before = last
+    bm = BoundaryMap(build_map(sigma, alpha, roots[0]))
+    vertex = _vertex_ids(bm.map.sigma)  # vertex_of, for every dart at once
+    heads = [vertex[bm.map.alpha_of(d)] for d in bm.boundary_walk()]
+    occ = [p for p, v in enumerate(heads) if v == heads[1]]
+    gaps = [b - a for a, b in zip(occ, occ[1:])]
+    gaps.append(len(heads) - occ[-1] + occ[0] - 2)
+    steps = [1]
+    for g in gaps:
+        if g:
+            steps += sample_dyck_uniform(g // 2, rng).steps
+    steps.append(-1)
+    return bm, DyckPath(tuple(steps))

@@ -22,13 +22,26 @@ def canonical_relabelling(pmap: PlanarMap) -> list[int]:
     """First-visit order of the breadth-first exploration from the root,
     alternating sigma then alpha, as an image array: dart ``d`` becomes
     ``image[d]`` (index 0 is unused)."""
-    return _canonical(pmap.sigma, pmap.alpha, (pmap.root,))[1]
+    return _canonical(pmap.sigma, pmap.alpha, pmap.root)[2]
 
 
-def min_code(sigma, alpha, roots):
-    """The smallest code of :func:`~mapglue.maps._canonical` over the seed
-    tuples ``roots`` (a plain root is a 1-tuple), and the seed tuples that
-    give it, in order."""
-    codes = [_canonical(sigma, alpha, seeds)[0] for seeds in roots]
-    best = min(codes)
-    return best, [seeds for seeds, c in zip(roots, codes) if c == best]
+def reference_code(sigma, alpha, root: int) -> tuple[int, ...]:
+    """The canonical code of :func:`~mapglue.maps._canonical` as one tuple,
+    sigma then alpha, written out independently of that kernel: label the
+    darts breadth-first from ``root``, sigma before alpha, then read both
+    arrays in label order (darts the root does not reach are left out)."""
+    image = [0] * (len(sigma) + 1)
+    image[root] = 1
+    order = [root]
+    for d in order:  # also visits the darts appended while it runs
+        for e in (sigma[d - 1], alpha[d - 1]):
+            if not image[e]:
+                order.append(e)
+                image[e] = len(order)
+    return tuple([image[sigma[d - 1]] for d in order]
+                 + [image[alpha[d - 1]] for d in order])
+
+
+def min_code(sigma, alpha, roots) -> tuple[int, ...]:
+    """The smallest :func:`reference_code` over the darts ``roots``."""
+    return min(reference_code(sigma, alpha, root) for root in roots)

@@ -1,5 +1,3 @@
-from random import Random
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,10 +17,9 @@ from mapglue.errors import (BoundaryHasBridge, CircuitMissesPinch,
 from mapglue.maps import (BoundaryMap, _cycles, _find, _union, build_map,
                           map_from_line)
 from mapglue.trees import (DyckPath, class_starts, contour_to_tree,
-                           enumerate_trees, sample_dyck_uniform,
-                           tree_to_contour)
+                           enumerate_trees, tree_to_contour)
 
-from bubble_reference import branching_key, to_local
+from bubble_reference import branching_key, joined_disc, to_local
 
 def _walk_contour(edges) -> DyckPath:
     """Reference contour of a closed walk given by the edge of each step:
@@ -364,7 +361,7 @@ def _crossing_pair(chords) -> bool:
 
 def _pairwise_vertex(bub, g):
     """Reference pinch collapse: the smallest (sphere, vertex) copy that
-    the pinches join to the tail of ``g``."""
+    the pinches join to the tail of ``g``, named by its global dart."""
     k, d = to_local(bub, g)
     copies = {(k, bub.spheres[k].vertex_of(d))}
     grown = True
@@ -374,7 +371,8 @@ def _pairwise_vertex(bub, g):
             if ((a, va) in copies) != ((b, vb) in copies):
                 copies |= {(a, va), (b, vb)}
                 grown = True
-    return min(copies)
+    k, v = min(copies)
+    return bub._offsets[k] + v
 
 
 def _pairwise_non_crossing(circuit) -> bool:
@@ -448,13 +446,21 @@ def _check_against_references(bm, tree):
 
     The kernels build their maps unchecked: every sphere of the gluing and
     the map its circuit cuts open pass build_map, and the contour the
-    circuit recorded is the scan of its edges."""
+    circuit recorded is the scan of its edges.  The gluing hands its own
+    tables and contour to the bubble-map and the circuit: rebuilt through
+    the checking constructors, they lay out the same tables and record
+    the same contour."""
     assert detect_wicked(bm, tree) == _scanned_wicked(bm, tree)
     assert _cuts(bm, tree) == _scanned_cuts(bm, tree)
     try:
         bubble, circuit = glue_bridgeless(bm, tree)
     except Disconnected:
         return None
+    checked = BubbleMap(bubble.spheres, bubble.pinches)
+    for name in ("_offsets", "_table", "_corners"):
+        assert getattr(checked, name) == getattr(bubble, name), name
+    assert (circuit_to_contour(Circuit(checked, circuit.darts))
+            == circuit_to_contour(circuit))
     for g in range(1, bubble.dart_count + 1):
         assert bubble._corners[0][g] == _pairwise_vertex(bubble, g)
     assert circuit.is_non_crossing() == _pairwise_non_crossing(circuit)
@@ -513,50 +519,10 @@ def test_two_wicked_vertices_in_vertex_order():
     assert len(bubble.spheres) == 3
 
 
-def _rotation_pred(sigma, d):
-    e = d
-    while sigma[e - 1] != d:
-        e = sigma[e - 1]
-    return e
-
-
-def _joined_disc(k, seed):
-    """k simple-boundary 5-edge maps joined at their root vertices, and a
-    tree whose contour puts every occurrence of the join vertex in one
-    contour class, so the gluing pinches it into k spheres."""
-    rng = Random(seed)
-    pieces = [pm for pm in enumerate_maps(5).maps()
-              if BoundaryMap(pm).is_simple()
-              and BoundaryMap(pm).perimeter % 2 == 0]
-    sigma, alpha, roots = [], [], []
-    for pm in (rng.choice(pieces) for _ in range(k)):
-        off = len(sigma)
-        sigma += [off + x for x in pm.sigma]
-        alpha += [off + a for a in pm.alpha]
-        roots.append(off + pm.root)
-    # splice each later rotation into the corner before the first root
-    before = _rotation_pred(sigma, roots[0])
-    for r in roots[1:]:
-        last = _rotation_pred(sigma, r)
-        sigma[before - 1], sigma[last - 1] = r, roots[0]
-        before = last
-    bm = BoundaryMap(build_map(sigma, alpha, roots[0]))
-    heads = [bm.map.vertex_of(bm.map.alpha_of(d)) for d in bm.boundary_walk()]
-    occ = [p for p, v in enumerate(heads) if v == heads[1]]
-    gaps = [b - a for a, b in zip(occ, occ[1:])]
-    gaps.append(len(heads) - occ[-1] + occ[0] - 2)
-    steps = [1]
-    for g in gaps:
-        if g:
-            steps += sample_dyck_uniform(g // 2, rng).steps
-    steps.append(-1)
-    return bm, DyckPath(tuple(steps))
-
-
 def test_joined_discs_match_references():
     for seed in range(6):
         for k in (2, 3, 4):
-            bm, path = _joined_disc(k, seed)
+            bm, path = joined_disc(k, seed)
             bubble, circuit = _check_against_references(
                 bm, contour_to_tree(path))
             assert len(bubble.spheres) == k
@@ -567,7 +533,7 @@ def test_joined_disc_verdicts_pinned():
     # is_non_crossing reports a crossing; k = 2 passes
     verdicts = {}
     for k in (2, 3):
-        bm, path = _joined_disc(k, 3)
+        bm, path = joined_disc(k, 3)
         bubble, circuit = glue_bridgeless(bm, contour_to_tree(path))
         tree2, bm2 = unglue_bubble(bubble, circuit)
         assert tree_to_contour(tree2) == path
@@ -644,16 +610,18 @@ def test_malformed_circuit_in_non_crossing():
 
 
 def _global_cycle_corners(bubble):
-    """Reference BubbleMap._corners: walk the cycles of the global sigma
-    and find each one's sphere by bisection."""
+    """Reference BubbleMap._corners: walk the cycles of the global sigma,
+    find each one's sphere by bisection and name its vertex by the global
+    dart of the smallest (sphere, vertex) copy pinched to it."""
     parent = {}
     for a, va, b, vb in bubble.pinches:
         _union(parent, (a, va), (b, vb))
-    rep = [None] * (bubble.dart_count + 1)
+    rep = [0] * (bubble.dart_count + 1)
     rank = [0] * (bubble.dart_count + 1)
     size = {}
     for cyc in _cycles(bubble._table[0]):
-        v = _find(parent, to_local(bubble, cyc[0]))
+        k, v = _find(parent, to_local(bubble, cyc[0]))
+        v = bubble._offsets[k] + v
         base = size.get(v, 0)
         for i, g in enumerate(cyc, base):
             rep[g] = v
@@ -668,7 +636,7 @@ def _gluings_and_joined_discs():
     for k, seeds in ((2, range(6)), (3, range(6)), (4, range(6)),
                      (16, (0,))):
         for seed in seeds:
-            bm, path = _joined_disc(k, seed)
+            bm, path = joined_disc(k, seed)
             yield glue_bridgeless(bm, contour_to_tree(path))
 
 

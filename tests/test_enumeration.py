@@ -13,11 +13,11 @@ from mapglue.enumeration import (Catalog, CatalogFilter, _subtrees,
                                  sphere_qangulations, tree_submaps)
 from mapglue.errors import (CapExceeded, Disconnected, FormatError,
                             Infeasible, InternalMismatch)
-from mapglue.maps import BoundaryMap, PlanarMap, _canonical, build_map
+from mapglue.maps import BoundaryMap, PlanarMap, build_map
 from mapglue.trees import contour_to_tree, enumerate_trees
 from mapglue.verify import _grid
 
-from relabelling import min_code
+from relabelling import min_code, reference_code
 
 TRIANGLE = build_map([2, 1, 4, 3, 6, 5], [4, 5, 6, 1, 2, 3], 1)
 
@@ -70,7 +70,7 @@ def _with_edge_inserted(pmap):
     x, y = n + 1, n + 2
     sigma = pmap.sigma
     alpha = pmap.alpha + (y, x)
-    root = (pmap.root,)
+    root = pmap.root
     pred = [0] * n
     for d in range(1, n + 1):
         pred[sigma[d - 1] - 1] = d
@@ -83,11 +83,11 @@ def _with_edge_inserted(pmap):
         # pendant edge hanging into the face at this corner
         s = list(sigma) + [c1, y]
         s[p1 - 1] = x
-        yield _canonical(s, alpha, root)[0]
+        yield reference_code(s, alpha, root)
         # trivial loop inside the corner
         s = list(sigma) + [y, c1]
         s[p1 - 1] = x
-        yield _canonical(s, alpha, root)[0]
+        yield reference_code(s, alpha, root)
         for c2 in range(c1 + 1, n + 1):
             if face[c1 - 1] != face[c2 - 1]:
                 continue  # joining distinct faces would raise the genus
@@ -95,7 +95,7 @@ def _with_edge_inserted(pmap):
             s = list(sigma) + [c1, c2]
             s[p1 - 1] = x
             s[p2 - 1] = y
-            yield _canonical(s, alpha, root)[0]
+            yield reference_code(s, alpha, root)
 
 
 def test_root_edge_levels_match_edge_insertion():
@@ -204,18 +204,17 @@ def _grown_boundary_codes(q, f, perimeter):
     level = {}
     for t in seeds:
         walk = t.root_face()
-        key = min_code(t.sigma, t.alpha, [(d,) for d in walk])[0]
+        key = min_code(t.sigma, t.alpha, walk)
         level.setdefault(key, (t.sigma, t.alpha, walk))
     for _ in range(steps):
         nxt = {}
         for sigma, alpha, walk in level.values():
             for i in range(len(walk)):
                 cand = _add_qgon(sigma, alpha, walk, i, q)
-                key = min_code(cand[0], cand[1],
-                               [(d,) for d in cand[2]])[0]
+                key = min_code(*cand)
                 nxt.setdefault(key, cand)
         level = nxt
-    return sorted({_canonical(sigma, alpha, (d,))[0]
+    return sorted({reference_code(sigma, alpha, d)
                    for sigma, alpha, walk in level.values() for d in walk})
 
 

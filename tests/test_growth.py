@@ -1,6 +1,6 @@
-"""Growth gate: the gluing kernels, the decorated-map export and parse,
-``build_map`` and the canonical relabelling do linear work, counted in
-executed Python lines.
+"""Growth gate: the gluing kernels, the bubble kernels, the decorated-map
+export and parse, ``build_map`` and the canonical relabelling do linear
+work, counted in executed Python lines.
 
 A line count (:func:`linecount.count_lines`) is exact and repeats on any
 host, so a kernel whose work grows faster than its input fails here at
@@ -9,17 +9,22 @@ sizes where a timing could not tell.  The blind spot: work inside C calls
 and ``join``, big-integer arithmetic) is not counted, so a quadratic
 ``list.index`` in a loop would pass; the bench's timings cover that.  The
 export sorts the tree edges and the parse sorts the darts and runs a
-regular expression over the vertex lines, all inside C calls.
+regular expression over the vertex lines, all inside C calls; so do
+``glue_bridgeless`` (each sphere's darts and the pinches) and
+``is_non_crossing`` (the corner chords at a vertex).
 """
 
 from random import Random
 
 from mapglue.bijection import (MultiBoundaryMap, TreeDecoratedMap, glue,
                                glue_forest, glue_partial, unglue)
+from mapglue.bubbles import Circuit, glue_bridgeless, unglue_bubble
+from mapglue.enumeration import enumerate_maps
 from mapglue.maps import BoundaryMap, build_map
 from mapglue.sampler import export_decorated, parse_decorated
 from mapglue.trees import DyckPath, contour_to_tree, sample_dyck_uniform
 
+from bubble_reference import joined_disc
 from linecount import count_lines
 
 SIZE = 1000  # tree edges of the small inputs; the large ones have 4 times
@@ -37,7 +42,11 @@ def _kernel_lines(n: int) -> dict[str, int]:
     first boundary alone, and ``glue`` also runs on the boundary map that
     ``unglue`` returned, which holds its walk already.  That gluing is
     exported, parsed back and canonically relabelled, and ``build_map``
-    validates the host.
+    validates the host.  The bubble kernels run twice: on that boundary,
+    which glues into one sphere, and on n/2 copies of the 4-cycle joined
+    at one vertex, which glue into n/2 spheres pinched together
+    (``bubble_reference.joined_disc``).  Each gluing's circuit
+    is also made anew through ``Circuit``, which checks it.
     """
     rng = Random(f"growth-{n}")
     first, second = (sample_dyck_uniform(n, rng).steps for _ in range(2))
@@ -49,8 +58,9 @@ def _kernel_lines(n: int) -> dict[str, int]:
     small = contour_to_tree(sample_dyck_uniform(n // 2, rng))
     lines = dict.fromkeys(("unglue", "glue", "glue_partial", "glue_forest",
                            "simple_walk", "export_decorated",
-                           "parse_decorated", "build_map", "canonical_code"),
-                          0)
+                           "parse_decorated", "build_map", "canonical_code",
+                           "glue_bridgeless", "Circuit", "is_non_crossing",
+                           "unglue_bubble"), 0)
 
     def count(name, fn, *args):
         result, n_lines = count_lines(fn, *args)
@@ -79,6 +89,16 @@ def _kernel_lines(n: int) -> dict[str, int]:
                   MultiBoundaryMap(pmap, (bmap1.map.root, bmap2.map.root)),
                   (tree1, tree2))
     assert glued.map.canonical_code() == host.rerooted(2).canonical_code()
+    square = [pm for pm in enumerate_maps(4).maps()
+              if BoundaryMap(pm).simple_walk() is not None
+              and BoundaryMap(pm).perimeter == 4]
+    pinched, path = joined_disc(n // 2, f"growth-{n}", square)
+    for bmap, tree in ((bmap1, tree1), (pinched, contour_to_tree(path))):
+        bubble, circuit = count("glue_bridgeless", glue_bridgeless, bmap, tree)
+        assert count("Circuit", Circuit, bubble, circuit.darts) == circuit
+        count("is_non_crossing", circuit.is_non_crossing)
+        count("unglue_bubble", unglue_bubble, bubble, circuit)
+    assert len(bubble.spheres) == n // 2
     return lines
 
 
