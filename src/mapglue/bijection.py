@@ -48,6 +48,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from operator import not_
 
 from .errors import (
     BoundariesNotDisjoint,
@@ -249,12 +250,12 @@ def _frame(pmap: PlanarMap, consumed: Sequence[int]) -> _Frame:
     for k, d in enumerate(survivors, 1):
         index[d] = k
     phi = [index[old_sigma[old_alpha[d - 1] - 1]] for d in survivors]
-    if 0 in phi:  # a face lost some darts: its survivors skip them
-        for k, d in enumerate(survivors):
-            e = old_sigma[old_alpha[d - 1] - 1]
-            while not index[e]:
-                e = old_sigma[old_alpha[e - 1] - 1]
-            phi[k] = index[e]
+    # a survivor whose face successor was consumed skips the consumed run
+    for k in compress(range(len(phi)), map(not_, phi)):
+        e = old_sigma[old_alpha[survivors[k] - 1] - 1]
+        while not index[e]:
+            e = old_sigma[old_alpha[e - 1] - 1]
+        phi[k] = index[e]
     # survivors keep their order, so the labels stay sorted
     return _Frame(index, phi, [index[old_alpha[d - 1]] for d in survivors],
                   [index[old_alpha[b - 1]] for b in consumed],

@@ -19,30 +19,35 @@ fresh external face, re-thickening the pinch vertices in the process.
 Gluing walks the boundary face once and reads the tree's contour once:
 that walk decides the bridge and size checks and gives the darts to sew,
 and the contour matching gives the Dyck path.  Wicked identifications come
-from one grouping of the boundary positions by (vertex, contour class);
-the contour classes of a small tree are kept with its matching.  The
-kernels build their maps directly and check only what can fail: a
-single-sphere gluing checks that it is connected (it is not on the inputs
-of ``bench/README.md``'s known defect 1), the spheres of a pinched gluing
+from one grouping of the boundary positions by (vertex, contour class),
+made only when a head vertex of the boundary walk recurs; the contour
+classes of a small tree are kept with its matching.  The kernels build
+their maps directly and check only what can fail.  A boundary on which no
+vertex recurs is simple and glues into one sphere, as in ``glue``, with
+no check.  A single-sphere gluing of a boundary on which a vertex recurs
+checks that it is connected (it is not on the inputs of
+``bench/README.md``'s known defect 1).  The spheres of a pinched gluing
 are its connected components, each a disc sewn along a non-crossing
-pairing, and ungluing checks that the cut map is connected and planar.
+pairing.  Ungluing checks that the cut map is connected and planar,
+unless the circuit is a gluing's, whose cut is the boundary it glued.
 Some crossing circuits pass that check, and gluing their cut gives back
 another bubble-map (known defect 4, ``ROADMAP.md`` item 1).
 
 A bubble-map and a circuit are checked once, where they enter the
 library.  A circuit's check (darts in range, heads chained onto tails,
 every support edge traversed once in each direction, so that cutting
-along it always gives a rotation system) records its contour.
-:func:`glue_bridgeless` skips both checks (``BubbleMap._built``,
-``Circuit._traced``): it hands over its sewn tables, or its component
-relabelling, as the global dart tables, and the tree's Dyck path as the
-contour.  The circuit kernels (the non-crossing test and the pinch check
-of ungluing) index those tables directly.  The non-crossing test walks
-the vertex cycles once to give every dart its rotation position, then
-runs a stack check of the corner chords at each vertex.
-At a pinch vertex the positions list the pinched copies in sphere order;
-the verdicts depend on that order, which reports a crossing on some exact
-round trips through a pinch vertex (``bench/README.md``, known defect 2).
+along it always gives a rotation system) records its contour, a Dyck
+path by construction.  :func:`glue_bridgeless` skips both checks
+(``BubbleMap._built``, ``Circuit._traced``): it hands over its sewn
+tables, or its component relabelling, as the global dart tables, and the
+Dyck path read from the tree's matching as the contour.  The circuit
+kernels (the non-crossing test and the pinch check of ungluing) index
+those tables directly.  The non-crossing test walks the vertex cycles
+once to give every dart its rotation position, then runs a stack check
+of the corner chords at each vertex.  At a pinch vertex the positions
+list the pinched copies in sphere order; the verdicts depend on that
+order, which reports a crossing on some exact round trips through a
+pinch vertex (``bench/README.md``, known defect 2).
 
 Boundaries with bridges are refused: two bridges identified by the tree
 would force the circuit through the same oriented edge twice, and the
@@ -193,13 +198,18 @@ class Circuit:
     direction.  The walk that checks the last two also records the
     contour, read by :func:`circuit_to_contour`: the first traversal of an
     edge goes up, the second down, which is a Dyck path once every edge is
-    taken twice.  The kernels that take a circuit trust it, and
-    :func:`glue_bridgeless` makes its circuits with :meth:`_traced`, which
-    checks nothing.
+    taken twice, so it is not checked again.  The kernels that take a
+    circuit trust it, and :func:`unglue_bubble` still checks that its cut
+    is connected and planar.  :func:`glue_bridgeless` makes its circuits
+    with :meth:`_traced`, which checks nothing and marks the circuit as a
+    gluing's, whose cut :func:`unglue_bubble` does not check.
     """
 
     bubble: BubbleMap
     darts: tuple[int, ...]
+    # True on the circuits of glue_bridgeless, whose cut is the boundary
+    # that was glued; not a field, so equality ignores it
+    _glued = False
 
     def __post_init__(self):
         darts = self.darts
@@ -229,17 +239,20 @@ class Circuit:
         # dart's partner is taken too
         if sum(steps):
             raise MalformedCircuit(_TWICE)
-        object.__setattr__(self, "_contour", DyckPath(tuple(steps)))
+        # each down step follows the up step of its edge: a Dyck path
+        object.__setattr__(self, "_contour", DyckPath._built(tuple(steps)))
 
     @classmethod
     def _traced(cls, bubble: BubbleMap, darts: tuple[int, ...],
                 contour: DyckPath) -> "Circuit":
         """The circuit ``darts`` of ``bubble``, trusted to be one, whose
-        contour is ``contour``."""
+        contour is ``contour`` and whose cut is the connected planar
+        boundary map that :func:`glue_bridgeless` sewed shut."""
         circuit = object.__new__(cls)
         object.__setattr__(circuit, "bubble", bubble)
         object.__setattr__(circuit, "darts", darts)
         object.__setattr__(circuit, "_contour", contour)
+        object.__setattr__(circuit, "_glued", True)
         return circuit
 
     def is_non_crossing(self) -> bool:
@@ -310,7 +323,8 @@ def detect_wicked(bmap: BoundaryMap, tree: PlanarMap):
     if len(walk) != 2 * m:
         raise SizeMismatch(f"perimeter {len(walk)} != 2*{m} tree edges")
     hits: dict[int, list[int]] = {}
-    for v, ps in _boundary_groups(bmap.map, walk, _contour_tables(tree)[1]):
+    for v, ps in _boundary_groups(bmap.map, walk,
+                                  _contour_tables(tree)[1]) or ():
         hits.setdefault(v, []).extend(ps)
     return [(v, tuple(sorted(ps))) for v, ps in hits.items()]
 
@@ -334,13 +348,18 @@ def _boundary_groups(pmap: PlanarMap, walk, classes):
     positions (a wicked identification), by ascending vertex and then by
     first position; the positions ascend.  Boundary darts run against the
     contour, so the vertex sitting at contour position p is the head of
-    the dart at label p.
+    the dart at label p.  Returns None, without grouping, when no head
+    vertex recurs: the boundary is then simple, and no group can have two
+    positions.
     """
     vertex = _vertex_ids(pmap.sigma)
     alpha = pmap.alpha
+    heads = [vertex[alpha[d - 1]] for d in walk]
+    if len(set(heads)) == len(heads):
+        return None
     groups: dict[tuple[int, int], list[int]] = {}
-    for p, d in enumerate(walk):
-        groups.setdefault((vertex[alpha[d - 1]], classes[p]), []).append(p)
+    for p, v in enumerate(heads):
+        groups.setdefault((v, classes[p]), []).append(p)
     # a stable sort keeps each vertex's groups in first-position order
     return sorted(((v, ps) for (v, _), ps in groups.items() if len(ps) > 1),
                   key=itemgetter(0))
@@ -349,9 +368,11 @@ def _boundary_groups(pmap: PlanarMap, walk, classes):
 def _wicked_cuts(pmap: PlanarMap, walk, classes):
     """Laminar intervals [a, b) of boundary positions pinched off by wicked
     identifications, as (a, b, vertex) triples (arguments as for
-    :func:`_boundary_groups`)."""
-    cuts = [(a, b, v) for v, ps in _boundary_groups(pmap, walk, classes)
-            for a, b in zip(ps, ps[1:])]
+    :func:`_boundary_groups`); None when the boundary is simple."""
+    groups = _boundary_groups(pmap, walk, classes)
+    if groups is None:
+        return None
+    cuts = [(a, b, v) for v, ps in groups for a, b in zip(ps, ps[1:])]
     if cuts and not _nested((a, b) for a, b, _ in cuts):
         raise InternalMismatch("wicked cuts cross")
     return cuts
@@ -363,6 +384,8 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     Returns ``(bubble, circuit)``.  With no wicked vertex the bubble has a
     single sphere and agrees with :func:`~mapglue.bijection.glue`; each
     wicked identification splits one more sphere off at a pinch vertex.
+    Disconnected when a boundary vertex recurs, none is wicked, and the
+    sewn darts still fall apart (known defect 1).
     """
     walk = _bridgeless_walk(bmap)
     m = tree.edge_count
@@ -378,16 +401,18 @@ def glue_bridgeless(bmap: BoundaryMap, tree: PlanarMap):
     frame = _frame(pmap, walk)
     sigma, alpha = _sew(frame, match)
     ends = frame.ends
-    contour = DyckPath(tuple([1 if j > i else -1
-                              for i, j in enumerate(match)]))
+    contour = DyckPath._built(tuple([1 if j > i else -1
+                                     for i, j in enumerate(match)]))
 
     cuts = _wicked_cuts(pmap, walk, classes)
     if not cuts:
-        # the one check that can fail: a boundary vertex recurring in two
+        # a simple boundary (cuts None) glues into one sphere, as in glue.
+        # The one check that can fail: a boundary vertex recurring in two
         # contour classes can still split the sewn structure, and no
         # wicked identification accounts for it (``bench/README.md``, known
         # defect 1)
-        if _connected_vertex_count(sigma, alpha) is None:
+        if cuts is not None and _connected_vertex_count(sigma,
+                                                         alpha) is None:
             raise Disconnected("the darts do not form a connected map")
         glued = PlanarMap(tuple(sigma), tuple(alpha), ends[0])
         bubble = BubbleMap._built((glued,), (), (0, len(sigma)),
@@ -464,9 +489,11 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
     duplicated darts all join that face.  A circuit takes every support
     edge once in each direction, so the cut is always a rotation system;
     only its connectivity and genus are checked (NonPlanar for a cut of
-    higher genus).  Some crossing circuits cut a connected planar map and
-    are accepted, although gluing that cut gives another bubble-map
-    (known defect 4, ``ROADMAP.md`` item 1).
+    higher genus), and only for a circuit made by ``Circuit``: the cut of
+    a circuit that :func:`glue_bridgeless` traced is the connected planar
+    boundary map it glued.  Some crossing circuits cut a connected planar
+    map and are accepted, although gluing that cut gives another
+    bubble-map (known defect 4, ``ROADMAP.md`` item 1).
     """
     if circuit.bubble is not bubble and circuit.bubble != bubble:
         raise MalformedCircuit("the circuit belongs to another bubble-map")
@@ -484,9 +511,10 @@ def unglue_bubble(bubble: BubbleMap, circuit: Circuit):
         raise MalformedCircuit("circuit does not contain the root edge")
 
     sigma, alpha, twins = _cut(sigma, alpha, darts)
-    bmap = BoundaryMap(_on_sphere(PlanarMap(tuple(sigma), tuple(alpha),
-                                            twins[0])))
-    return contour_to_tree(circuit_to_contour(circuit)), bmap
+    cut = PlanarMap(tuple(sigma), tuple(alpha), twins[0])
+    if not circuit._glued:
+        _on_sphere(cut)
+    return contour_to_tree(circuit_to_contour(circuit)), BoundaryMap(cut)
 
 
 # -- text serialization -------------------------------------------------------

@@ -100,10 +100,11 @@ class PlanarMap:
     ``contour_to_tree``) and the bubble kernels construct their maps
     directly, with tuple fields and sorted labels; the bubble kernels keep
     only the checks that can fail on a valid input (a connectivity check
-    in ``glue_bridgeless``, and connectivity and genus in
-    ``unglue_bubble``, whose circuit may cross), and ``glue_bridgeless``
-    hands its bubble-map and circuit the tables and contour it computed,
-    so neither is checked again.  The tests run all these outputs through
+    in ``glue_bridgeless`` where a boundary vertex recurs, and
+    connectivity and genus in ``unglue_bubble`` on a circuit made by
+    ``Circuit``, which may cross), and ``glue_bridgeless`` hands its
+    bubble-map and circuit the tables and contour it computed, so neither
+    is checked again.  The tests run all these outputs through
     :func:`build_map` (and the bubble-maps and circuits through their
     checking constructors) again.  Use :func:`build_map` for any other
     raw data.
@@ -355,11 +356,16 @@ class BoundaryMap:
         return self.bridgeless_walk() is not None
 
     def bridgeless_walk(self) -> tuple[int, ...] | None:
-        """:meth:`boundary_walk`, or None when it takes an edge twice."""
-        walk = self.boundary_walk()
+        """:meth:`boundary_walk`, or None when it takes an edge twice, from
+        one walk of the external face that marks its darts: an edge is
+        taken twice when a marked dart's partner is marked too.  Unlike
+        :meth:`simple_walk` it is not kept."""
+        cyc, on = _marked_root_face(self._map)
         alpha = self._map.alpha
-        edges = {d if d < alpha[d - 1] else alpha[d - 1] for d in walk}
-        return walk if len(edges) == len(walk) else None
+        for d in cyc:
+            if on[alpha[d - 1]]:
+                return None
+        return (cyc[0], *cyc[:0:-1])
 
     def is_vertex_simple(self) -> bool:
         """Boundary walk visits no vertex twice: the boundary is simple,
@@ -389,8 +395,9 @@ class BoundaryMap:
         return self._walk
 
 
-def _simple_face_walk(pmap: PlanarMap) -> tuple[int, ...] | None:
-    """:meth:`BoundaryMap.simple_walk` of ``pmap``, computed."""
+def _marked_root_face(pmap: PlanarMap) -> tuple[list[int], list[bool]]:
+    """The root face cycle of ``pmap`` from the root, and whether each
+    dart (index 0 unused) lies on it."""
     sigma, alpha = pmap.sigma, pmap.alpha
     on = [False] * (len(sigma) + 1)
     cyc = []
@@ -399,6 +406,13 @@ def _simple_face_walk(pmap: PlanarMap) -> tuple[int, ...] | None:
         on[d] = True
         cyc.append(d)
         d = sigma[alpha[d - 1] - 1]
+    return cyc, on
+
+
+def _simple_face_walk(pmap: PlanarMap) -> tuple[int, ...] | None:
+    """:meth:`BoundaryMap.simple_walk` of ``pmap``, computed."""
+    sigma, alpha = pmap.sigma, pmap.alpha
+    cyc, on = _marked_root_face(pmap)
     for d in cyc:
         if on[alpha[d - 1]]:
             return None

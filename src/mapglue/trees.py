@@ -24,7 +24,15 @@ from .maps import PlanarMap
 
 @dataclass(frozen=True)
 class DyckPath:
-    """Step sequence over {+1, -1} with nonnegative prefix sums and sum 0."""
+    """Step sequence over {+1, -1} with nonnegative prefix sums and sum 0.
+
+    Checked when it is made from outside data (``DyckPath(steps)`` and
+    :meth:`from_word`: NotDyck otherwise).  The paths the library reads
+    off a tree or a circuit are Dyck by construction and are made with
+    :meth:`_built`, which checks nothing: :func:`tree_to_contour`'s, the
+    contour ``glue_bridgeless`` reads from the tree's matching, and the
+    contour a circuit records while its check walks it.
+    """
 
     steps: tuple[int, ...]
 
@@ -40,6 +48,13 @@ class DyckPath:
             raise NotDyck("steps do not sum to zero")
         if len(self.steps) % 2:
             raise NotDyck("odd length")
+
+    @classmethod
+    def _built(cls, steps: tuple[int, ...]) -> "DyckPath":
+        """The Dyck path with the steps ``steps``, trusted to be one."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        return path
 
     @property
     def m(self) -> int:
@@ -143,10 +158,10 @@ _memo_tree = lru_cache(maxsize=256)(_tree)
 
 def tree_to_contour(tree: PlanarMap) -> DyckPath:
     """Contour function of a plane tree, read by :func:`_contour_walk`
-    (NotDyck when the map is no tree)."""
+    (NotDyck when the map is no tree, so the steps it returns are Dyck)."""
     if tree.edge_count == 0:
         raise EmptyTree("a tree must have at least one edge")
-    return DyckPath(tuple(_contour_walk(tree)[1]))
+    return DyckPath._built(tuple(_contour_walk(tree)[1]))
 
 
 def _contour_walk(pmap: PlanarMap, tree_edges=None,

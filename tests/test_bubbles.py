@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapglue.bijection import _contour_tables, glue
-from mapglue import verify
+from mapglue import bubbles, verify
 from mapglue.bubbles import (BubbleMap, Circuit, _nested, _wicked_cuts,
                              bubble_from_text, bubble_to_text,
                              circuit_to_contour, detect_wicked,
@@ -12,8 +12,8 @@ from mapglue.counting import count_bubble
 from mapglue.enumeration import enumerate_maps
 from mapglue.errors import (BoundaryHasBridge, CircuitMissesPinch,
                             Disconnected, EmptyTree, FormatError,
-                            InternalMismatch, MalformedCircuit, NonPlanar,
-                            SizeMismatch)
+                            InternalMismatch, MalformedCircuit, MapGlueError,
+                            NonPlanar, SizeMismatch)
 from mapglue.maps import (BoundaryMap, _cycles, _find, _union, build_map,
                           map_from_line)
 from mapglue.trees import (DyckPath, class_starts, contour_to_tree,
@@ -142,11 +142,13 @@ def test_gluing_checks_in_order():
         glue_bridgeless(eight, too_big)
 
 
+TWO_WICKED_E6 = ("map E=6 root=1 sigma=2,1,5,3,6,4,9,7,10,8,12,11 "
+                 "alpha=3,4,1,2,7,8,5,6,11,12,9,10")
+
+
 def _three_spheres():
     """The gluing of test_two_wicked_vertices_in_vertex_order."""
-    bm = BoundaryMap(map_from_line(
-        "map E=6 root=1 sigma=2,1,5,3,6,4,9,7,10,8,12,11 "
-        "alpha=3,4,1,2,7,8,5,6,11,12,9,10"))
+    bm = BoundaryMap(map_from_line(TWO_WICKED_E6))
     return glue_bridgeless(bm, contour_to_tree(DyckPath.from_word("UDUUDD")))
 
 
@@ -435,9 +437,10 @@ def _scanned_cuts(bmap, tree):
 
 
 def _cuts(bmap, tree):
-    """The wicked cuts that glue_bridgeless takes of one gluing."""
+    """The wicked cuts that glue_bridgeless takes of one gluing (None, on a
+    simple boundary, reads as none)."""
     return _wicked_cuts(bmap.map, bmap.boundary_walk(),
-                        _contour_tables(tree)[1])
+                        _contour_tables(tree)[1]) or []
 
 
 def _check_against_references(bm, tree):
@@ -449,7 +452,10 @@ def _check_against_references(bm, tree):
     circuit recorded is the scan of its edges.  The gluing hands its own
     tables and contour to the bubble-map and the circuit: rebuilt through
     the checking constructors, they lay out the same tables and record
-    the same contour."""
+    the same contour.  Trusting changes no answer: the cut of the traced
+    circuit, which no sphere check reads, is dart for dart the cut of the
+    same circuit made by ``Circuit``, which is checked, and every Dyck
+    path built without a check passes ``DyckPath``'s."""
     assert detect_wicked(bm, tree) == _scanned_wicked(bm, tree)
     assert _cuts(bm, tree) == _scanned_cuts(bm, tree)
     try:
@@ -459,8 +465,15 @@ def _check_against_references(bm, tree):
     checked = BubbleMap(bubble.spheres, bubble.pinches)
     for name in ("_offsets", "_table", "_corners"):
         assert getattr(checked, name) == getattr(bubble, name), name
-    assert (circuit_to_contour(Circuit(checked, circuit.darts))
+    checked_circuit = Circuit(checked, circuit.darts)
+    assert (circuit_to_contour(checked_circuit)
             == circuit_to_contour(circuit))
+    tree2, cut = unglue_bubble(bubble, circuit)
+    checked_tree, checked_cut = unglue_bubble(checked, checked_circuit)
+    assert tree2 == checked_tree and cut.map == checked_cut.map
+    for path in (circuit_to_contour(circuit),
+                 circuit_to_contour(checked_circuit), tree_to_contour(tree2)):
+        assert DyckPath(path.steps) == path
     for g in range(1, bubble.dart_count + 1):
         assert bubble._corners[0][g] == _pairwise_vertex(bubble, g)
     assert circuit.is_non_crossing() == _pairwise_non_crossing(circuit)
@@ -470,17 +483,34 @@ def _check_against_references(bm, tree):
     assert (circuit_to_contour(circuit)
             == _walk_contour([min(g, alpha[g - 1]) for g in circuit.darts])
             == tree_to_contour(tree))
-    cut = unglue_bubble(bubble, circuit)[1].map
+    cut = cut.map
     assert build_map(cut.sigma, cut.alpha, cut.root) == cut
     return bubble, circuit
 
 
+def _perimeter_six_inputs():
+    """The 660 gluing inputs of ``count_bubble(0, 3)``: each 6-edge map
+    whose root face is bridgeless of perimeter 6, with each 3-edge tree."""
+    for pm in enumerate_maps(6).maps():
+        bm = BoundaryMap(pm)
+        if bm.perimeter == 6 and bm.is_bridgeless():
+            for path in enumerate_trees(3):
+                yield pm, bm, path
+
+
 def test_one_pass_kernels_match_references_exhaustively():
-    glued = 0
-    for pm, bm, path in _bridgeless_inputs(5):
+    """Every gluing input with at most 5 edges, and the 6-edge inputs of
+    perimeter 6.  No map with at most 5 edges has a bridgeless root face
+    of even perimeter above 4, so the first meet only trees of at most 2
+    edges, each its own mirror image; two 3-edge trees (UDUUDD and
+    UUDDUD) are not, so a gluing that recorded its contour backwards
+    fails on them."""
+    glued = asymmetric = 0
+    for pm, bm, path in (*_bridgeless_inputs(5), *_perimeter_six_inputs()):
         if _check_against_references(bm, contour_to_tree(path)):
             glued += 1
-    assert glued > 0
+            asymmetric += path.steps != tuple(-s for s in path.steps[::-1])
+    assert glued > 0 and asymmetric > 0
 
 
 # the two six-edge inputs of the benchmark's known defects (bench/README.md)
@@ -509,14 +539,38 @@ def test_known_six_edge_defects_pinned():
 
 
 def test_two_wicked_vertices_in_vertex_order():
-    bm = BoundaryMap(map_from_line(
-        "map E=6 root=1 sigma=2,1,5,3,6,4,9,7,10,8,12,11 "
-        "alpha=3,4,1,2,7,8,5,6,11,12,9,10"))
+    bm = BoundaryMap(map_from_line(TWO_WICKED_E6))
     tree = contour_to_tree(DyckPath.from_word("UDUUDD"))
     bubble, _ = _check_against_references(bm, tree)
     assert detect_wicked(bm, tree) == [(3, (0, 2)), (7, (3, 5))]
     assert [v for _, _, v in _cuts(bm, tree)] == [3, 7]
     assert len(bubble.spheres) == 3
+
+
+def test_a_grouping_that_skips_a_recurring_vertex_fails(monkeypatch):
+    """Gluing seeks wicked cuts, and checks that a single sphere is
+    connected, only where a boundary vertex recurs.  A _boundary_groups
+    that skips such a boundary (this one looks for a repeated dart, which
+    a bridgeless walk never has, instead of a repeated head vertex) glues
+    known defect 1's input without raising and merges the three spheres
+    of test_two_wicked_vertices_in_vertex_order; the references fail on
+    both."""
+    groups = bubbles._boundary_groups
+
+    def skipping(pmap, walk, classes):
+        if len(set(walk)) == len(walk):
+            return None
+        return groups(pmap, walk, classes)
+
+    defect_1 = (BoundaryMap(map_from_line(DISCONNECTED_E6)),
+                contour_to_tree(DyckPath.from_word("UDUUDD")))
+    three_spheres = (BoundaryMap(map_from_line(TWO_WICKED_E6)),
+                     contour_to_tree(DyckPath.from_word("UDUUDD")))
+    monkeypatch.setattr(bubbles, "_boundary_groups", skipping)
+    glue_bridgeless(*defect_1)  # raises Disconnected without the mutant
+    for bm, tree in (defect_1, three_spheres):
+        with pytest.raises((AssertionError, MapGlueError)):
+            _check_against_references(bm, tree)
 
 
 def test_joined_discs_match_references():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mapglue.enumeration import enumerate_maps
 from mapglue.errors import NotDyck
 from mapglue.trees import (DyckPath, catalan, class_starts, contour_to_tree,
                            enumerate_trees, sample_dyck_uniform,
@@ -46,6 +47,22 @@ def test_contour_round_trip():
             assert tree.edge_count == m
             assert tree.face_count == 1
             assert tree_to_contour(tree) == path
+
+
+def test_tree_to_contour_refuses_maps_that_are_no_tree():
+    """tree_to_contour builds its path without a Dyck check: its contour
+    walk raises NotDyck on every map with more than one face, and the
+    steps it reads off a tree pass the check."""
+    for e in (1, 2, 3):
+        for pm in enumerate_maps(e).maps():
+            if pm.face_count > 1:
+                with pytest.raises(NotDyck):
+                    tree_to_contour(pm)
+                continue
+            path = tree_to_contour(pm)
+            assert DyckPath(path.steps) == path
+            assert (contour_to_tree(path).canonical_code()
+                    == pm.canonical_code())
 
 
 def test_contour_classes_partition():
